@@ -58,6 +58,10 @@ EXIT_UNKNOWN = 3
 
 _VERDICT_EXIT = {"true": EXIT_TRUE, "false": EXIT_FALSE, "unknown": EXIT_UNKNOWN}
 
+# Largest --n each command accepts; both finish in seconds at the bound.
+FAMILY_MAX_N = 10
+GN_MAX_N = 24
+
 
 class InputError(Exception):
     """Bad request payload; the message names the offending field."""
@@ -232,6 +236,8 @@ def _cmd_invariants(args, stdin) -> tuple[dict, int]:
 def _cmd_family(args, stdin) -> tuple[dict, int]:
     if args.n is None:
         raise InputError("family requires --n")
+    if args.n > FAMILY_MAX_N:
+        raise InputError(f"family --n must be at most {FAMILY_MAX_N}")
     try:
         fam = theorem11_family(args.n, args.cap)
     except ValueError as exc:
@@ -303,6 +309,8 @@ def _cmd_fibersum(args, stdin) -> tuple[dict, int]:
 def _cmd_gn(args, stdin) -> tuple[dict, int]:
     if args.n is None:
         raise InputError("gn requires --n")
+    if args.n > GN_MAX_N:
+        raise InputError(f"gn --n must be at most {GN_MAX_N}")
     try:
         f = gn_word(args.n)
     except ValueError as exc:
@@ -379,9 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "Lefschetz-fibration invariants (JSON in, JSON out).")
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--n", type=int, default=None,
-                        help="genus parameter for family/gn")
+                        help=f"genus parameter for family (2..{FAMILY_MAX_N}) "
+                             f"and gn (1..{GN_MAX_N})")
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help="free-group word-length cap (default 10^6)")
+                        help="free-group word-length cap, at least 1 (default 10^6)")
     parser.add_argument("--engine", choices=["auto", "homology", "pi1", "closed"],
                         default="auto", help="equality engine tier")
     parser.add_argument("--out", default=None,
@@ -399,6 +408,8 @@ def run(argv=None, stdin=None, stdout=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
+        if args.cap < 1:
+            raise InputError("--cap must be at least 1")
         report, code = _COMMANDS[args.command](args, stdin)
     except InputError as exc:
         report, code = {"command": args.command, "error": str(exc)}, EXIT_INPUT

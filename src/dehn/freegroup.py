@@ -2,7 +2,8 @@
 
 A word is a tuple of nonzero ints: ``k`` is the k-th generator, ``-k`` its
 inverse, and words are kept freely reduced (no adjacent ``k, -k``).  An
-automorphism is represented by the tuple of images of the generators and is
+automorphism is represented by the tuple of images of the generators, with
+the images of the inverse generators computed once beside them, and is
 applied letterwise.
 """
 
@@ -57,13 +58,19 @@ def cyclically_reduce(w: Word) -> tuple[Word, Word]:
 class FreeAutomorphism:
     """An endomorphism of F_n given by generator images (assumed invertible).
 
-    ``images[k]`` is the reduced image word of generator k+1.
+    ``images[k]`` is the reduced image word of generator k+1.  The signed
+    table ``_signed`` holds the image of every letter at the letter's own
+    index: ``_signed[k]`` is the image of generator k and, by negative
+    indexing, ``_signed[-k]`` the inverse of that image.  ``apply`` takes
+    letters in 1..n and -n..-1 only.
     """
 
-    __slots__ = ("images",)
+    __slots__ = ("images", "_signed")
 
     def __init__(self, images):
         self.images = tuple(reduce_word(w) for w in images)
+        inverses = tuple(invert_word(w) for w in self.images)
+        self._signed = (None,) + self.images + inverses[::-1]
 
     @property
     def rank(self) -> int:
@@ -79,14 +86,16 @@ class FreeAutomorphism:
         return cls(tuple(tuple(table.get(k, (k,))) for k in range(1, n + 1)))
 
     def apply(self, w: Word) -> Word:
+        signed = self._signed
         out: list[int] = []
         for x in w:
-            img = self.images[x - 1] if x > 0 else invert_word(self.images[-x - 1])
-            for y in img:
-                if out and out[-1] == -y:
-                    out.pop()
-                else:
-                    out.append(y)
+            img = signed[x]
+            # img is reduced, so only its prefix can cancel against out
+            i, n = 0, len(img)
+            while i < n and out and out[-1] == -img[i]:
+                out.pop()
+                i += 1
+            out.extend(img[i:])
         return tuple(out)
 
     def compose(self, other: "FreeAutomorphism") -> "FreeAutomorphism":

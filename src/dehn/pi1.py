@@ -18,6 +18,12 @@ automorphisms of the one-relator quotient: genus 1 via the (faithful)
 homology action, genus >= 2 by Dehn-style length reduction against cyclic
 rotations of the boundary relator, which is sound and complete there.
 
+A word is applied through its compiled stream (``compile_word``): the flat
+sequence of plain (curve, sign) table applications in the order they act,
+with conjugators expanded and adjacent x^s x^-s pairs cancelled.  Each
+comparison compiles each word once and runs that one stream on every
+generator; the word-length cap is checked after every table application.
+
 The per-curve automorphisms are constructed once per genus:  positive chain
 twists act by the half-twist lift on chain-curve loops (loop j maps loop
 j-1 to (j-1)(j) and loop j+1 to (j)^-1 (j+1)); d2 conjugates the first
@@ -195,48 +201,74 @@ def twist_tables(genus: int) -> dict[tuple[str, int], FreeAutomorphism]:
 
 
 # ---------------------------------------------------------------------------
-# Applying words to elements.  Equality is decided generator by generator by
-# successive application of letters, never by composing automorphism tables,
-# so intermediate growth stays linear per letter.
+# Applying words to elements.  A word is compiled once into its stream: the
+# flat sequence of plain (curve, sign) table applications in the order they
+# act, with every conjugator expanded and adjacent x^s x^-s pairs cancelled
+# (each such pair composes to the identity), so the u ... u^-1 seams between
+# letters that share a conjugator disappear.  A comparison compiles each
+# word once and runs its stream on one generator at a time, never composing
+# automorphism tables, so intermediate growth stays linear per application;
+# the length cap is checked after every table application.
 # ---------------------------------------------------------------------------
 
-
-def _check_cap(w: Word, cap: int) -> Word:
-    if len(w) > cap:
-        raise WordGrowthExceeded(len(w), cap)
-    return w
+Step = tuple[str, int]
 
 
-def _apply_plain(name: str, sign: int, z: Word, tables, cap: int) -> Word:
-    return _check_cap(tables[(name, sign)].apply(z), cap)
+def _compile(letters) -> tuple[Step, ...]:
+    stream: list[Step] = []
+    for t in reversed(letters):
+        # (u . t . u^-1)(z): u^-1 acts first, and within each word the
+        # rightmost letter acts first, so u^-1 is swept in forward order with
+        # signs flipped, then the base twist, then u in reverse.
+        steps = [(name, -sign) for name, sign in t.conj]
+        steps.append((t.base, t.sign))
+        steps += reversed(t.conj)
+        for name, sign in steps:
+            if stream and stream[-1] == (name, -sign):
+                stream.pop()
+            else:
+                stream.append((name, sign))
+    return tuple(stream)
+
+
+def compile_word(word: TwistWord) -> tuple[Step, ...]:
+    """The word's cancelled stream of (curve, sign) steps, first-acting first."""
+    return _compile(word.letters)
+
+
+def _autos(letters, genus: int) -> tuple[FreeAutomorphism, ...]:
+    """The tables of the stream of ``letters``, in the order they act."""
+    tables = twist_tables(genus)
+    return tuple(tables[step] for step in _compile(letters))
+
+
+def _compiled(word: TwistWord) -> tuple[FreeAutomorphism, ...]:
+    return _autos(word.letters, word.surface.genus)
+
+
+def _run(autos: tuple[FreeAutomorphism, ...], z: Word, cap: int) -> Word:
+    z = reduce_word(z)
+    for auto in autos:
+        z = auto.apply(z)
+        if len(z) > cap:
+            raise WordGrowthExceeded(len(z), cap)
+    return z
 
 
 def apply_twist(t: Twist, z: Word, sig: SurfaceSig, cap: int = DEFAULT_CAP) -> Word:
     """Image of the reduced word z under one (possibly conjugated) twist."""
     t.validate(sig)
-    tables = twist_tables(sig.genus)
-    z = reduce_word(z)
-    # (u . t . u^-1)(z): u^-1 acts first, and within each word the rightmost
-    # letter acts first, so u^-1 is swept in forward order with signs flipped.
-    for name, sign in t.conj:
-        z = _apply_plain(name, -sign, z, tables, cap)
-    z = _apply_plain(t.base, t.sign, z, tables, cap)
-    for name, sign in reversed(t.conj):
-        z = _apply_plain(name, sign, z, tables, cap)
-    return z
+    return _run(_autos((t,), sig.genus), z, cap)
 
 
 def apply_word(word: TwistWord, z: Word, cap: int = DEFAULT_CAP) -> Word:
     """Image of z under the whole word; the rightmost letter acts first."""
-    z = reduce_word(z)
-    for t in reversed(word.letters):
-        z = apply_twist(t, z, word.surface, cap)
-    return z
+    return _run(_compiled(word), z, cap)
 
 
 def generator_images(word: TwistWord, cap: int = DEFAULT_CAP) -> tuple[Word, ...]:
-    n = 2 * word.surface.genus
-    return tuple(apply_word(word, (k,), cap) for k in range(1, n + 1))
+    autos = _compiled(word)
+    return tuple(_run(autos, (k,), cap) for k in range(1, 2 * word.surface.genus + 1))
 
 
 def mcg_equal_rel_boundary(w1: TwistWord, w2: TwistWord, cap: int = DEFAULT_CAP) -> bool:
@@ -245,9 +277,9 @@ def mcg_equal_rel_boundary(w1: TwistWord, w2: TwistWord, cap: int = DEFAULT_CAP)
         raise ValueError("words live on different surfaces")
     if w1.surface.boundary != 1:
         raise ValueError("rel-boundary comparison requires a one-boundary surface")
-    n = 2 * w1.surface.genus
-    for k in range(1, n + 1):
-        if apply_word(w1, (k,), cap) != apply_word(w2, (k,), cap):
+    a1, a2 = _compiled(w1), _compiled(w2)
+    for k in range(1, 2 * w1.surface.genus + 1):
+        if _run(a1, (k,), cap) != _run(a2, (k,), cap):
             return False
     return True
 
@@ -255,8 +287,8 @@ def mcg_equal_rel_boundary(w1: TwistWord, w2: TwistWord, cap: int = DEFAULT_CAP)
 def is_trivial_rel_boundary(word: TwistWord, cap: int = DEFAULT_CAP) -> bool:
     if word.surface.boundary != 1:
         raise ValueError("rel-boundary triviality requires a one-boundary surface")
-    n = 2 * word.surface.genus
-    return all(apply_word(word, (k,), cap) == (k,) for k in range(1, n + 1))
+    autos = _compiled(word)
+    return all(_run(autos, (k,), cap) == (k,) for k in range(1, 2 * word.surface.genus + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +354,10 @@ def closed_equal(w1: TwistWord, w2: TwistWord, cap: int = DEFAULT_CAP) -> bool:
         return True
     if sig.genus == 1:
         return homology_equal(w1, w2)
-    n = 2 * sig.genus
-    for k in range(1, n + 1):
-        u = apply_word(w1, (k,), cap)
-        v = apply_word(w2, (k,), cap)
+    a1, a2 = _compiled(w1), _compiled(w2)
+    for k in range(1, 2 * sig.genus + 1):
+        u = _run(a1, (k,), cap)
+        v = _run(a2, (k,), cap)
         if dehn_reduce(multiply(u, invert_word(v)), sig.genus):
             return False
     return True
@@ -346,17 +378,22 @@ def decide_equal(w1: TwistWord, w2: TwistWord, engine: str = "auto",
     """Compare two twist words; returns (verdict, engine description).
 
     Verdict is "true", "false", or "unknown" (resource cap, or a
-    necessary-only engine that could not separate the words).
+    necessary-only engine that could not separate the words).  Words that
+    are letter-for-letter identical are "true" under every exact engine
+    without applying them.
     """
     if w1.surface != w2.surface:
         raise ValueError("words live on different surfaces")
     sig = w1.surface
+    same = w1.letters == w2.letters
     if engine == "auto":
         engine = "pi1" if sig.boundary == 1 else ("homology" if sig.genus <= 1 else "closed")
 
     if engine == "pi1":
         if sig.boundary != 1:
             raise ValueError("pi1 engine requires boundary = 1")
+        if same:
+            return ("true", ENGINE_PI1)
         try:
             return ("true" if mcg_equal_rel_boundary(w1, w2, cap) else "false", ENGINE_PI1)
         except WordGrowthExceeded:
@@ -366,13 +403,15 @@ def decide_equal(w1: TwistWord, w2: TwistWord, engine: str = "auto",
         if sig.boundary != 0:
             raise ValueError("closed engine requires boundary = 0")
         name = ENGINE_CLOSED if sig.genus >= 2 else ENGINE_HOMOLOGY_FAITHFUL
+        if same:
+            return ("true", name)
         try:
             return ("true" if closed_equal(w1, w2, cap) else "false", name)
         except WordGrowthExceeded:
             return ("unknown", name)
 
     if engine == "homology":
-        equal = homology_equal(w1, w2)
+        equal = same or homology_equal(w1, w2)
         if sig.boundary == 0 and sig.genus <= 1:
             return ("true" if equal else "false", ENGINE_HOMOLOGY_FAITHFUL)
         return ("unknown" if equal else "false", ENGINE_HOMOLOGY_NECESSARY)

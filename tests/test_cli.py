@@ -208,6 +208,31 @@ def test_family():
     assert code == 2 and "--n" in rep["error"]
 
 
+def test_family_n_upper_bound():
+    from dehn.cli import FAMILY_MAX_N, build_parser
+
+    code, rep, _ = run_cli(["family", "--n", str(FAMILY_MAX_N + 1)])
+    assert code == 2 and "--n" in rep["error"] and str(FAMILY_MAX_N) in rep["error"]
+    assert f"family (2..{FAMILY_MAX_N})" in " ".join(build_parser().format_help().split())
+
+
+def test_gn_n_upper_bound():
+    from dehn.cli import GN_MAX_N, build_parser
+
+    code, rep, _ = run_cli(["gn", "--n", str(GN_MAX_N + 1)])
+    assert code == 2 and "--n" in rep["error"] and str(GN_MAX_N) in rep["error"]
+    assert f"gn (1..{GN_MAX_N})" in " ".join(build_parser().format_help().split())
+
+
+def test_cap_must_be_positive():
+    payload = {"surface": surface(1, 1), "words": [letters("a1"), letters("a1")]}
+    for cap in ("0", "-5"):
+        code, rep, _ = run_cli(["verify", "--cap", cap], payload)
+        assert code == 2 and "--cap" in rep["error"]
+    code, rep, _ = run_cli(["family", "--n", "2", "--cap", "0"])
+    assert code == 2 and "--cap" in rep["error"]
+
+
 def test_trefoil():
     code, rep, _ = run_cli(["trefoil"])
     assert code == 0

@@ -166,6 +166,27 @@ def test_growth_cap():
     assert decide_equal(w, word(T1, "delta"), cap=3) == ("unknown", ENGINE_PI1)
 
 
+def test_identical_words_are_equal_without_applying_them():
+    # the images of (a1 b1^-1)^16 pass the default cap, which used to make
+    # the exact engines answer "unknown" even for a word against itself
+    w = word(T1, "a1 b1^-1").power(16)
+    assert decide_equal(w, w) == ("true", ENGINE_PI1)
+    closed2 = SurfaceSig(2, 0)
+    w2 = word(closed2, "a1 b1^-1 a2 b2^-1").power(4)
+    assert decide_equal(w2, w2, cap=3) == ("true", ENGINE_CLOSED)
+    torus = SurfaceSig(1, 0)
+    assert decide_equal(word(torus, "a1"), word(torus, "a1"), engine="closed") == (
+        "true", ENGINE_HOMOLOGY_FAITHFUL)
+    assert decide_equal(word(torus, "a1"), word(torus, "a1"), engine="homology") == (
+        "true", ENGINE_HOMOLOGY_FAITHFUL)
+    # the necessary-only engine still cannot certify equality
+    a = word(T2, "a1 b2")
+    assert decide_equal(a, a, engine="homology") == ("unknown", ENGINE_HOMOLOGY_NECESSARY)
+    # engine/surface mismatches are still errors
+    with pytest.raises(ValueError):
+        decide_equal(a, a, engine="closed")
+
+
 def test_abelianize():
     assert abelianize((1,), 2) == (1, 0, 0, 0)
     assert abelianize((2,), 2) == (0, -1, 0, 0)

@@ -1,0 +1,153 @@
+"""Compiled letter streams and the signed generator tables they run on."""
+
+import random
+
+import pytest
+
+from dehn import (
+    SurfaceSig,
+    Twist,
+    TwistWord,
+    WordGrowthExceeded,
+    apply_word,
+    closed_equal,
+    mcg_equal_rel_boundary,
+    twist_tables,
+)
+from dehn.freegroup import invert_word, reduce_word
+from dehn.pi1 import apply_twist, compile_word
+from dehn.surface import standard_curves
+
+
+def reference_apply(auto, z):
+    """Letterwise image from the positive images alone, inverting per letter."""
+    out = []
+    for x in z:
+        img = auto.images[x - 1] if x > 0 else invert_word(auto.images[-x - 1])
+        for y in img:
+            if out and out[-1] == -y:
+                out.pop()
+            else:
+                out.append(y)
+    return tuple(out)
+
+
+def reference_apply_word(word, z):
+    """Letter by letter: each u t u^-1 swept through the tables, uncancelled."""
+    tables = twist_tables(word.surface.genus)
+    z = reduce_word(z)
+    for t in reversed(word.letters):
+        for name, sign in t.conj:
+            z = reference_apply(tables[(name, -sign)], z)
+        z = reference_apply(tables[(t.base, t.sign)], z)
+        for name, sign in reversed(t.conj):
+            z = reference_apply(tables[(name, sign)], z)
+    return z
+
+
+def random_word(rng, sig, length):
+    """Conjugated letters with adjacent t t^-1 pairs and shared conjugators."""
+    curves = standard_curves(sig)
+
+    def plain():
+        return (rng.choice(curves), rng.choice((1, -1)))
+
+    letters = []
+    while len(letters) < length:
+        conj = tuple(plain() for _ in range(rng.randrange(3)))
+        t = Twist(*plain(), conj)
+        roll = rng.random()
+        if roll < 0.25:
+            letters += [t, t.inverse()]
+        elif roll < 0.5:
+            letters += [t, Twist(*plain(), conj)]
+        else:
+            letters.append(t)
+    return TwistWord(sig, tuple(letters))
+
+
+def random_element(rng, genus, length):
+    return reduce_word(rng.choice((1, -1)) * rng.randint(1, 2 * genus) for _ in range(length))
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_inverse_images_are_inverted_images(genus):
+    for key, auto in twist_tables(genus).items():
+        for k in range(1, 2 * genus + 1):
+            assert auto.apply((-k,)) == invert_word(auto.images[k - 1]), (key, k)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_signed_apply_matches_letterwise_inversion(genus):
+    rng = random.Random(genus)
+    for auto in twist_tables(genus).values():
+        for _ in range(10):
+            z = tuple(rng.choice((1, -1)) * rng.randint(1, 2 * genus) for _ in range(12))
+            assert auto.apply(z) == reference_apply(auto, z)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_opposite_tables_cancel(genus):
+    # a cancelled x^s x^-s pair of the stream composes to the identity
+    tables = twist_tables(genus)
+    for (name, sign), auto in tables.items():
+        inverse = tables[(name, -sign)]
+        for k in range(1, 2 * genus + 1):
+            assert inverse.apply(auto.apply((k,))) == (k,)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+@pytest.mark.parametrize("boundary", [0, 1])
+def test_stream_matches_letter_by_letter_reference(genus, boundary):
+    sig = SurfaceSig(genus, boundary)
+    rng = random.Random(100 * genus + boundary)
+    for _ in range(12):
+        w = random_word(rng, sig, rng.randint(1, 6))
+        for k in range(1, 2 * genus + 1):
+            assert apply_word(w, (k,)) == reference_apply_word(w, (k,))
+        z = random_element(rng, genus, 8)
+        assert apply_word(w, z) == reference_apply_word(w, z)
+
+
+def test_apply_twist_matches_reference():
+    sig = SurfaceSig(2, 1)
+    rng = random.Random(5)
+    for _ in range(20):
+        t = random_word(rng, sig, 1).letters[0]
+        z = random_element(rng, 2, 6)
+        assert apply_twist(t, z, sig) == reference_apply_word(TwistWord(sig, (t,)), z)
+    with pytest.raises(ValueError):
+        apply_twist(Twist("delta"), (1,), SurfaceSig(2, 0))
+
+
+def test_compiled_stream_cancels():
+    sig = SurfaceSig(2, 1)
+    u = (("a1", 1), ("b2", -1))
+    t = Twist("b1", 1, u)
+    # conjugated letter: u^-1 swept forward with flipped signs, base, u reversed
+    assert compile_word(TwistWord(sig, (t,))) == (
+        ("a1", -1), ("b2", 1), ("b1", 1), ("b2", -1), ("a1", 1))
+    # adjacent t t^-1 cancels completely
+    assert compile_word(TwistWord(sig, (t, t.inverse()))) == ()
+    # letters sharing a conjugator lose the u ... u^-1 seam between them
+    s = Twist("a2", -1, u)
+    assert compile_word(TwistWord(sig, (t, s))) == (
+        ("a1", -1), ("b2", 1), ("a2", -1), ("b1", 1), ("b2", -1), ("a1", 1))
+    # conjugator letters cancel against plain neighbours too
+    plain = TwistWord.from_names(sig, "a1^-1")
+    assert compile_word(plain * TwistWord(sig, (t,))) == (
+        ("a1", -1), ("b2", 1), ("b1", 1), ("b2", -1))
+
+
+def test_compiled_path_respects_cap():
+    sig = SurfaceSig(1, 1)
+    w = TwistWord.from_names(sig, "a1 b1^-1").power(6)
+    with pytest.raises(WordGrowthExceeded) as info:
+        apply_word(w, (1,), cap=5)
+    assert info.value.cap == 5 and info.value.length > 5
+    with pytest.raises(WordGrowthExceeded):
+        mcg_equal_rel_boundary(w, TwistWord(sig, ()), cap=5)
+    closed = SurfaceSig(2, 0)
+    w2 = TwistWord.from_names(closed, "a1 b1^-1 a2 b2^-1").power(3)
+    with pytest.raises(WordGrowthExceeded):
+        closed_equal(w2, TwistWord(closed, ()), cap=5)
