@@ -62,6 +62,12 @@ _VERDICT_EXIT = {"true": EXIT_TRUE, "false": EXIT_FALSE, "unknown": EXIT_UNKNOWN
 FAMILY_MAX_N = 10
 GN_MAX_N = 24
 
+# Largest JSON request accepted, checked before any table is built: the
+# twist tables of genus g hold O(g^2) image letters, and the size of a word
+# counts every conjugator letter.  The gn word at GN_MAX_N has 4,704 letters.
+JSON_MAX_GENUS = GN_MAX_N
+WORD_MAX_LETTERS = 10_000
+
 
 class InputError(Exception):
     """Bad request payload; the message names the offending field."""
@@ -91,6 +97,8 @@ def parse_surface(obj: dict) -> SurfaceSig:
     surf = _require(obj, "surface", dict, "")
     genus = _require(surf, "genus", int, "surface.")
     boundary = _require(surf, "boundary", int, "surface.")
+    if genus > JSON_MAX_GENUS:
+        raise InputError(f"field surface.'genus' must be at most {JSON_MAX_GENUS}")
     try:
         return SurfaceSig(genus, boundary)
     except ValueError as exc:
@@ -124,6 +132,10 @@ def parse_word(sig: SurfaceSig, letters, where: str = "word") -> TwistWord:
     if not isinstance(letters, list):
         raise InputError(f"field {where!r} must be a list of letters")
     twists = tuple(_parse_letter(e, f"{where}[{i}]") for i, e in enumerate(letters))
+    size = sum(1 + len(t.conj) for t in twists)
+    if size > WORD_MAX_LETTERS:
+        raise InputError(f"field {where!r} has {size} letters counting conjugators, "
+                         f"more than {WORD_MAX_LETTERS}")
     try:
         return TwistWord(sig, twists)
     except ValueError as exc:
@@ -384,7 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dehn",
         description="Exact Dehn-twist word verification, rewriting, and "
-                    "Lefschetz-fibration invariants (JSON in, JSON out).")
+                    "Lefschetz-fibration invariants (JSON in, JSON out).",
+        epilog=f"JSON requests are limited to surface genus {JSON_MAX_GENUS} and "
+               f"{WORD_MAX_LETTERS} letters per word, conjugator letters included; "
+               f"larger requests are input errors (exit 2).")
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--n", type=int, default=None,
                         help=f"genus parameter for family (2..{FAMILY_MAX_N}) "

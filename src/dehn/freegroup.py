@@ -12,6 +12,15 @@ from __future__ import annotations
 Word = tuple[int, ...]
 
 
+class WordGrowthExceeded(Exception):
+    """An intermediate free-group word passed the configured length cap."""
+
+    def __init__(self, length: int, cap: int):
+        super().__init__(f"word length {length} exceeds cap {cap}")
+        self.length = length
+        self.cap = cap
+
+
 def reduce_word(letters) -> Word:
     """Freely reduce: cancel adjacent inverse pairs."""
     out: list[int] = []
@@ -85,7 +94,12 @@ class FreeAutomorphism:
         """Identity except on the listed generators."""
         return cls(tuple(tuple(table.get(k, (k,))) for k in range(1, n + 1)))
 
-    def apply(self, w: Word) -> Word:
+    def apply(self, w: Word, cap: int | None = None) -> Word:
+        """Image of w; raises WordGrowthExceeded if it is longer than ``cap``.
+
+        The cap is checked before the image is copied into a tuple, so an
+        oversized image is never held twice.
+        """
         signed = self._signed
         out: list[int] = []
         for x in w:
@@ -96,6 +110,8 @@ class FreeAutomorphism:
                 out.pop()
                 i += 1
             out.extend(img[i:])
+        if cap is not None and len(out) > cap:
+            raise WordGrowthExceeded(len(out), cap)
         return tuple(out)
 
     def compose(self, other: "FreeAutomorphism") -> "FreeAutomorphism":

@@ -15,8 +15,12 @@ rel boundary exactly when all generator images agree
 
 For closed surfaces ``closed_equal`` decides equality of the induced
 automorphisms of the one-relator quotient: genus 1 via the (faithful)
-homology action, genus >= 2 by Dehn-style length reduction against cyclic
-rotations of the boundary relator, which is sound and complete there.
+homology action, genus >= 2 by comparing generator images with Dehn's
+algorithm against the boundary relator (``dehn_reduce``), which decides
+the word problem of the surface group.  At genus >= 2 that is equality of
+automorphisms of pi1 with a marked point, i.e. in Mod(S_g, *), not in
+Mod(S_g): two words that differ by a point-push are equal on the closed
+surface but are reported unequal ("false").
 
 A word is applied through its compiled stream (``compile_word``): the flat
 sequence of plain (curve, sign) table applications in the order they act,
@@ -40,6 +44,7 @@ from functools import lru_cache
 from .freegroup import (
     FreeAutomorphism,
     Word,
+    WordGrowthExceeded,
     invert_word,
     multiply,
     reduce_word,
@@ -48,15 +53,6 @@ from .homology import homology_equal
 from .surface import SurfaceSig, Twist, TwistWord, chain_index
 
 DEFAULT_CAP = 10**6
-
-
-class WordGrowthExceeded(Exception):
-    """An intermediate free-group word passed the configured length cap."""
-
-    def __init__(self, length: int, cap: int):
-        super().__init__(f"word length {length} exceeds cap {cap}")
-        self.length = length
-        self.cap = cap
 
 
 def boundary_word(genus: int) -> Word:
@@ -249,9 +245,7 @@ def _compiled(word: TwistWord) -> tuple[FreeAutomorphism, ...]:
 def _run(autos: tuple[FreeAutomorphism, ...], z: Word, cap: int) -> Word:
     z = reduce_word(z)
     for auto in autos:
-        z = auto.apply(z)
-        if len(z) > cap:
-            raise WordGrowthExceeded(len(z), cap)
+        z = auto.apply(z, cap)
     return z
 
 
@@ -306,36 +300,52 @@ def _relator_rotations(g: int) -> tuple[Word, ...]:
     return tuple(rots)
 
 
-def dehn_reduce(z: Word, genus: int) -> Word:
-    """Shorten z modulo the surface relator until no subword exceeds half.
+@lru_cache(maxsize=None)
+def _dehn_rules(genus: int) -> dict[Word, Word]:
+    """Every cyclic subword of length 2g+1 of r or r^-1 -> inverse of its complement.
 
-    Replaces any subword matching more than half of a cyclic rotation of the
-    relator (or its inverse) by the inverse of the complement; for genus >= 2
-    the empty result is reached exactly on elements trivial in the surface
-    group.
+    Every piece of r has length 1 (no two-letter cyclic subword occurs twice
+    among r and r^-1), so the 8g keys are distinct.
+    """
+    need = 2 * genus + 1
+    return {rot[:need]: invert_word(rot[need:]) for rot in _relator_rotations(genus)}
+
+
+def dehn_reduce(z: Word, genus: int) -> Word:
+    """Dehn's algorithm for the surface group, in time linear in len(z).
+
+    Letters of z are pushed one at a time onto an output stack with free
+    cancellation.  After each push the top 2g+1 letters are looked up among
+    the cyclic subwords of the relator r and of r^-1 that are longer than
+    half of it; on a hit they are popped and the inverse of the complement
+    (2g-1 letters) goes back onto the front of the pending input.  A pop
+    never creates such a subword and every push is checked, so the result
+    is freely reduced and contains no subword of length 2g+1 of any
+    rotation of r or r^-1.  Each replacement shortens the word by 2, so
+    there are O(g len(z)) pushes.  For genus >= 2 every piece of the
+    relator has length 1, the presentation is C'(1/6), and the result is
+    empty exactly on elements trivial in the surface group.
     """
     if genus < 2:
         raise ValueError("Dehn reduction applies to genus >= 2")
-    rots = _relator_rotations(genus)
-    full = 4 * genus
-    need = 2 * genus + 1  # strictly more than half of 4g
-    z = reduce_word(z)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(z)):
-            if changed:
-                break
-            for r in rots:
-                limit = min(full, len(z) - i)
-                match = 0
-                while match < limit and z[i + match] == r[match]:
-                    match += 1
-                if match >= need:
-                    z = reduce_word(z[:i] + invert_word(r[match:]) + z[i + match:])
-                    changed = True
-                    break
-    return z
+    rules = _dehn_rules(genus)
+    need = 2 * genus + 1
+    pending = list(reversed(z))
+    out: list[int] = []
+    while pending:
+        x = pending.pop()
+        if x == 0:
+            raise ValueError("0 is not a generator index")
+        if out and out[-1] == -x:
+            out.pop()
+            continue
+        out.append(x)
+        if len(out) >= need:
+            replacement = rules.get(tuple(out[-need:]))
+            if replacement is not None:
+                del out[-need:]
+                pending.extend(reversed(replacement))
+    return tuple(out)
 
 
 def closed_equal(w1: TwistWord, w2: TwistWord, cap: int = DEFAULT_CAP) -> bool:
@@ -343,7 +353,9 @@ def closed_equal(w1: TwistWord, w2: TwistWord, cap: int = DEFAULT_CAP) -> bool:
 
     Genus 1 is decided by the homology action, which is faithful there;
     genus >= 2 compares generator images modulo the relator by Dehn
-    reduction (sound and complete).
+    reduction.  That decides equality in Mod(S_g, *), with a marked point:
+    words that differ only by a point-push are equal in Mod(S_g) but
+    compare unequal here.
     """
     if w1.surface != w2.surface:
         raise ValueError("words live on different surfaces")

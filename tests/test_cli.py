@@ -233,6 +233,39 @@ def test_cap_must_be_positive():
     assert code == 2 and "--cap" in rep["error"]
 
 
+def test_json_genus_upper_bound():
+    from dehn import twist_tables
+    from dehn.cli import JSON_MAX_GENUS, build_parser
+
+    payload = {"surface": surface(JSON_MAX_GENUS + 1, 1),
+               "words": [letters("a1"), letters("b1")]}
+    misses = twist_tables.cache_info().misses
+    code, rep, _ = run_cli(["verify"], payload)
+    assert code == 2 and "genus" in rep["error"] and str(JSON_MAX_GENUS) in rep["error"]
+    assert twist_tables.cache_info().misses == misses  # rejected before any table
+    code, _, _ = run_cli(["invariants"], {"surface": surface(JSON_MAX_GENUS, 0),
+                                          "word": letters("a1")})
+    assert code == 0
+    assert f"genus {JSON_MAX_GENUS}" in " ".join(build_parser().format_help().split())
+
+
+def test_word_letter_upper_bound():
+    from dehn.cli import WORD_MAX_LETTERS, build_parser
+
+    # each letter counts once for its base and once per conjugator letter
+    at_bound = [{"base": "a1", "conj": [{"base": "b1"}]}] * (WORD_MAX_LETTERS // 2)
+    code, _, _ = run_cli(["invariants"], {"surface": surface(1, 0), "word": at_bound})
+    assert code == 0
+    over = at_bound + letters("a1")
+    code, rep, _ = run_cli(["invariants"], {"surface": surface(1, 0), "word": over})
+    assert code == 2 and "'word'" in rep["error"] and str(WORD_MAX_LETTERS) in rep["error"]
+    payload = {"surface": surface(1, 1), "words": [letters("a1"), over]}
+    code, rep, _ = run_cli(["verify"], payload)
+    assert code == 2 and "'words[1]'" in rep["error"]
+    assert f"{WORD_MAX_LETTERS} letters per word" in " ".join(
+        build_parser().format_help().split())
+
+
 def test_trefoil():
     code, rep, _ = run_cli(["trefoil"])
     assert code == 0
