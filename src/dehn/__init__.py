@@ -9,7 +9,6 @@ words describe.
 """
 
 from .constructions import (
-    FamilyReport,
     branched_double_cover,
     mapping_torus_homology,
     splitting_words,
@@ -19,10 +18,7 @@ from .constructions import (
 )
 from .fibration import (
     AbelianGroup,
-    DoubleReport,
     Fibration,
-    boundary_open_book,
-    double,
     double_report,
     euler_characteristic,
     fiber_sum,
@@ -30,77 +26,27 @@ from .fibration import (
     gn_word,
     is_allowable,
 )
-from .freegroup import FreeAutomorphism, invert_word, multiply, reduce_word
-from .homology import (
-    homology_action,
-    homology_equal,
-    homology_trivial,
-    intersection_pairing,
-    is_identity,
-    matrices_equal,
-    transvect,
-    transvection,
-    word_matrix,
-)
-from .pi1 import (
-    DEFAULT_CAP,
-    ENGINE_CLOSED,
-    ENGINE_HOMOLOGY_FAITHFUL,
-    ENGINE_HOMOLOGY_NECESSARY,
-    ENGINE_PI1,
-    WordGrowthExceeded,
-    abelianize,
-    apply_twist,
-    apply_word,
-    boundary_word,
-    closed_equal,
-    decide_equal,
-    dehn_reduce,
-    is_trivial_rel_boundary,
-    mcg_equal_rel_boundary,
-    twist_tables,
-)
+from .freegroup import WordGrowthExceeded
+from .pi1 import closed_equal, decide_equal, dehn_reduce, mcg_equal_rel_boundary
 from .rewriting import (
-    RewriteReport,
     chain_relation_selftest,
     chain_substitute,
     commute_pull,
     inverse_twist_expansion,
     positivize,
     prop9_factor,
-    transport_word,
 )
-from .snf import abelian_group_from_columns, smith_normal_form
-from .surface import (
-    SurfaceSig,
-    Twist,
-    TwistWord,
-    chain_word,
-    curve_valid,
-    geometric_disjoint,
-    homology_class,
-    standard_curves,
-)
+from .surface import SurfaceSig, Twist, TwistWord, chain_word
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianGroup", "DEFAULT_CAP", "DoubleReport", "ENGINE_CLOSED",
-    "ENGINE_HOMOLOGY_FAITHFUL", "ENGINE_HOMOLOGY_NECESSARY", "ENGINE_PI1",
-    "FamilyReport", "Fibration",
-    "FreeAutomorphism", "RewriteReport", "SurfaceSig", "Twist", "TwistWord",
-    "WordGrowthExceeded", "abelian_group_from_columns", "abelianize",
-    "apply_twist", "apply_word", "boundary_open_book", "boundary_word",
-    "branched_double_cover", "chain_relation_selftest", "chain_substitute",
-    "chain_word", "closed_equal", "commute_pull", "curve_valid",
-    "decide_equal", "dehn_reduce", "double", "double_report",
-    "euler_characteristic", "fiber_sum", "first_homology",
-    "geometric_disjoint", "gn_word", "homology_action", "homology_class",
-    "homology_equal", "homology_trivial", "intersection_pairing",
-    "inverse_twist_expansion", "invert_word", "is_allowable", "is_identity",
-    "is_trivial_rel_boundary", "mapping_torus_homology", "matrices_equal",
-    "mcg_equal_rel_boundary", "multiply", "positivize", "prop9_factor",
-    "reduce_word", "smith_normal_form", "splitting_words", "standard_curves",
-    "swap_matrix", "theorem11_family", "transport_word", "transvect",
-    "transvection", "trefoil_completions", "twist_tables", "word_matrix",
+    "AbelianGroup", "Fibration", "SurfaceSig", "Twist", "TwistWord",
+    "WordGrowthExceeded", "branched_double_cover", "chain_relation_selftest",
+    "chain_substitute", "chain_word", "closed_equal", "commute_pull",
+    "decide_equal", "dehn_reduce", "double_report", "euler_characteristic",
+    "fiber_sum", "first_homology", "gn_word", "inverse_twist_expansion",
+    "is_allowable", "mapping_torus_homology", "mcg_equal_rel_boundary",
+    "positivize", "prop9_factor", "splitting_words", "swap_matrix",
+    "theorem11_family", "trefoil_completions",
 ]

@@ -44,6 +44,8 @@ from .fibration import (
 )
 from .pi1 import (
     DEFAULT_CAP,
+    RELATOR_CORPUS,
+    apply_word,
     boundary_word,
     decide_equal,
     mcg_equal_rel_boundary,
@@ -270,14 +272,15 @@ def _cmd_family(args, stdin) -> tuple[dict, int]:
 
 def _cmd_trefoil(args, stdin) -> tuple[dict, int]:
     big, small = trefoil_completions(args.cap)
+    verdict, engine = decide_equal(big.word, small.word, "auto", args.cap)
     report = {
         "command": "trefoil",
-        "verdict": "true",
-        "engine": "homology(g=1,faithful)",
+        "verdict": verdict,
+        "engine": engine,
         "chis": [euler_characteristic(big), euler_characteristic(small)],
         "letters": [big.letter_count, small.letter_count],
     }
-    return report, EXIT_TRUE
+    return report, _VERDICT_EXIT[verdict]
 
 
 def _cmd_branched_double(args, stdin) -> tuple[dict, int]:
@@ -337,35 +340,14 @@ def _cmd_gn(args, stdin) -> tuple[dict, int]:
 
 
 def _selftest_relator_corpus() -> bool:
-    sig = SurfaceSig(2, 1)
-
-    def w(names):
-        return TwistWord.from_names(sig, names)
-
-    checks = [
-        # braid relations for once-intersecting pairs
-        (w("a1 b1 a1"), w("b1 a1 b1")),
-        (w("b1 a2 b1"), w("a2 b1 a2")),
-        (w("a2 b2 a2"), w("b2 a2 b2")),
-        (w("d2 b2 d2"), w("b2 d2 b2")),
-        (w("e2 b2 e2"), w("b2 e2 b2")),
-        # commutations for disjoint pairs
-        (w("a1 a2"), w("a2 a1")),
-        (w("b1 b2"), w("b2 b1")),
-        (w("d2 e2"), w("e2 d2")),
-        (w("d2 a1"), w("a1 d2")),
-        (w("e2 b1"), w("b1 e2")),
-        # boundary twist central
-        (w("delta a1"), w("a1 delta")),
-        # hyperelliptic relation at genus 1
-        (TwistWord.from_names(SurfaceSig(1, 1), "a1 b1").power(6),
-         TwistWord.from_names(SurfaceSig(1, 1), ["delta"])),
-    ]
-    if not all(mcg_equal_rel_boundary(lhs, rhs) for lhs, rhs in checks):
-        return False
+    for genus, lhs, rhs in RELATOR_CORPUS:
+        sig = SurfaceSig(genus, 1)
+        if not mcg_equal_rel_boundary(TwistWord.from_names(sig, lhs),
+                                      TwistWord.from_names(sig, rhs)):
+            return False
     # the boundary word is fixed by every generator
+    sig = SurfaceSig(2, 1)
     bw = boundary_word(2)
-    from .pi1 import apply_word
     for name in ("a1", "b1", "a2", "b2", "d2", "e2", "delta"):
         if apply_word(TwistWord(sig, (Twist(name),)), bw) != bw:
             return False

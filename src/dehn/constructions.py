@@ -179,7 +179,8 @@ def splitting_words(phi: TwistWord, cap: int = DEFAULT_CAP
 
     x1 positivizes phi; x2 positivizes the reverse-inverse of x1's word, so
     the concatenation x1.word x2.word acts trivially on homology (and is
-    trivial rel nothing by construction).
+    trivial rel nothing by construction).  A positivization verified
+    "false" raises; an "unknown" verdict is not reported.
     """
     if phi.surface.boundary != 0:
         raise ValueError("splitting applies to words on a closed fiber")
@@ -187,4 +188,6 @@ def splitting_words(phi: TwistWord, cap: int = DEFAULT_CAP
     x1 = Fibration("disk", phi.surface, rep1.output)
     rep2 = positivize(x1.word.inverse(), cap)
     x2 = Fibration("disk", phi.surface, rep2.output)
+    if "false" in (rep1.verified, rep2.verified):
+        raise AssertionError("positivization failed verification")
     return x1, x2

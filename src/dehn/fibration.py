@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .homology import identity_matrix, transported_class, word_matrix
+from .homology import is_identity, transported_class, word_matrix
 from .pi1 import DEFAULT_CAP
 from .rewriting import positivize
 from .snf import abelian_group_from_columns
@@ -65,7 +65,7 @@ class Fibration:
         if self.base == "sphere":
             if self.fiber.boundary != 0:
                 raise ValueError("a sphere fibration needs a closed fiber")
-            if word_matrix(self.word) != identity_matrix(2 * self.fiber.genus):
+            if not is_identity(word_matrix(self.word)):
                 raise ValueError("sphere fibration word must act trivially on homology")
 
     @property
@@ -125,10 +125,6 @@ def double_report(palf: Fibration, cap: int = DEFAULT_CAP) -> DoubleReport:
     return DoubleReport(Fibration("sphere", closed, rep.output), rep.verified, rep.engine)
 
 
-def double(palf: Fibration, cap: int = DEFAULT_CAP) -> Fibration:
-    return double_report(palf, cap).fibration
-
-
 def fiber_sum(f1: Fibration, f2: Fibration) -> Fibration:
     """Concatenate the words of two sphere fibrations with the same fiber."""
     if f1.base != "sphere" or f2.base != "sphere":
@@ -144,10 +140,3 @@ def gn_word(n: int) -> Fibration:
         raise ValueError("genus must be at least 1")
     sig = SurfaceSig(n, 0)
     return Fibration("sphere", sig, chain_word(sig, 4 * n + 2))
-
-
-def boundary_open_book(palf: Fibration) -> tuple[SurfaceSig, TwistWord]:
-    """The open book induced on the boundary: page and monodromy word."""
-    if palf.base != "disk" or palf.fiber.boundary != 1:
-        raise ValueError("the boundary open book needs a disk fibration with b = 1")
-    return palf.fiber, palf.word

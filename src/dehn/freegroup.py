@@ -38,32 +38,6 @@ def invert_word(w: Word) -> Word:
     return tuple(-x for x in reversed(w))
 
 
-def multiply(*words: Word) -> Word:
-    out: list[int] = []
-    for w in words:
-        for x in w:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return tuple(out)
-
-
-def conjugate(u: Word, w: Word) -> Word:
-    """u w u^-1, reduced."""
-    return multiply(u, w, invert_word(u))
-
-
-def cyclically_reduce(w: Word) -> tuple[Word, Word]:
-    """Return (u, core) with w = u core u^-1 and core cyclically reduced."""
-    w = reduce_word(w)
-    i, j = 0, len(w)
-    while j - i >= 2 and w[i] == -w[j - 1]:
-        i += 1
-        j -= 1
-    return w[:i], w[i:j]
-
-
 class FreeAutomorphism:
     """An endomorphism of F_n given by generator images (assumed invertible).
 
@@ -128,6 +102,3 @@ class FreeAutomorphism:
 
     def is_identity(self) -> bool:
         return all(w == (k + 1,) for k, w in enumerate(self.images))
-
-    def total_image_length(self) -> int:
-        return sum(len(w) for w in self.images)

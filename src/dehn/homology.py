@@ -40,16 +40,6 @@ def transvect(x: Vector, v: Vector, sign: int = 1) -> Vector:
     return tuple(xi + c * vi for xi, vi in zip(x, v))
 
 
-def transvection(v: Vector, sign: int = 1) -> Matrix:
-    """Matrix of T_v^sign: x -> x + sign * <x, v> v, acting on column vectors."""
-    if len(v) % 2:
-        raise ValueError("class vectors have even length")
-    n = len(v)
-    cols = [transvect(tuple(1 if i == j else 0 for i in range(n)), v, sign)
-            for j in range(n)]
-    return tuple(zip(*cols))
-
-
 def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -61,20 +51,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def twist_matrix(twist: Twist, sig: SurfaceSig) -> Matrix:
-    """Matrix of one (possibly conjugated) twist letter on Z^2g.
-
-    Columns are the images of the basis vectors, so the matrix acts on
-    column vectors; conjugated letters are transvections about the
-    transported class u(v).
-    """
-    v = transported_class(twist, sig)
-    n = 2 * sig.genus
-    basis = identity_matrix(n)
-    cols = [transvect(e, v, twist.sign) for e in basis]
-    return tuple(zip(*cols))
 
 
 def transported_class(twist: Twist, sig: SurfaceSig) -> Vector:
@@ -104,18 +80,6 @@ def word_matrix(word: TwistWord) -> Matrix:
     return tuple(zip(*cols))
 
 
-def homology_action(word: TwistWord) -> Matrix:
-    """The word's symplectic matrix (synonym for :func:`word_matrix`)."""
-    return word_matrix(word)
-
-
-def matrices_equal(m1: Matrix, m2: Matrix) -> bool:
-    """Exact integer equality; mismatched dimensions are an error."""
-    if len(m1) != len(m2) or any(len(a) != len(b) for a, b in zip(m1, m2)):
-        raise ValueError("matrix dimensions differ")
-    return m1 == m2
-
-
 def is_identity(m: Matrix) -> bool:
     return m == identity_matrix(len(m))
 
@@ -125,10 +89,6 @@ def homology_equal(w1: TwistWord, w2: TwistWord) -> bool:
     if w1.surface != w2.surface:
         raise ValueError("words live on different surfaces")
     return word_matrix(w1) == word_matrix(w2)
-
-
-def homology_trivial(word: TwistWord) -> bool:
-    return word_matrix(word) == identity_matrix(2 * word.surface.genus)
 
 
 def is_symplectic(m: Matrix) -> bool:

@@ -33,8 +33,10 @@ twists act by the half-twist lift on chain-curve loops (loop j maps loop
 j-1 to (j-1)(j) and loop j+1 to (j)^-1 (j+1)); d2 conjugates the first
 three chain loops by (loop1 loop3)^-1 and prefixes loop 4 with it; e2 is
 d2^-1 composed with (a1 b1 a2)^4; delta conjugates everything by the
-inverse boundary word.  All tables are validated by the relator corpus in
-the test suite (braid, disjointness, chain relations, boundary fixedness).
+inverse boundary word.  All tables are checked against ``RELATOR_CORPUS``
+(braid, disjointness and chain relations) by the CLI ``selftest`` and by
+the test suite, which both also check that every twist fixes the boundary
+word.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .freegroup import (
     Word,
     WordGrowthExceeded,
     invert_word,
-    multiply,
     reduce_word,
 )
 from .homology import homology_equal
@@ -139,19 +140,19 @@ def _d2_table_w(g: int, sign: int) -> FreeAutomorphism:
     table: dict[int, Word] = {}
     if sign > 0:
         for k in (1, 2, 3):
-            table[k] = multiply(di, (k,), d)
-        table[4] = multiply(di, (4,))
+            table[k] = reduce_word(di + (k,) + d)
+        table[4] = reduce_word(di + (4,))
     else:
         for k in (1, 2, 3):
-            table[k] = multiply(d, (k,), di)
-        table[4] = multiply(d, (4,))
+            table[k] = reduce_word(d + (k,) + di)
+        table[4] = reduce_word(d + (4,))
     return FreeAutomorphism.from_map(n, table)
 
 
 def _conj_table_w(g: int, u: Word) -> FreeAutomorphism:
     """z -> u z u^-1 on every generator."""
     n = 2 * g
-    return FreeAutomorphism(tuple(multiply(u, (k,), invert_word(u)) for k in range(1, n + 1)))
+    return FreeAutomorphism(tuple(reduce_word(u + (k,) + invert_word(u)) for k in range(1, n + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -194,6 +195,36 @@ def twist_tables(genus: int) -> dict[tuple[str, int], FreeAutomorphism]:
         key: beta.compose(auto).compose(beta_inv)
         for key, auto in w_tables.items()
     }
+
+
+# ---------------------------------------------------------------------------
+# The relator corpus: relations rel boundary that the tables must satisfy.
+# CLI ``selftest`` and the test suite both check it.  Curves are named as
+# for ``TwistWord.from_names``; pairs live on SurfaceSig(2, 1).
+# ---------------------------------------------------------------------------
+
+# curves meeting once: c d c = d c d
+BRAID_PAIRS = (("a1", "b1"), ("b1", "a2"), ("a2", "b2"), ("d2", "b2"), ("b2", "e2"))
+# disjoint curves: c d = d c
+COMMUTING_PAIRS = (
+    ("a1", "a2"), ("a1", "b2"), ("b1", "b2"), ("d2", "e2"),
+    ("d2", "a1"), ("d2", "b1"), ("d2", "a2"), ("e2", "a1"), ("e2", "b1"),
+    ("delta", "a1"), ("delta", "b2"), ("delta", "d2"),
+)
+# chain relations as (genus, lhs, rhs) on SurfaceSig(genus, 1): (a1 b1)^6 and
+# (a1 b1 a2 b2)^10 are the boundary twist; (d2 b2 e2)^4 twists about both
+# boundary curves of its neighbourhood, the outer boundary and the curve
+# bounding a1, b1, whose twist is (a1 b1)^6
+CHAIN_RELATIONS = (
+    (1, " ".join(["a1 b1"] * 6), "delta"),
+    (2, " ".join(["a1 b1 a2 b2"] * 10), "delta"),
+    (2, " ".join(["d2 b2 e2"] * 4), " ".join(["delta"] + ["a1 b1"] * 6)),
+)
+RELATOR_CORPUS = (
+    tuple((2, f"{c} {d} {c}", f"{d} {c} {d}") for c, d in BRAID_PAIRS)
+    + tuple((2, f"{c} {d}", f"{d} {c}") for c, d in COMMUTING_PAIRS)
+    + CHAIN_RELATIONS
+)
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +291,6 @@ def apply_word(word: TwistWord, z: Word, cap: int = DEFAULT_CAP) -> Word:
     return _run(_compiled(word), z, cap)
 
 
-def generator_images(word: TwistWord, cap: int = DEFAULT_CAP) -> tuple[Word, ...]:
-    autos = _compiled(word)
-    return tuple(_run(autos, (k,), cap) for k in range(1, 2 * word.surface.genus + 1))
-
-
 def mcg_equal_rel_boundary(w1: TwistWord, w2: TwistWord, cap: int = DEFAULT_CAP) -> bool:
     """Exact equality in the mapping class group rel boundary (b = 1)."""
     if w1.surface != w2.surface:
@@ -276,13 +302,6 @@ def mcg_equal_rel_boundary(w1: TwistWord, w2: TwistWord, cap: int = DEFAULT_CAP)
         if _run(a1, (k,), cap) != _run(a2, (k,), cap):
             return False
     return True
-
-
-def is_trivial_rel_boundary(word: TwistWord, cap: int = DEFAULT_CAP) -> bool:
-    if word.surface.boundary != 1:
-        raise ValueError("rel-boundary triviality requires a one-boundary surface")
-    autos = _compiled(word)
-    return all(_run(autos, (k,), cap) == (k,) for k in range(1, 2 * word.surface.genus + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +389,8 @@ def closed_equal(w1: TwistWord, w2: TwistWord, cap: int = DEFAULT_CAP) -> bool:
     for k in range(1, 2 * sig.genus + 1):
         u = _run(a1, (k,), cap)
         v = _run(a2, (k,), cap)
-        if dehn_reduce(multiply(u, invert_word(v)), sig.genus):
+        # dehn_reduce cancels freely as it pushes, so u v^-1 needs no reduce_word
+        if dehn_reduce(u + invert_word(v), sig.genus):
             return False
     return True
 

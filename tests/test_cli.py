@@ -234,7 +234,7 @@ def test_cap_must_be_positive():
 
 
 def test_json_genus_upper_bound():
-    from dehn import twist_tables
+    from dehn.pi1 import twist_tables
     from dehn.cli import JSON_MAX_GENUS, build_parser
 
     payload = {"surface": surface(JSON_MAX_GENUS + 1, 1),
@@ -269,8 +269,19 @@ def test_word_letter_upper_bound():
 def test_trefoil():
     code, rep, _ = run_cli(["trefoil"])
     assert code == 0
+    assert (rep["verdict"], rep["engine"]) == ("true", "homology(g=1,faithful)")
     assert rep["chis"] == [24, 12]
     assert rep["letters"] == [24, 12]
+
+
+def test_trefoil_reports_the_engine_verdict(monkeypatch):
+    import dehn.cli
+
+    monkeypatch.setattr(dehn.cli, "decide_equal",
+                        lambda w1, w2, engine, cap: ("unknown", "homology(g=1,faithful)"))
+    code, rep, _ = run_cli(["trefoil"])
+    assert code == 3
+    assert rep["verdict"] == "unknown"
 
 
 def test_branched_double():

@@ -1,9 +1,10 @@
 """Filling families, completions, covers, bundles, splittings."""
 
+import dataclasses
+
 import pytest
 
 from dehn import (
-    ENGINE_PI1,
     SurfaceSig,
     Twist,
     TwistWord,
@@ -21,13 +22,14 @@ from dehn import (
 from dehn.fibration import AbelianGroup
 from dehn.homology import (
     homology_class,
-    homology_trivial,
     identity_matrix,
+    is_identity,
     is_symplectic,
     mat_mul,
     mat_vec,
     word_matrix,
 )
+from dehn.pi1 import ENGINE_PI1
 
 T1 = SurfaceSig(1, 1)
 TORUS = SurfaceSig(1, 0)
@@ -172,13 +174,32 @@ def test_splitting_words_torus():
     assert (x1.letter_count, x2.letter_count) == (11, 121)
     assert x1.word.all_positive() and x2.word.all_positive()
     assert x1.base == x2.base == "disk"
-    assert homology_trivial(x1.word * x2.word)
+    assert is_identity(word_matrix(x1.word * x2.word))
 
 
 def test_splitting_words_mixed():
     x1, x2 = splitting_words(word(TORUS, "a1 b1^-1"))
     assert (x1.letter_count, x2.letter_count) == (12, 132)
-    assert homology_trivial(x1.word * x2.word)
+    assert is_identity(word_matrix(x1.word * x2.word))
+
+
+@pytest.mark.parametrize("failing_call", [1, 2])
+def test_splitting_words_raises_on_a_false_positivization(monkeypatch, failing_call):
+    import dehn.constructions
+
+    real = dehn.constructions.positivize
+    calls = []
+
+    def positivize(word, cap):
+        calls.append(word)
+        rep = real(word, cap)
+        if len(calls) == failing_call:
+            rep = dataclasses.replace(rep, verified="false")
+        return rep
+
+    monkeypatch.setattr(dehn.constructions, "positivize", positivize)
+    with pytest.raises(AssertionError):
+        splitting_words(word(TORUS, "a1^-1"))
 
 
 def test_splitting_words_rejects_bounded_fiber():

@@ -10,19 +10,17 @@ from dehn import (
     SurfaceSig,
     Twist,
     TwistWord,
-    boundary_open_book,
     chain_word,
-    double,
     double_report,
     euler_characteristic,
     fiber_sum,
     first_homology,
     gn_word,
     is_allowable,
-    mcg_equal_rel_boundary,
+    positivize,
 )
 from dehn.fibration import letter_classes
-from dehn.homology import homology_trivial
+from dehn.homology import is_identity, word_matrix
 
 T1 = SurfaceSig(1, 1)
 TORUS = SurfaceSig(1, 0)
@@ -97,7 +95,7 @@ def test_double_trefoil():
 
 def test_double_empty_word():
     palf = Fibration("disk", T1, TwistWord(T1, ()))
-    assert double(palf).letter_count == 0
+    assert double_report(palf).fibration.letter_count == 0
 
 
 def test_double_random_battery():
@@ -111,17 +109,17 @@ def test_double_random_battery():
         rep = double_report(palf)
         assert rep.fibration.letter_count == 12 * k
         assert rep.fibration.word.all_positive()
-        assert homology_trivial(rep.fibration.word)
+        assert is_identity(word_matrix(rep.fibration.word))
         assert rep.verified == "true"
 
 
 def test_double_rejections():
     with pytest.raises(ValueError, match="disk"):
-        double(Fibration("sphere", TORUS, chain_word(TORUS, 6)))
+        double_report(Fibration("sphere", TORUS, chain_word(TORUS, 6)))
     with pytest.raises(ValueError, match="one-boundary"):
-        double(Fibration("disk", TORUS, word(TORUS, "a1")))
+        double_report(Fibration("disk", TORUS, word(TORUS, "a1")))
     with pytest.raises(ValueError, match="allowable"):
-        double(Fibration("disk", T1, word(T1, "delta")))
+        double_report(Fibration("disk", T1, word(T1, "delta")))
 
 
 def test_fiber_sum():
@@ -151,14 +149,12 @@ def test_gn_word():
         gn_word(0)
 
 
-def test_boundary_open_book():
-    palf = Fibration("disk", T1, word(T1, "a1 b1"))
-    page, monodromy = boundary_open_book(palf)
-    assert page == T1
-    assert monodromy == palf.word
-    # the genus-2 chain-power filling induces the boundary twist on its page
-    sig2 = SurfaceSig(2, 1)
-    page2, mono2 = boundary_open_book(Fibration("disk", sig2, chain_word(sig2, 10)))
-    assert mcg_equal_rel_boundary(mono2, word(sig2, "delta"))
+@pytest.mark.xfail(strict=True, reason="the sphere check reads homology only")
+def test_sphere_fibration_needs_trivial_monodromy():
+    # d2 e2^-1 on the closed genus-3 surface is a bounding-pair map: it acts
+    # trivially on homology but is not the identity mapping class, so its
+    # positivization is no sphere fibration (today: accepted, chi 76)
+    closed3 = SurfaceSig(3, 0)
+    rep = positivize(word(closed3, "d2 e2^-1"))
     with pytest.raises(ValueError):
-        boundary_open_book(gn_word(1))
+        Fibration("sphere", closed3, rep.output)

@@ -5,25 +5,29 @@ import random
 import pytest
 
 from dehn import (
+    SurfaceSig,
+    TwistWord,
+    WordGrowthExceeded,
+    closed_equal,
+    decide_equal,
+    dehn_reduce,
+    mcg_equal_rel_boundary,
+)
+from dehn.freegroup import invert_word, reduce_word
+from dehn.homology import mat_vec, word_matrix
+from dehn.pi1 import (
+    BRAID_PAIRS,
+    CHAIN_RELATIONS,
+    COMMUTING_PAIRS,
     ENGINE_CLOSED,
     ENGINE_HOMOLOGY_FAITHFUL,
     ENGINE_HOMOLOGY_NECESSARY,
     ENGINE_PI1,
-    SurfaceSig,
-    TwistWord,
-    WordGrowthExceeded,
+    RELATOR_CORPUS,
     abelianize,
     apply_word,
     boundary_word,
-    closed_equal,
-    decide_equal,
-    dehn_reduce,
-    is_trivial_rel_boundary,
-    mcg_equal_rel_boundary,
 )
-from dehn.freegroup import invert_word, multiply, reduce_word
-from dehn.homology import mat_vec, word_matrix
-from dehn.pi1 import generator_images
 from dehn.surface import standard_curves
 
 T1 = SurfaceSig(1, 1)
@@ -32,6 +36,14 @@ T2 = SurfaceSig(2, 1)
 
 def word(sig, names):
     return TwistWord.from_names(sig, names)
+
+
+def generator_images(w):
+    return tuple(apply_word(w, (k,)) for k in range(1, 2 * w.surface.genus + 1))
+
+
+def is_trivial_rel_boundary(w):
+    return mcg_equal_rel_boundary(w, TwistWord(w.surface, ()))
 
 
 def test_boundary_word():
@@ -68,10 +80,10 @@ def test_delta_is_boundary_conjugation():
         delta = word(sig, "delta")
         bw = boundary_word(g)
         for k in range(1, 2 * g + 1):
-            assert apply_word(delta, (k,)) == multiply(invert_word(bw), (k,), bw)
+            assert apply_word(delta, (k,)) == reduce_word(invert_word(bw) + (k,) + bw)
         # and its inverse conjugates the other way
         for k in range(1, 2 * g + 1):
-            assert apply_word(word(sig, "delta^-1"), (k,)) == multiply(bw, (k,), invert_word(bw))
+            assert apply_word(word(sig, "delta^-1"), (k,)) == reduce_word(bw + (k,) + invert_word(bw))
 
 
 def test_boundary_word_is_fixed_by_every_twist():
@@ -106,14 +118,6 @@ def test_outputs_are_reduced():
             assert z == reduce_word(z)
 
 
-BRAID_PAIRS = [("a1", "b1"), ("b1", "a2"), ("a2", "b2"), ("d2", "b2"), ("b2", "e2")]
-COMMUTING_PAIRS = [
-    ("a1", "a2"), ("a1", "b2"), ("b1", "b2"), ("d2", "e2"),
-    ("d2", "a1"), ("d2", "b1"), ("d2", "a2"), ("e2", "a1"),
-    ("delta", "a1"), ("delta", "b2"), ("delta", "d2"),
-]
-
-
 def test_braid_relations():
     for c, d in BRAID_PAIRS:
         assert mcg_equal_rel_boundary(word(T2, f"{c} {d} {c}"), word(T2, f"{d} {c} {d}"))
@@ -128,26 +132,15 @@ def test_commuting_relations():
 
 
 def test_chain_relations():
-    # 2-chain: (a1 b1)^6 is the boundary twist of the once-punctured torus
-    assert mcg_equal_rel_boundary(word(T1, "a1 b1").power(6), word(T1, "delta"))
-    # 4-chain: (a1 b1 a2 b2)^10 is the boundary twist of the whole surface
-    assert mcg_equal_rel_boundary(word(T2, "a1 b1 a2 b2").power(10), word(T2, "delta"))
-    # 3-chain: (d2 b2 e2)^4 twists about both boundary curves of its
-    # neighborhood, the outer boundary and the curve bounding with a1, b1
-    lhs = word(T2, "d2 b2 e2").power(4)
-    rhs = word(T2, "delta") * word(T2, "a1 b1").power(6)
-    assert mcg_equal_rel_boundary(lhs, rhs)
+    for genus, lhs, rhs in CHAIN_RELATIONS:
+        sig = SurfaceSig(genus, 1)
+        assert mcg_equal_rel_boundary(word(sig, lhs), word(sig, rhs)), lhs
 
 
 def test_relator_battery_on_random_words():
     rng = random.Random(23)
-    relators = [
-        word(T2, f"{c} {d} {c}") * word(T2, f"{d} {c} {d}").inverse()
-        for c, d in BRAID_PAIRS
-    ] + [
-        word(T2, f"{c} {d}") * word(T2, f"{d} {c}").inverse()
-        for c, d in COMMUTING_PAIRS
-    ]
+    relators = [word(T2, lhs) * word(T2, rhs).inverse()
+                for genus, lhs, rhs in RELATOR_CORPUS if genus == 2]
     curves = standard_curves(T2)
     for _ in range(30):
         names = [(rng.choice(curves), rng.choice((1, -1))) for _ in range(rng.randrange(7))]
@@ -187,6 +180,27 @@ def test_identical_words_are_equal_without_applying_them():
         decide_equal(a, a, engine="closed")
 
 
+# The closed engine compares automorphisms of pi1 with a marked point, so it
+# decides Mod(S_g, *), not Mod(S_g): words that differ by a point-push are
+# equal on the closed surface but read "false".  d2 and e2 are isotopic on
+# the closed genus-2 surface, because the complement of a neighbourhood of
+# a1, b1, a2 is an annulus.
+POINT_PUSH = "the closed engine decides Mod(S_g, *) and reports point-pushes false"
+
+
+@pytest.mark.xfail(strict=True, reason=POINT_PUSH)
+def test_d2_equals_e2_on_closed_genus_two():
+    closed2 = SurfaceSig(2, 0)
+    assert decide_equal(word(closed2, "d2"), word(closed2, "e2"))[0] == "true"
+
+
+@pytest.mark.xfail(strict=True, reason=POINT_PUSH)
+def test_three_chain_power_equals_d2_squared_on_closed_genus_two():
+    closed2 = SurfaceSig(2, 0)
+    lhs = word(closed2, "a1 b1 a2").power(4)
+    assert decide_equal(lhs, word(closed2, "d2 d2"))[0] == "true"
+
+
 def test_abelianize():
     assert abelianize((1,), 2) == (1, 0, 0, 0)
     assert abelianize((2,), 2) == (0, -1, 0, 0)
@@ -213,8 +227,8 @@ def test_dehn_reduce():
     r = boundary_word(2)
     assert dehn_reduce(r, 2) == ()
     assert dehn_reduce(invert_word(r), 2) == ()
-    assert dehn_reduce(multiply((3, -1), r, (1, -3)), 2) == ()
-    assert dehn_reduce(multiply(r, r), 2) == ()
+    assert dehn_reduce((3, -1) + r + (1, -3), 2) == ()
+    assert dehn_reduce(r + r, 2) == ()
     # short reduced words cannot contain more than half the relator
     rng = random.Random(7)
     for _ in range(20):

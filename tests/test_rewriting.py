@@ -5,8 +5,6 @@ import random
 import pytest
 
 from dehn import (
-    ENGINE_HOMOLOGY_FAITHFUL,
-    ENGINE_PI1,
     SurfaceSig,
     Twist,
     TwistWord,
@@ -21,6 +19,7 @@ from dehn import (
     prop9_factor,
 )
 from dehn.homology import homology_class, homology_equal, transported_class
+from dehn.pi1 import ENGINE_HOMOLOGY_FAITHFUL, ENGINE_PI1
 from dehn.rewriting import transport_pairs, transport_word
 from dehn.surface import standard_curves
 

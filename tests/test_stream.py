@@ -9,13 +9,11 @@ from dehn import (
     Twist,
     TwistWord,
     WordGrowthExceeded,
-    apply_word,
     closed_equal,
     mcg_equal_rel_boundary,
-    twist_tables,
 )
 from dehn.freegroup import invert_word, reduce_word
-from dehn.pi1 import apply_twist, compile_word
+from dehn.pi1 import apply_twist, apply_word, compile_word, twist_tables
 from dehn.surface import standard_curves
 
 
