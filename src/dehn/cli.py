@@ -107,13 +107,19 @@ def parse_surface(obj: dict) -> SurfaceSig:
         raise InputError(f"surface: {exc}") from exc
 
 
+def _parse_sign(entry: dict, where: str) -> int:
+    # JSON true and 1.0 compare equal to 1, so the type is checked first
+    sign = entry.get("sign", 1)
+    if type(sign) is not int or sign not in (1, -1):
+        raise InputError(f"{where}.sign must be 1 or -1")
+    return sign
+
+
 def _parse_letter(entry, where: str) -> Twist:
     if not isinstance(entry, dict):
         raise InputError(f"{where} must be an object with a 'base' field")
     base = _require(entry, "base", str, where + ".")
-    sign = entry.get("sign", 1)
-    if sign not in (1, -1):
-        raise InputError(f"{where}.sign must be 1 or -1")
+    sign = _parse_sign(entry, where)
     conj_entries = entry.get("conj", [])
     if not isinstance(conj_entries, list):
         raise InputError(f"{where}.conj must be a list")
@@ -123,10 +129,7 @@ def _parse_letter(entry, where: str) -> Twist:
             raise InputError(f"{where}.conj[{i}] must be an object with a 'base' field")
         if "conj" in c:
             raise InputError(f"{where}.conj[{i}] must not be nested")
-        csign = c.get("sign", 1)
-        if csign not in (1, -1):
-            raise InputError(f"{where}.conj[{i}].sign must be 1 or -1")
-        conj.append((c["base"], csign))
+        conj.append((c["base"], _parse_sign(c, f"{where}.conj[{i}]")))
     return Twist(base, sign, tuple(conj))
 
 

@@ -28,7 +28,6 @@ from .fibration import (
     double_report,
     euler_characteristic,
     first_homology,
-    gn_word,
 )
 from .homology import Matrix, word_matrix
 from .pi1 import DEFAULT_CAP, closed_equal, decide_equal

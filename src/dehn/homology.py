@@ -8,8 +8,12 @@ class v acts by the transvection
     T_v(x) = x + <x, v> v          (positive twist)
     T_v^-1(x) = x - <x, v> v       (negative twist)
 
-and a word acts by the product of its letters' matrices in word order
-(rightmost letter acts first, matching function composition).
+A word acts through its stream (``dehn.surface.compile_word``), the same
+cancelled sequence of plain (curve, sign) steps the free-group engines
+apply: each step is the transvection about a standard curve class.  Those
+classes have at most two nonzero entries, so they are kept sparse, one
+table per surface, and each step costs O(1) per vector, O(2g) for a whole
+matrix.
 
 For genus 1 closed surfaces this action is a faithful invariant: two twist
 words are equal as mapping classes exactly when their matrices agree.  For
@@ -18,26 +22,45 @@ higher genus it is necessary but not sufficient.
 
 from __future__ import annotations
 
-from .surface import SurfaceSig, Twist, TwistWord, homology_class
+from functools import lru_cache
+
+from .surface import (
+    SurfaceSig,
+    Twist,
+    TwistWord,
+    compile_word,
+    homology_class,
+    standard_curves,
+)
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]  # rows
 
-
-def intersection_pairing(u: Vector, v: Vector) -> int:
-    """Standard alternating form: sum of u[2i] v[2i+1] - u[2i+1] v[2i]."""
-    if len(u) != len(v) or len(u) % 2:
-        raise ValueError("vectors must share an even length")
-    total = 0
-    for i in range(0, len(u), 2):
-        total += u[i] * v[i + 1] - u[i + 1] * v[i]
-    return total
+# A curve class as its nonzero entries (i, v_i, j, p): <x, v> is the sum of
+# p * x[j], where j = i ^ 1 is the entry paired with i by the form and
+# p = v_i for odd i, -v_i for even i.
+Sparse = tuple[tuple[int, int, int, int], ...]
 
 
-def transvect(x: Vector, v: Vector, sign: int = 1) -> Vector:
-    """Apply T_v^sign to x."""
-    c = sign * intersection_pairing(x, v)
-    return tuple(xi + c * vi for xi, vi in zip(x, v))
+@lru_cache(maxsize=None)
+def _sparse_classes(sig: SurfaceSig) -> dict[str, Sparse]:
+    """The sparse class of every standard curve on ``sig``."""
+    return {
+        name: tuple((i, vi, i ^ 1, vi if i % 2 else -vi)
+                    for i, vi in enumerate(homology_class(name, sig)) if vi)
+        for name in standard_curves(sig)
+    }
+
+
+def _transvect(x: list[int], v: Sparse, sign: int) -> None:
+    """Apply T_v^sign to x in place."""
+    c = 0
+    for _, _, j, p in v:
+        c += p * x[j]
+    if c:
+        c *= sign
+        for i, vi, _, _ in v:
+            x[i] += c * vi
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -49,33 +72,34 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
 def transported_class(twist: Twist, sig: SurfaceSig) -> Vector:
     """Homology class of the letter's core curve pushed through its conjugator."""
     v = homology_class(twist.base, sig)
-    for name, sign in reversed(twist.conj):
-        v = transvect(v, homology_class(name, sig), sign)
-    return v
+    if not twist.conj:
+        return v
+    x = list(v)
+    classes = _sparse_classes(sig)
+    for name, sign in compile_word(TwistWord.from_names(sig, twist.conj)):
+        _transvect(x, classes[name], sign)
+    return tuple(x)
 
 
 def word_matrix(word: TwistWord) -> Matrix:
     """Product of the letters' matrices in word order (rightmost acts first).
 
-    Built column by column: each letter is a transvection, so its action on
-    a vector is linear in the genus rather than cubic, and the whole product
-    costs one transvection sweep per basis vector.
+    Built column by column: each basis vector runs through the word's
+    stream, one sparse transvection per step.
     """
     sig = word.surface
     n = 2 * sig.genus
-    classes = [(transported_class(t, sig), t.sign) for t in reversed(word.letters)]
+    classes = _sparse_classes(sig)
+    steps = [(classes[name], sign) for name, sign in compile_word(word)]
     cols = []
     for j in range(n):
-        x = tuple(1 if i == j else 0 for i in range(n))
-        for v, s in classes:
-            x = transvect(x, v, s)
+        x = [0] * n
+        x[j] = 1
+        for v, sign in steps:
+            _transvect(x, v, sign)
         cols.append(x)
     return tuple(zip(*cols))
 
@@ -89,15 +113,3 @@ def homology_equal(w1: TwistWord, w2: TwistWord) -> bool:
     if w1.surface != w2.surface:
         raise ValueError("words live on different surfaces")
     return word_matrix(w1) == word_matrix(w2)
-
-
-def is_symplectic(m: Matrix) -> bool:
-    """Whether m preserves the pairing (a sanity check on word matrices)."""
-    n = len(m)
-    cols = tuple(zip(*m))
-    for i in range(n):
-        for j in range(n):
-            expect = 1 if (j == i + 1 and i % 2 == 0) else (-1 if (i == j + 1 and j % 2 == 0) else 0)
-            if intersection_pairing(cols[i], cols[j]) != expect:
-                return False
-    return True

@@ -22,11 +22,12 @@ automorphisms of pi1 with a marked point, i.e. in Mod(S_g, *), not in
 Mod(S_g): two words that differ by a point-push are equal on the closed
 surface but are reported unequal ("false").
 
-A word is applied through its compiled stream (``compile_word``): the flat
-sequence of plain (curve, sign) table applications in the order they act,
-with conjugators expanded and adjacent x^s x^-s pairs cancelled.  Each
-comparison compiles each word once and runs that one stream on every
-generator; the word-length cap is checked after every table application.
+A word is applied through its stream (``dehn.surface.compile_word``): the
+flat sequence of plain (curve, sign) steps in the order they act, with
+conjugators expanded and adjacent x^s x^-s pairs cancelled, each step
+looked up here as one table.  Each comparison compiles each word once and
+runs that one stream on every generator; the word-length cap is checked
+after every table application.
 
 The per-curve automorphisms are constructed once per genus:  positive chain
 twists act by the half-twist lift on chain-curve loops (loop j maps loop
@@ -51,7 +52,7 @@ from .freegroup import (
     reduce_word,
 )
 from .homology import homology_equal
-from .surface import SurfaceSig, Twist, TwistWord, chain_index
+from .surface import SurfaceSig, Twist, TwistWord, compile_word
 
 DEFAULT_CAP = 10**6
 
@@ -63,21 +64,6 @@ def boundary_word(genus: int) -> Word:
         x, y = 2 * i - 1, 2 * i
         out += [x, y, -x, -y]
     return tuple(out)
-
-
-def abelianize(z: Word, genus: int) -> tuple[int, ...]:
-    """Homology class of the loop z in the standard symplectic basis.
-
-    x_i maps to the class of a_i (basis vector 2i-1) and y_i to minus the
-    vector 2i, which makes the free-group action and the homology action of
-    every twist word commute with this map.
-    """
-    vec = [0] * (2 * genus)
-    for letter in z:
-        k = abs(letter)
-        s = 1 if letter > 0 else -1
-        vec[k - 1] += s if k % 2 else -s
-    return tuple(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -228,49 +214,18 @@ RELATOR_CORPUS = (
 
 
 # ---------------------------------------------------------------------------
-# Applying words to elements.  A word is compiled once into its stream: the
-# flat sequence of plain (curve, sign) table applications in the order they
-# act, with every conjugator expanded and adjacent x^s x^-s pairs cancelled
-# (each such pair composes to the identity), so the u ... u^-1 seams between
-# letters that share a conjugator disappear.  A comparison compiles each
-# word once and runs its stream on one generator at a time, never composing
-# automorphism tables, so intermediate growth stays linear per application;
-# the length cap is checked after every table application.
+# Applying words to elements.  A word's stream (``dehn.surface.compile_word``)
+# is looked up once as the tables of its steps, in the order they act.  A
+# comparison runs that one stream on one generator at a time, never
+# composing automorphism tables, so intermediate growth stays linear per
+# application; the length cap is checked after every table application.
 # ---------------------------------------------------------------------------
-
-Step = tuple[str, int]
-
-
-def _compile(letters) -> tuple[Step, ...]:
-    stream: list[Step] = []
-    for t in reversed(letters):
-        # (u . t . u^-1)(z): u^-1 acts first, and within each word the
-        # rightmost letter acts first, so u^-1 is swept in forward order with
-        # signs flipped, then the base twist, then u in reverse.
-        steps = [(name, -sign) for name, sign in t.conj]
-        steps.append((t.base, t.sign))
-        steps += reversed(t.conj)
-        for name, sign in steps:
-            if stream and stream[-1] == (name, -sign):
-                stream.pop()
-            else:
-                stream.append((name, sign))
-    return tuple(stream)
-
-
-def compile_word(word: TwistWord) -> tuple[Step, ...]:
-    """The word's cancelled stream of (curve, sign) steps, first-acting first."""
-    return _compile(word.letters)
-
-
-def _autos(letters, genus: int) -> tuple[FreeAutomorphism, ...]:
-    """The tables of the stream of ``letters``, in the order they act."""
-    tables = twist_tables(genus)
-    return tuple(tables[step] for step in _compile(letters))
 
 
 def _compiled(word: TwistWord) -> tuple[FreeAutomorphism, ...]:
-    return _autos(word.letters, word.surface.genus)
+    """The tables of the word's stream, in the order they act."""
+    tables = twist_tables(word.surface.genus)
+    return tuple(tables[step] for step in compile_word(word))
 
 
 def _run(autos: tuple[FreeAutomorphism, ...], z: Word, cap: int) -> Word:
@@ -282,8 +237,7 @@ def _run(autos: tuple[FreeAutomorphism, ...], z: Word, cap: int) -> Word:
 
 def apply_twist(t: Twist, z: Word, sig: SurfaceSig, cap: int = DEFAULT_CAP) -> Word:
     """Image of the reduced word z under one (possibly conjugated) twist."""
-    t.validate(sig)
-    return _run(_autos((t,), sig.genus), z, cap)
+    return apply_word(TwistWord(sig, (t,)), z, cap)
 
 
 def apply_word(word: TwistWord, z: Word, cap: int = DEFAULT_CAP) -> Word:
@@ -405,6 +359,10 @@ ENGINE_CLOSED = "closed(dehn,g>=2)"
 ENGINE_HOMOLOGY_NECESSARY = "homology(necessary)"
 
 
+# The exact engines: engine -> (required boundary count, equality function).
+_EXACT_ENGINES = {"pi1": (1, mcg_equal_rel_boundary), "closed": (0, closed_equal)}
+
+
 def decide_equal(w1: TwistWord, w2: TwistWord, engine: str = "auto",
                  cap: int = DEFAULT_CAP) -> tuple[str, str]:
     """Compare two twist words; returns (verdict, engine description).
@@ -421,31 +379,21 @@ def decide_equal(w1: TwistWord, w2: TwistWord, engine: str = "auto",
     if engine == "auto":
         engine = "pi1" if sig.boundary == 1 else ("homology" if sig.genus <= 1 else "closed")
 
-    if engine == "pi1":
-        if sig.boundary != 1:
-            raise ValueError("pi1 engine requires boundary = 1")
-        if same:
-            return ("true", ENGINE_PI1)
-        try:
-            return ("true" if mcg_equal_rel_boundary(w1, w2, cap) else "false", ENGINE_PI1)
-        except WordGrowthExceeded:
-            return ("unknown", ENGINE_PI1)
-
-    if engine == "closed":
-        if sig.boundary != 0:
-            raise ValueError("closed engine requires boundary = 0")
-        name = ENGINE_CLOSED if sig.genus >= 2 else ENGINE_HOMOLOGY_FAITHFUL
-        if same:
-            return ("true", name)
-        try:
-            return ("true" if closed_equal(w1, w2, cap) else "false", name)
-        except WordGrowthExceeded:
-            return ("unknown", name)
-
     if engine == "homology":
         equal = same or homology_equal(w1, w2)
         if sig.boundary == 0 and sig.genus <= 1:
             return ("true" if equal else "false", ENGINE_HOMOLOGY_FAITHFUL)
         return ("unknown" if equal else "false", ENGINE_HOMOLOGY_NECESSARY)
 
-    raise ValueError(f"unknown engine {engine!r}")
+    if engine not in _EXACT_ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
+    boundary, equal = _EXACT_ENGINES[engine]
+    if sig.boundary != boundary:
+        raise ValueError(f"{engine} engine requires boundary = {boundary}")
+    name = ENGINE_PI1 if boundary else (ENGINE_CLOSED if sig.genus >= 2 else ENGINE_HOMOLOGY_FAITHFUL)
+    if same:
+        return ("true", name)
+    try:
+        return ("true" if equal(w1, w2, cap) else "false", name)
+    except WordGrowthExceeded:
+        return ("unknown", name)

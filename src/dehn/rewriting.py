@@ -20,7 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .homology import homology_equal
-from .pi1 import DEFAULT_CAP, decide_equal, mcg_equal_rel_boundary
+from .pi1 import (
+    DEFAULT_CAP,
+    ENGINE_HOMOLOGY_NECESSARY,
+    decide_equal,
+    mcg_equal_rel_boundary,
+)
 from .surface import (
     SurfaceSig,
     Twist,
@@ -72,10 +77,6 @@ def transport_pairs(curve: str, sig: SurfaceSig) -> tuple[tuple[str, int], ...]:
     for j in range(2, top + 1):
         down += [(_chain_name(j), -1), (_chain_name(j - 1), -1)]
     return tuple(down) + hop
-
-
-def transport_word(curve: str, sig: SurfaceSig) -> TwistWord:
-    return TwistWord(sig, tuple(Twist(n, s) for n, s in transport_pairs(curve, sig)))
 
 
 def _invert_pairs(pairs) -> tuple[tuple[str, int], ...]:
@@ -185,7 +186,7 @@ def positivize(w: TwistWord, cap: int = DEFAULT_CAP,
     output = TwistWord(sig, tuple(out))
     verdict, engine_used = decide_equal(w, output, engine, cap)
     if verdict == "unknown" and engine == "auto" and not homology_equal(w, output):
-        verdict, engine_used = "false", "homology(necessary)"
+        verdict, engine_used = "false", ENGINE_HOMOLOGY_NECESSARY
     return RewriteReport(w, output, steps, verdict, engine_used)
 
 

@@ -15,6 +15,8 @@ conjugated by a flat word of signed standard twists (depth one, never
 nested): ``(conj=u, base=c, sign=s)`` denotes ``u · t_c^s · u^-1``.  A
 :class:`TwistWord` is a finite sequence of twists composed left-to-right,
 with the *rightmost* letter acting first on the surface.
+``compile_word`` expands a word into the plain (curve, sign) steps in the
+order they act, the one stream every engine applies.
 
 Homology classes live in a fixed ordered basis ``e1, ..., e_2g`` whose
 intersection form is the standard block form (``<e_{2i-1}, e_{2i}> = +1``,
@@ -220,6 +222,33 @@ class TwistWord:
                 name, sign = item
                 letters.append(Twist(name, sign))
         return cls(sig, tuple(letters))
+
+
+Step = tuple[str, int]
+
+
+def compile_word(word: TwistWord) -> tuple[Step, ...]:
+    """The word's action stream: plain (curve, sign) steps, first-acting first.
+
+    Within a word the rightmost letter acts first, and a conjugated letter
+    u . t . u^-1 acts as u^-1 (its letters in forward order with signs
+    flipped), then the base twist, then u (its letters in reverse).
+    Adjacent x^s x^-s pairs compose to the identity and are cancelled as
+    the stream is built, so the u ... u^-1 seams between letters that share
+    a conjugator disappear.  Every engine applies a word through this
+    stream.
+    """
+    stream: list[Step] = []
+    for t in reversed(word.letters):
+        steps = [(name, -sign) for name, sign in t.conj]
+        steps.append((t.base, t.sign))
+        steps += reversed(t.conj)
+        for name, sign in steps:
+            if stream and stream[-1] == (name, -sign):
+                stream.pop()
+            else:
+                stream.append((name, sign))
+    return tuple(stream)
 
 
 def chain_word(sig: SurfaceSig, copies: int = 1) -> TwistWord:

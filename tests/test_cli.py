@@ -141,6 +141,21 @@ def test_letter_validation():
     assert code == 2 and "word[0]" in rep["error"]
 
 
+@pytest.mark.parametrize("sign", [True, 1.0, "1"])
+def test_sign_must_be_an_integer(sign):
+    # JSON true and 1.0 compare equal to 1 in Python; both are rejected
+    letter = {"surface": surface(1, 0), "word": [{"base": "b1"}, {"base": "a1", "sign": sign}]}
+    code, rep, _ = run_cli(["positivize"], letter)
+    assert code == 2
+    assert rep["error"] == "word[1].sign must be 1 or -1"
+
+    conj = {"surface": surface(1, 0),
+            "word": [{"base": "a1", "conj": [{"base": "b1"}, {"base": "b1", "sign": sign}]}]}
+    code, rep, _ = run_cli(["positivize"], conj)
+    assert code == 2
+    assert rep["error"] == "word[0].conj[1].sign must be 1 or -1"
+
+
 def test_unknown_command_is_a_usage_error():
     with pytest.raises(SystemExit):
         run_cli(["frobnicate"], {})

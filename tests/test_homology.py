@@ -7,21 +7,118 @@ import pytest
 from dehn.homology import (
     homology_equal,
     identity_matrix,
-    intersection_pairing,
     is_identity,
-    is_symplectic,
     mat_mul,
-    mat_vec,
     transported_class,
-    transvect,
     word_matrix,
 )
-from dehn.surface import SurfaceSig, Twist, TwistWord, chain_word, standard_curves
+from dehn.surface import (
+    SurfaceSig,
+    Twist,
+    TwistWord,
+    chain_word,
+    homology_class,
+    standard_curves,
+)
+
+# ---------------------------------------------------------------------------
+# The dense engine, kept as the reference for the sparse stream engine: each
+# letter's class is transported through its conjugator letter by letter,
+# then every letter is swept over all 2g basis vectors with full-length
+# transvections.
+# ---------------------------------------------------------------------------
+
+
+def intersection_pairing(u, v):
+    """Standard alternating form: sum of u[2i] v[2i+1] - u[2i+1] v[2i]."""
+    if len(u) != len(v) or len(u) % 2:
+        raise ValueError("vectors must share an even length")
+    total = 0
+    for i in range(0, len(u), 2):
+        total += u[i] * v[i + 1] - u[i + 1] * v[i]
+    return total
+
+
+def transvect(x, v, sign=1):
+    """Apply T_v^sign to x."""
+    c = sign * intersection_pairing(x, v)
+    return tuple(xi + c * vi for xi, vi in zip(x, v))
+
+
+def reference_transported_class(twist, sig):
+    v = homology_class(twist.base, sig)
+    for name, sign in reversed(twist.conj):
+        v = transvect(v, homology_class(name, sig), sign)
+    return v
+
+
+def reference_word_matrix(word):
+    sig = word.surface
+    n = 2 * sig.genus
+    classes = [(reference_transported_class(t, sig), t.sign) for t in reversed(word.letters)]
+    cols = []
+    for j in range(n):
+        x = tuple(1 if i == j else 0 for i in range(n))
+        for v, s in classes:
+            x = transvect(x, v, s)
+        cols.append(x)
+    return tuple(zip(*cols))
+
+
+def mat_vec(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def is_symplectic(m):
+    """Whether m preserves the pairing."""
+    n = len(m)
+    cols = tuple(zip(*m))
+    for i in range(n):
+        for j in range(n):
+            expect = 1 if (j == i + 1 and i % 2 == 0) else (-1 if (i == j + 1 and j % 2 == 0) else 0)
+            if intersection_pairing(cols[i], cols[j]) != expect:
+                return False
+    return True
+
+
+def random_word(rng, sig, length):
+    """Conjugated letters with adjacent t t^-1 pairs and shared conjugators."""
+    curves = standard_curves(sig)
+
+    def plain():
+        return (rng.choice(curves), rng.choice((1, -1)))
+
+    letters = []
+    while len(letters) < length:
+        conj = tuple(plain() for _ in range(rng.randrange(4)))
+        t = Twist(*plain(), conj)
+        roll = rng.random()
+        if roll < 0.25:
+            letters += [t, t.inverse()]
+        elif roll < 0.5:
+            letters += [t, Twist(*plain(), conj)]
+        else:
+            letters.append(t)
+    return TwistWord(sig, tuple(letters))
 
 
 def letter_matrix(t, sig):
     """Matrix of the one-letter word t."""
     return word_matrix(TwistWord(sig, (t,)))
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("boundary", [0, 1])
+def test_stream_engine_matches_dense_reference(genus, boundary):
+    sig = SurfaceSig(genus, boundary)
+    empty = TwistWord(sig, ())
+    assert word_matrix(empty) == reference_word_matrix(empty) == identity_matrix(2 * genus)
+    rng = random.Random(10 * genus + boundary)
+    for _ in range(20):
+        w = random_word(rng, sig, rng.randint(1, 12))
+        assert word_matrix(w) == reference_word_matrix(w)
+        for t in w.letters:
+            assert transported_class(t, sig) == reference_transported_class(t, sig)
 
 
 def test_intersection_pairing_basics():

@@ -14,7 +14,7 @@ from dehn import (
     mcg_equal_rel_boundary,
 )
 from dehn.freegroup import invert_word, reduce_word
-from dehn.homology import mat_vec, word_matrix
+from dehn.homology import word_matrix
 from dehn.pi1 import (
     BRAID_PAIRS,
     CHAIN_RELATIONS,
@@ -24,7 +24,6 @@ from dehn.pi1 import (
     ENGINE_HOMOLOGY_NECESSARY,
     ENGINE_PI1,
     RELATOR_CORPUS,
-    abelianize,
     apply_word,
     boundary_word,
 )
@@ -44,6 +43,25 @@ def generator_images(w):
 
 def is_trivial_rel_boundary(w):
     return mcg_equal_rel_boundary(w, TwistWord(w.surface, ()))
+
+
+def abelianize(z, genus):
+    """Homology class of the loop z in the standard symplectic basis.
+
+    x_i maps to the class of a_i (basis vector 2i-1) and y_i to minus the
+    vector 2i, which makes the free-group action and the homology action of
+    every twist word commute with this map.
+    """
+    vec = [0] * (2 * genus)
+    for letter in z:
+        k = abs(letter)
+        s = 1 if letter > 0 else -1
+        vec[k - 1] += s if k % 2 else -s
+    return tuple(vec)
+
+
+def mat_vec(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def test_boundary_word():
@@ -272,11 +290,11 @@ def test_decide_equal_dispatch():
     assert decide_equal(a, b, engine="homology") == ("unknown", ENGINE_HOMOLOGY_NECESSARY)
     assert decide_equal(a, word(T2, "a1 a1"), engine="homology")[0] == "false"
     # engine/surface mismatches
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^pi1 engine requires boundary = 1$"):
         decide_equal(word(torus, "a1"), word(torus, "a1"), engine="pi1")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^closed engine requires boundary = 0$"):
         decide_equal(a, b, engine="closed")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown engine 'nonsense'$"):
         decide_equal(a, b, engine="nonsense")
     with pytest.raises(ValueError):
         decide_equal(a, word(T1, "a1"))

@@ -20,7 +20,7 @@ from dehn import (
 )
 from dehn.homology import homology_class, homology_equal, transported_class
 from dehn.pi1 import ENGINE_HOMOLOGY_FAITHFUL, ENGINE_PI1
-from dehn.rewriting import transport_pairs, transport_word
+from dehn.rewriting import transport_pairs
 from dehn.surface import standard_curves
 
 T2 = SurfaceSig(2, 1)
@@ -55,7 +55,7 @@ def test_transport_conjugates_to_a1():
         for curve in standard_curves(sig):
             if curve == "delta":
                 continue
-            v = transport_word(curve, sig)
+            v = TwistWord.from_names(sig, transport_pairs(curve, sig))
             moved = v * TwistWord.from_names(sig, [curve]) * v.inverse()
             assert mcg_equal_rel_boundary(moved, a1), curve
             # and on homology classes, up to the curve's orientation

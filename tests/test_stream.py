@@ -13,8 +13,8 @@ from dehn import (
     mcg_equal_rel_boundary,
 )
 from dehn.freegroup import invert_word, reduce_word
-from dehn.pi1 import apply_twist, apply_word, compile_word, twist_tables
-from dehn.surface import standard_curves
+from dehn.pi1 import apply_twist, apply_word, twist_tables
+from dehn.surface import compile_word, standard_curves
 
 
 def reference_apply(auto, z):

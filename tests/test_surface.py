@@ -13,7 +13,11 @@ from dehn.surface import (
     homology_class,
     standard_curves,
 )
-from dehn.homology import intersection_pairing
+
+
+def intersection_pairing(u, v):
+    """The standard alternating form of the fixed basis."""
+    return sum(u[i] * v[i + 1] - u[i + 1] * v[i] for i in range(0, len(u), 2))
 
 
 def test_surface_sig_validation():
