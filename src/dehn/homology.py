@@ -52,15 +52,22 @@ def _sparse_classes(sig: SurfaceSig) -> dict[str, Sparse]:
     }
 
 
-def _transvect(x: list[int], v: Sparse, sign: int) -> None:
-    """Apply T_v^sign to x in place."""
-    c = 0
-    for _, _, j, p in v:
-        c += p * x[j]
-    if c:
-        c *= sign
-        for i, vi, _, _ in v:
-            x[i] += c * vi
+def _steps(word: TwistWord) -> list[tuple[Sparse, int]]:
+    """The word's stream with each curve replaced by its sparse class."""
+    classes = _sparse_classes(word.surface)
+    return [(classes[name], sign) for name, sign in compile_word(word)]
+
+
+def _run_stream(x: list[int], steps: list[tuple[Sparse, int]]) -> None:
+    """Apply T_v^sign for every (v, sign) step to x in place, in order."""
+    for v, sign in steps:
+        c = 0
+        for _, _, j, p in v:
+            c += p * x[j]
+        if c:
+            c *= sign
+            for i, vi, _, _ in v:
+                x[i] += c * vi
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -78,9 +85,7 @@ def transported_class(twist: Twist, sig: SurfaceSig) -> Vector:
     if not twist.conj:
         return v
     x = list(v)
-    classes = _sparse_classes(sig)
-    for name, sign in compile_word(TwistWord.from_names(sig, twist.conj)):
-        _transvect(x, classes[name], sign)
+    _run_stream(x, _steps(TwistWord.from_names(sig, twist.conj)))
     return tuple(x)
 
 
@@ -88,18 +93,15 @@ def word_matrix(word: TwistWord) -> Matrix:
     """Product of the letters' matrices in word order (rightmost acts first).
 
     Built column by column: each basis vector runs through the word's
-    stream, one sparse transvection per step.
+    stream in one ``_run_stream`` call, one sparse transvection per step.
     """
-    sig = word.surface
-    n = 2 * sig.genus
-    classes = _sparse_classes(sig)
-    steps = [(classes[name], sign) for name, sign in compile_word(word)]
+    n = 2 * word.surface.genus
+    steps = _steps(word)
     cols = []
     for j in range(n):
         x = [0] * n
         x[j] = 1
-        for v, sign in steps:
-            _transvect(x, v, sign)
+        _run_stream(x, steps)
         cols.append(x)
     return tuple(zip(*cols))
 

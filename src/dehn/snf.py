@@ -3,7 +3,10 @@
 Provides a Smith normal form over Z by invertible row/column reduction, and
 a cokernel description: the group Z^rows / column-span presented by an
 integer matrix, reported as a free rank plus a list of torsion orders
-(each > 1, each dividing the next).
+(each > 1, each dividing the next).  The cokernel depends only on the span,
+so its columns are first reduced to distinct classes up to sign: a word's
+vanishing cycles repeat a few curve classes many times, and the Smith form
+then runs on one column per class rather than one per letter.
 """
 
 from __future__ import annotations
@@ -87,8 +90,12 @@ def smith_normal_form(rows: list[list[int]]) -> list[list[int]]:
 def abelian_group_from_columns(nrows: int, columns: list[list[int]]) -> tuple[int, list[int]]:
     """Cokernel Z^nrows / <columns> as (free rank, torsion orders).
 
-    Each column is a length-nrows integer vector.  Torsion orders are the
-    diagonal entries > 1 of the Smith form, in divisibility order.
+    Each column is a length-nrows integer vector.  The span is reduced to
+    distinct classes up to sign before the Smith form runs: zero columns
+    are dropped, each column is taken with its first nonzero entry
+    positive, and repeats are dropped (first-seen order is kept).  Torsion
+    orders are the diagonal entries > 1 of the Smith form, in divisibility
+    order.
     """
     if nrows == 0:
         return 0, []
@@ -96,9 +103,14 @@ def abelian_group_from_columns(nrows: int, columns: list[list[int]]) -> tuple[in
         return nrows, []
     if any(len(c) != nrows for c in columns):
         raise ValueError("column length does not match nrows")
-    rows = [[c[i] for c in columns] for i in range(nrows)]
+    distinct = {}  # a dict keeps first-seen order
+    for c in columns:
+        lead = next((x for x in c if x), 0)
+        if lead:
+            distinct[tuple(c) if lead > 0 else tuple(-x for x in c)] = None
+    rows = [list(r) for r in zip(*distinct)]
     s = smith_normal_form(rows)
-    diag = [s[i][i] for i in range(min(nrows, len(columns)))]
+    diag = [s[i][i] for i in range(min(nrows, len(distinct)))]
     rank = nrows - sum(1 for v in diag if v)
     torsion = [v for v in diag if v > 1]
     return rank, torsion

@@ -136,6 +136,11 @@ def geometric_disjoint(c1: str, c2: str) -> bool:
     return abs(i - j) != 1
 
 
+def _is_sign(s) -> bool:
+    """Whether s is the int +1 or -1 (not a bool, float or string)."""
+    return type(s) is int and s in (1, -1)
+
+
 @dataclass(frozen=True)
 class Twist:
     """A signed Dehn twist about a standard curve, optionally conjugated.
@@ -150,12 +155,12 @@ class Twist:
     conj: tuple[tuple[str, int], ...] = field(default=())
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
+        if not _is_sign(self.sign):
             raise ValueError(f"twist sign must be +1 or -1, got {self.sign!r}")
-        object.__setattr__(self, "conj", tuple((str(n), int(s)) for n, s in self.conj))
+        object.__setattr__(self, "conj", tuple((str(n), s) for n, s in self.conj))
         for _, s in self.conj:
-            if s not in (1, -1):
-                raise ValueError("conjugator entries must have sign +1 or -1")
+            if not _is_sign(s):
+                raise ValueError(f"conjugator entries must have sign +1 or -1, got {s!r}")
 
     def inverse(self) -> "Twist":
         return Twist(self.base, -self.sign, self.conj)

@@ -134,6 +134,23 @@ def test_twist_validation():
         Twist("a1", 1, (("d2", 1),)).validate(sig)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, 1.9, "1"])
+def test_twist_sign_must_be_the_int_plus_or_minus_one(bad):
+    # True and 1.0 compare equal to 1, and int() would truncate 1.9 to 1
+    with pytest.raises(ValueError):
+        Twist("a1", bad)
+    with pytest.raises(ValueError):
+        Twist("a1", 1, (("b1", bad),))
+
+
+def test_twist_accepts_int_signs():
+    for s in (1, -1):
+        t = Twist("a1", s, (("b1", s), ("a1", -s)))
+        assert type(t.sign) is int and t.sign == s
+        assert t.conj == (("b1", s), ("a1", -s))
+        assert all(type(c) is int for _, c in t.conj)
+
+
 def test_twist_word_construction_and_inverse():
     sig = SurfaceSig(2, 1)
     w = TwistWord.from_names(sig, "a1 b1^-1 d2")
