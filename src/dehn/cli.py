@@ -51,7 +51,7 @@ from .pi1 import (
     mcg_equal_rel_boundary,
 )
 from .rewriting import chain_relation_selftest, positivize
-from .surface import SurfaceSig, Twist, TwistWord
+from .surface import SurfaceSig, Twist, TwistWord, is_sign
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -108,9 +108,9 @@ def parse_surface(obj: dict) -> SurfaceSig:
 
 
 def _parse_sign(entry: dict, where: str) -> int:
-    # JSON true and 1.0 compare equal to 1, so the type is checked first
+    # the same rule Twist applies, checked here to name the field
     sign = entry.get("sign", 1)
-    if type(sign) is not int or sign not in (1, -1):
+    if not is_sign(sign):
         raise InputError(f"{where}.sign must be 1 or -1")
     return sign
 
@@ -185,10 +185,7 @@ def _cmd_verify(args, stdin) -> tuple[dict, int]:
         raise InputError("field 'words' must hold exactly two words")
     w1 = parse_word(sig, words[0], "words[0]")
     w2 = parse_word(sig, words[1], "words[1]")
-    try:
-        verdict, engine = decide_equal(w1, w2, args.engine, args.cap)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    verdict, engine = decide_equal(w1, w2, args.engine, args.cap)
     return {"command": "verify", "verdict": verdict, "engine": engine}, _VERDICT_EXIT[verdict]
 
 
@@ -196,10 +193,7 @@ def _cmd_positivize(args, stdin) -> tuple[dict, int]:
     req = _read_request(stdin)
     sig = parse_surface(req)
     word = parse_word(sig, _require(req, "word", list, ""))
-    try:
-        rep = positivize(word, args.cap, args.engine)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    rep = positivize(word, args.cap, args.engine)
     report = {
         "command": "positivize",
         "verdict": rep.verified,
@@ -214,11 +208,7 @@ def _cmd_double(args, stdin) -> tuple[dict, int]:
     req = _read_request(stdin)
     sig = parse_surface(req)
     word = parse_word(sig, _require(req, "word", list, ""))
-    try:
-        palf = Fibration("disk", sig, word)
-        rep = double_report(palf, args.cap)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    rep = double_report(Fibration("disk", sig, word), args.cap)
     f = rep.fibration
     report = {
         "command": "double",
@@ -236,10 +226,7 @@ def _cmd_invariants(args, stdin) -> tuple[dict, int]:
     sig = parse_surface(req)
     word = parse_word(sig, _require(req, "word", list, ""))
     base = req.get("base", "disk")
-    try:
-        f = Fibration(base, sig, word)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    f = Fibration(base, sig, word)
     allowable = is_allowable(f)
     report = {
         "command": "invariants",
@@ -255,10 +242,7 @@ def _cmd_family(args, stdin) -> tuple[dict, int]:
         raise InputError("family requires --n")
     if args.n > FAMILY_MAX_N:
         raise InputError(f"family --n must be at most {FAMILY_MAX_N}")
-    try:
-        fam = theorem11_family(args.n, args.cap)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    fam = theorem11_family(args.n, args.cap)
     verdicts = [{"verdict": v, "engine": e} for v, e in fam.equal_verdicts]
     report = {
         "command": "family",
@@ -290,10 +274,7 @@ def _cmd_branched_double(args, stdin) -> tuple[dict, int]:
     req = _read_request(stdin)
     sig = parse_surface(req)
     word = parse_word(sig, _require(req, "word", list, ""))
-    try:
-        fiber, monodromy = branched_double_cover(sig, word)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    fiber, monodromy = branched_double_cover(sig, word)
     report = {
         "command": "branched-double",
         "fiber": {"genus": fiber.genus, "boundary": fiber.boundary},
@@ -309,12 +290,9 @@ def _cmd_fibersum(args, stdin) -> tuple[dict, int]:
     words = _require(req, "words", list, "")
     if len(words) != 2:
         raise InputError("field 'words' must hold exactly two words")
-    try:
-        f1 = Fibration("sphere", sig, parse_word(sig, words[0], "words[0]"))
-        f2 = Fibration("sphere", sig, parse_word(sig, words[1], "words[1]"))
-        f = fiber_sum(f1, f2)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    f1 = Fibration("sphere", sig, parse_word(sig, words[0], "words[0]"))
+    f2 = Fibration("sphere", sig, parse_word(sig, words[1], "words[1]"))
+    f = fiber_sum(f1, f2)
     report = {
         "command": "fibersum",
         "chi": euler_characteristic(f),
@@ -329,10 +307,7 @@ def _cmd_gn(args, stdin) -> tuple[dict, int]:
         raise InputError("gn requires --n")
     if args.n > GN_MAX_N:
         raise InputError(f"gn --n must be at most {GN_MAX_N}")
-    try:
-        f = gn_word(args.n)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    f = gn_word(args.n)
     report = {
         "command": "gn",
         "chi": euler_characteristic(f),
@@ -411,7 +386,8 @@ def run(argv=None, stdin=None, stdout=None) -> int:
         if args.cap < 1:
             raise InputError("--cap must be at least 1")
         report, code = _COMMANDS[args.command](args, stdin)
-    except InputError as exc:
+    # the library raises ValueError on requests it rejects; both are input errors
+    except (InputError, ValueError) as exc:
         report, code = {"command": args.command, "error": str(exc)}, EXIT_INPUT
     if args.timing:
         report["runtime_ms"] = int((time.monotonic() - started) * 1000)

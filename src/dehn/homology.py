@@ -13,7 +13,8 @@ cancelled sequence of plain (curve, sign) steps the free-group engines
 apply: each step is the transvection about a standard curve class.  Those
 classes have at most two nonzero entries, so they are kept sparse, one
 table per surface, and each step costs O(1) per vector, O(2g) for a whole
-matrix.
+matrix.  Two words are compared on one matrix, that of the stream of
+w2^-1 . w1 (``dehn.surface.quotient_stream``), against the identity.
 
 For genus 1 closed surfaces this action is a faithful invariant: two twist
 words are equal as mapping classes exactly when their matrices agree.  For
@@ -30,6 +31,7 @@ from .surface import (
     TwistWord,
     compile_word,
     homology_class,
+    quotient_stream,
     standard_curves,
 )
 
@@ -52,10 +54,10 @@ def _sparse_classes(sig: SurfaceSig) -> dict[str, Sparse]:
     }
 
 
-def _steps(word: TwistWord) -> list[tuple[Sparse, int]]:
-    """The word's stream with each curve replaced by its sparse class."""
-    classes = _sparse_classes(word.surface)
-    return [(classes[name], sign) for name, sign in compile_word(word)]
+def _steps(sig: SurfaceSig, stream) -> list[tuple[Sparse, int]]:
+    """The stream with each curve replaced by its sparse class."""
+    classes = _sparse_classes(sig)
+    return [(classes[name], sign) for name, sign in stream]
 
 
 def _run_stream(x: list[int], steps: list[tuple[Sparse, int]]) -> None:
@@ -85,18 +87,18 @@ def transported_class(twist: Twist, sig: SurfaceSig) -> Vector:
     if not twist.conj:
         return v
     x = list(v)
-    _run_stream(x, _steps(TwistWord.from_names(sig, twist.conj)))
+    _run_stream(x, _steps(sig, compile_word(TwistWord.from_names(sig, twist.conj))))
     return tuple(x)
 
 
-def word_matrix(word: TwistWord) -> Matrix:
-    """Product of the letters' matrices in word order (rightmost acts first).
+def stream_matrix(sig: SurfaceSig, stream) -> Matrix:
+    """Matrix of a stream of (curve, sign) steps on ``sig``, first-acting first.
 
-    Built column by column: each basis vector runs through the word's
-    stream in one ``_run_stream`` call, one sparse transvection per step.
+    Built column by column: each basis vector runs through the stream in
+    one ``_run_stream`` call, one sparse transvection per step.
     """
-    n = 2 * word.surface.genus
-    steps = _steps(word)
+    n = 2 * sig.genus
+    steps = _steps(sig, stream)
     cols = []
     for j in range(n):
         x = [0] * n
@@ -106,12 +108,15 @@ def word_matrix(word: TwistWord) -> Matrix:
     return tuple(zip(*cols))
 
 
+def word_matrix(word: TwistWord) -> Matrix:
+    """Product of the letters' matrices in word order (rightmost acts first)."""
+    return stream_matrix(word.surface, compile_word(word))
+
+
 def is_identity(m: Matrix) -> bool:
     return m == identity_matrix(len(m))
 
 
 def homology_equal(w1: TwistWord, w2: TwistWord) -> bool:
-    """Whether the two words act identically on H1."""
-    if w1.surface != w2.surface:
-        raise ValueError("words live on different surfaces")
-    return word_matrix(w1) == word_matrix(w2)
+    """Whether the two words act identically on H1: w2^-1 . w1 acts trivially."""
+    return is_identity(stream_matrix(w1.surface, quotient_stream(w1, w2)))

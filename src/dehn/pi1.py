@@ -25,9 +25,9 @@ surface but are reported unequal ("false").
 A word is applied through its stream (``dehn.surface.compile_word``): the
 flat sequence of plain (curve, sign) steps in the order they act, with
 conjugators expanded and adjacent x^s x^-s pairs cancelled, each step
-looked up here as one table.  Each comparison compiles each word once and
-runs that one stream on every generator; the word-length cap is checked
-after every table application.
+looked up here as one table.  A comparison of w1 with w2 runs the one
+stream of psi = w2^-1 . w1 (``dehn.surface.quotient_stream``) on every
+generator; the word-length cap is checked after every table application.
 
 The per-curve automorphisms are constructed once per genus:  positive chain
 twists act by the half-twist lift on chain-curve loops (loop j maps loop
@@ -51,8 +51,8 @@ from .freegroup import (
     invert_word,
     reduce_word,
 )
-from .homology import homology_equal
-from .surface import SurfaceSig, Twist, TwistWord, compile_word
+from .homology import is_identity, stream_matrix
+from .surface import SurfaceSig, Twist, TwistWord, compile_word, quotient_stream
 
 DEFAULT_CAP = 10**6
 
@@ -144,8 +144,6 @@ def _conj_table_w(g: int, u: Word) -> FreeAutomorphism:
 @lru_cache(maxsize=None)
 def twist_tables(genus: int) -> dict[tuple[str, int], FreeAutomorphism]:
     """Automorphism of every standard twist, in the x/y basis, per genus."""
-    if genus < 1:
-        return {}
     g = genus
     beta, beta_inv = _beta(g), _beta_inv(g)
     if not beta.compose(beta_inv).is_identity() or not beta_inv.compose(beta).is_identity():
@@ -214,18 +212,18 @@ RELATOR_CORPUS = (
 
 
 # ---------------------------------------------------------------------------
-# Applying words to elements.  A word's stream (``dehn.surface.compile_word``)
-# is looked up once as the tables of its steps, in the order they act.  A
-# comparison runs that one stream on one generator at a time, never
-# composing automorphism tables, so intermediate growth stays linear per
-# application; the length cap is checked after every table application.
+# Applying streams to elements.  A stream is looked up once as the tables
+# of its steps, in the order they act.  A comparison runs the one stream of
+# w2^-1 . w1 (``dehn.surface.quotient_stream``) on one generator at a time,
+# never composing automorphism tables, so intermediate growth stays linear
+# per application; the length cap is checked after every table application.
 # ---------------------------------------------------------------------------
 
 
-def _compiled(word: TwistWord) -> tuple[FreeAutomorphism, ...]:
-    """The tables of the word's stream, in the order they act."""
-    tables = twist_tables(word.surface.genus)
-    return tuple(tables[step] for step in compile_word(word))
+def _tables(genus: int, stream) -> tuple[FreeAutomorphism, ...]:
+    """The tables of the stream's steps, in the order they act."""
+    tables = twist_tables(genus)
+    return tuple(tables[step] for step in stream)
 
 
 def _run(autos: tuple[FreeAutomorphism, ...], z: Word, cap: int) -> Word:
@@ -242,20 +240,15 @@ def apply_twist(t: Twist, z: Word, sig: SurfaceSig, cap: int = DEFAULT_CAP) -> W
 
 def apply_word(word: TwistWord, z: Word, cap: int = DEFAULT_CAP) -> Word:
     """Image of z under the whole word; the rightmost letter acts first."""
-    return _run(_compiled(word), z, cap)
+    return _run(_tables(word.surface.genus, compile_word(word)), z, cap)
 
 
 def mcg_equal_rel_boundary(w1: TwistWord, w2: TwistWord, cap: int = DEFAULT_CAP) -> bool:
     """Exact equality in the mapping class group rel boundary (b = 1)."""
-    if w1.surface != w2.surface:
-        raise ValueError("words live on different surfaces")
+    psi = quotient_stream(w1, w2)
     if w1.surface.boundary != 1:
         raise ValueError("rel-boundary comparison requires a one-boundary surface")
-    a1, a2 = _compiled(w1), _compiled(w2)
-    for k in range(1, 2 * w1.surface.genus + 1):
-        if _run(a1, (k,), cap) != _run(a2, (k,), cap):
-            return False
-    return True
+    return _fixes_generators(w1.surface, psi, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -321,32 +314,41 @@ def dehn_reduce(z: Word, genus: int) -> Word:
     return tuple(out)
 
 
+def _fixes_generators(sig: SurfaceSig, psi, cap: int) -> bool:
+    """Whether the stream psi fixes every generator of pi1.
+
+    Rel boundary psi(x_k) must equal x_k; on a closed surface of genus >= 2
+    psi(x_k) x_k^-1 must Dehn-reduce to the empty word.
+    """
+    autos = _tables(sig.genus, psi)
+    for k in range(1, 2 * sig.genus + 1):
+        z = _run(autos, (k,), cap)
+        if sig.boundary:
+            if z != (k,):
+                return False
+        # dehn_reduce cancels freely as it pushes, so z x_k^-1 needs no reduce_word
+        elif dehn_reduce(z + (-k,), sig.genus):
+            return False
+    return True
+
+
 def closed_equal(w1: TwistWord, w2: TwistWord, cap: int = DEFAULT_CAP) -> bool:
     """Equality of induced automorphisms of the closed-surface group.
 
-    Genus 1 is decided by the homology action, which is faithful there;
-    genus >= 2 compares generator images modulo the relator by Dehn
-    reduction.  That decides equality in Mod(S_g, *), with a marked point:
+    Decided on the stream of psi = w2^-1 . w1, whose words ``cap`` bounds.
+    Genus <= 1 is decided by the homology action, which is faithful there;
+    genus >= 2 checks that psi fixes every generator modulo the relator by
+    Dehn reduction.  That decides equality in Mod(S_g, *), with a marked point:
     words that differ only by a point-push are equal in Mod(S_g) but
     compare unequal here.
     """
-    if w1.surface != w2.surface:
-        raise ValueError("words live on different surfaces")
+    psi = quotient_stream(w1, w2)
     sig = w1.surface
     if sig.boundary != 0:
         raise ValueError("closed comparison requires a closed surface")
-    if sig.genus == 0:
-        return True
-    if sig.genus == 1:
-        return homology_equal(w1, w2)
-    a1, a2 = _compiled(w1), _compiled(w2)
-    for k in range(1, 2 * sig.genus + 1):
-        u = _run(a1, (k,), cap)
-        v = _run(a2, (k,), cap)
-        # dehn_reduce cancels freely as it pushes, so u v^-1 needs no reduce_word
-        if dehn_reduce(u + invert_word(v), sig.genus):
-            return False
-    return True
+    if sig.genus <= 1:
+        return is_identity(stream_matrix(sig, psi))
+    return _fixes_generators(sig, psi, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +361,8 @@ ENGINE_CLOSED = "closed(dehn,g>=2)"
 ENGINE_HOMOLOGY_NECESSARY = "homology(necessary)"
 
 
-# The exact engines: engine -> (required boundary count, equality function).
-_EXACT_ENGINES = {"pi1": (1, mcg_equal_rel_boundary), "closed": (0, closed_equal)}
+# The exact engines: engine -> required boundary count.
+_EXACT_ENGINES = {"pi1": 1, "closed": 0}
 
 
 def decide_equal(w1: TwistWord, w2: TwistWord, engine: str = "auto",
@@ -368,32 +370,29 @@ def decide_equal(w1: TwistWord, w2: TwistWord, engine: str = "auto",
     """Compare two twist words; returns (verdict, engine description).
 
     Verdict is "true", "false", or "unknown" (resource cap, or a
-    necessary-only engine that could not separate the words).  Words that
-    are letter-for-letter identical are "true" under every exact engine
-    without applying them.
+    necessary-only engine that could not separate the words).  Every
+    engine tests whether the stream of psi = w2^-1 . w1 acts trivially,
+    rejecting on its homology matrix before any free-group work; ``cap``
+    bounds the words that psi's stream produces.
     """
-    if w1.surface != w2.surface:
-        raise ValueError("words live on different surfaces")
+    psi = quotient_stream(w1, w2)
     sig = w1.surface
-    same = w1.letters == w2.letters
     if engine == "auto":
-        engine = "pi1" if sig.boundary == 1 else ("homology" if sig.genus <= 1 else "closed")
-
+        engine = "pi1" if sig.boundary == 1 else "closed"
+    if engine != "homology":
+        if engine not in _EXACT_ENGINES:
+            raise ValueError(f"unknown engine {engine!r}")
+        if sig.boundary != _EXACT_ENGINES[engine]:
+            raise ValueError(f"{engine} engine requires boundary = {_EXACT_ENGINES[engine]}")
+    acts_on_h1 = not is_identity(stream_matrix(sig, psi))
+    if sig.boundary == 0 and sig.genus <= 1:
+        return ("false" if acts_on_h1 else "true", ENGINE_HOMOLOGY_FAITHFUL)
     if engine == "homology":
-        equal = same or homology_equal(w1, w2)
-        if sig.boundary == 0 and sig.genus <= 1:
-            return ("true" if equal else "false", ENGINE_HOMOLOGY_FAITHFUL)
-        return ("unknown" if equal else "false", ENGINE_HOMOLOGY_NECESSARY)
-
-    if engine not in _EXACT_ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
-    boundary, equal = _EXACT_ENGINES[engine]
-    if sig.boundary != boundary:
-        raise ValueError(f"{engine} engine requires boundary = {boundary}")
-    name = ENGINE_PI1 if boundary else (ENGINE_CLOSED if sig.genus >= 2 else ENGINE_HOMOLOGY_FAITHFUL)
-    if same:
-        return ("true", name)
+        return ("false" if acts_on_h1 else "unknown", ENGINE_HOMOLOGY_NECESSARY)
+    name = ENGINE_PI1 if sig.boundary else ENGINE_CLOSED
+    if acts_on_h1:
+        return ("false", name)
     try:
-        return ("true" if equal(w1, w2, cap) else "false", name)
+        return ("true" if _fixes_generators(sig, psi, cap) else "false", name)
     except WordGrowthExceeded:
         return ("unknown", name)

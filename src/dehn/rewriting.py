@@ -20,12 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .homology import homology_equal
-from .pi1 import (
-    DEFAULT_CAP,
-    ENGINE_HOMOLOGY_NECESSARY,
-    decide_equal,
-    mcg_equal_rel_boundary,
-)
+from .pi1 import DEFAULT_CAP, decide_equal, mcg_equal_rel_boundary
 from .surface import (
     SurfaceSig,
     Twist,
@@ -185,8 +180,6 @@ def positivize(w: TwistWord, cap: int = DEFAULT_CAP,
         steps += 1
     output = TwistWord(sig, tuple(out))
     verdict, engine_used = decide_equal(w, output, engine, cap)
-    if verdict == "unknown" and engine == "auto" and not homology_equal(w, output):
-        verdict, engine_used = "false", ENGINE_HOMOLOGY_NECESSARY
     return RewriteReport(w, output, steps, verdict, engine_used)
 
 

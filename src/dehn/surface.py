@@ -16,7 +16,9 @@ nested): ``(conj=u, base=c, sign=s)`` denotes ``u · t_c^s · u^-1``.  A
 :class:`TwistWord` is a finite sequence of twists composed left-to-right,
 with the *rightmost* letter acting first on the surface.
 ``compile_word`` expands a word into the plain (curve, sign) steps in the
-order they act, the one stream every engine applies.
+order they act, the one stream every engine applies; ``quotient_stream``
+builds the stream of w2^-1 . w1 from two compiled words, so that every
+equality test asks whether one stream acts trivially.
 
 Homology classes live in a fixed ordered basis ``e1, ..., e_2g`` whose
 intersection form is the standard block form (``<e_{2i-1}, e_{2i}> = +1``,
@@ -47,10 +49,6 @@ class SurfaceSig:
             raise ValueError(f"genus must be a non-negative integer, got {self.genus!r}")
         if self.boundary not in (0, 1):
             raise ValueError(f"boundary must be 0 or 1, got {self.boundary!r}")
-
-    @property
-    def closed(self) -> bool:
-        return self.boundary == 0
 
 
 def curve_valid(name: str, sig: SurfaceSig) -> bool:
@@ -136,7 +134,7 @@ def geometric_disjoint(c1: str, c2: str) -> bool:
     return abs(i - j) != 1
 
 
-def _is_sign(s) -> bool:
+def is_sign(s) -> bool:
     """Whether s is the int +1 or -1 (not a bool, float or string)."""
     return type(s) is int and s in (1, -1)
 
@@ -155,11 +153,11 @@ class Twist:
     conj: tuple[tuple[str, int], ...] = field(default=())
 
     def __post_init__(self):
-        if not _is_sign(self.sign):
+        if not is_sign(self.sign):
             raise ValueError(f"twist sign must be +1 or -1, got {self.sign!r}")
         object.__setattr__(self, "conj", tuple((str(n), s) for n, s in self.conj))
         for _, s in self.conj:
-            if not _is_sign(s):
+            if not is_sign(s):
                 raise ValueError(f"conjugator entries must have sign +1 or -1, got {s!r}")
 
     def inverse(self) -> "Twist":
@@ -254,6 +252,28 @@ def compile_word(word: TwistWord) -> tuple[Step, ...]:
             else:
                 stream.append((name, sign))
     return tuple(stream)
+
+
+def quotient_stream(w1: TwistWord, w2: TwistWord) -> tuple[Step, ...]:
+    """The stream of psi = w2^-1 . w1, trivial in a group exactly when w1 = w2.
+
+    That is w1's stream, then w2's reversed with signs flipped.  Steps the
+    two streams share at their first-acting end only conjugate psi, and
+    steps they share at their last-acting end cancel at the seam; both are
+    dropped.  The shared ends are maximal, so nothing else cancels.
+    """
+    if w1.surface != w2.surface:
+        raise ValueError("words live on different surfaces")
+    s1, s2 = compile_word(w1), compile_word(w2)
+    n = min(len(s1), len(s2))
+    head = 0
+    while head < n and s1[head] == s2[head]:
+        head += 1
+    tail = 0
+    while tail < n - head and s1[-1 - tail] == s2[-1 - tail]:
+        tail += 1
+    rest2 = s2[head:len(s2) - tail]
+    return s1[head:len(s1) - tail] + tuple((name, -sign) for name, sign in reversed(rest2))
 
 
 def chain_word(sig: SurfaceSig, copies: int = 1) -> TwistWord:

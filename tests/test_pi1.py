@@ -6,6 +6,7 @@ import pytest
 
 from dehn import (
     SurfaceSig,
+    Twist,
     TwistWord,
     WordGrowthExceeded,
     closed_equal,
@@ -14,11 +15,12 @@ from dehn import (
     mcg_equal_rel_boundary,
 )
 from dehn.freegroup import invert_word, reduce_word
-from dehn.homology import word_matrix
+from dehn.homology import homology_equal, word_matrix
 from dehn.pi1 import (
     BRAID_PAIRS,
     CHAIN_RELATIONS,
     COMMUTING_PAIRS,
+    DEFAULT_CAP,
     ENGINE_CLOSED,
     ENGINE_HOMOLOGY_FAITHFUL,
     ENGINE_HOMOLOGY_NECESSARY,
@@ -27,7 +29,7 @@ from dehn.pi1 import (
     apply_word,
     boundary_word,
 )
-from dehn.surface import standard_curves
+from dehn.surface import chain_word, standard_curves
 
 T1 = SurfaceSig(1, 1)
 T2 = SurfaceSig(2, 1)
@@ -277,6 +279,9 @@ def test_decide_equal_dispatch():
     # boundary = 1: the faithful free-group engine
     assert decide_equal(word(T1, "a1 b1 a1"), word(T1, "b1 a1 b1")) == ("true", ENGINE_PI1)
     assert decide_equal(word(T1, "a1"), word(T1, "b1")) == ("false", ENGINE_PI1)
+    # the disk: delta is trivial rel boundary, and pi1 has no generators
+    disk = SurfaceSig(0, 1)
+    assert decide_equal(word(disk, "delta"), TwistWord(disk, ())) == ("true", ENGINE_PI1)
     # closed genus 1: homology is faithful
     torus = SurfaceSig(1, 0)
     v = decide_equal(word(torus, "a1 b1").power(6), TwistWord(torus, ()))
@@ -298,3 +303,103 @@ def test_decide_equal_dispatch():
         decide_equal(a, b, engine="nonsense")
     with pytest.raises(ValueError):
         decide_equal(a, word(T1, "a1"))
+
+
+def two_stream_verdict(w1, w2, cap=DEFAULT_CAP):
+    """Reference: run each word's own stream on every generator and compare.
+
+    Rel boundary the images must be equal, on a closed surface of genus >= 2
+    equal modulo the relator, and at closed genus <= 1 the two homology
+    matrices decide.  Returns "true" or "false", or None when an image
+    passes the cap.
+    """
+    sig = w1.surface
+    if sig.boundary == 0 and sig.genus <= 1:
+        return "true" if word_matrix(w1) == word_matrix(w2) else "false"
+    try:
+        for k in range(1, 2 * sig.genus + 1):
+            u, v = apply_word(w1, (k,), cap), apply_word(w2, (k,), cap)
+            if sig.boundary:
+                if u != v:
+                    return "false"
+            elif dehn_reduce(u + invert_word(v), sig.genus):
+                return "false"
+    except WordGrowthExceeded:
+        return None
+    return "true"
+
+
+def relators(sig):
+    """Words equal to the identity on ``sig``: braid, commutation and chain relations."""
+    chain = [t.base for t in chain_word(sig).letters]
+    pairs = [(f"{c} {d} {c}", f"{d} {c} {d}") for c, d in zip(chain, chain[1:])]
+    pairs += [(f"{c} {d}", f"{d} {c}") for c, d in zip(chain, chain[2:])]
+    if sig.genus >= 2:
+        pairs.append((" ".join(["a1 b1 a2"] * 4), "d2 e2"))
+    # the 2g-chain relation: its power 4g + 2 is the boundary twist
+    pairs.append((" ".join(chain * (4 * sig.genus + 2)), "delta" if sig.boundary else ""))
+    return [word(sig, lhs) * word(sig, rhs).inverse() for lhs, rhs in pairs]
+
+
+def seeded_pairs(rng, sig):
+    """Relator-inserted, one-letter-flipped and shared-prefix/suffix pairs.
+
+    Letters are conjugated by conjugators drawn from a small pool, so
+    neighbouring letters often share one.  Inserting (a1 b1)^6, a twist
+    about a separating curve (the boundary at genus 1), gives pairs that
+    homology cannot separate.
+    """
+    curves = standard_curves(sig)
+    pool = [(), ((rng.choice(curves), 1),),
+            tuple((rng.choice(curves), rng.choice((1, -1))) for _ in range(2))]
+
+    def rand_word(n):
+        return TwistWord(sig, tuple(Twist(rng.choice(curves), rng.choice((1, -1)),
+                                          rng.choice(pool)) for _ in range(n)))
+
+    rels = relators(sig)
+    separating = word(sig, "a1 b1").power(6)
+    pairs = []
+    for _ in range(10):
+        w = rand_word(rng.randrange(1, 6))
+        i = rng.randrange(len(w) + 1)
+        head, tail = TwistWord(sig, w.letters[:i]), TwistWord(sig, w.letters[i:])
+        r = head * rng.choice(rels) * tail
+        pairs.append((w, r))
+        pairs.append((r, w))
+        pairs.append((w, head * separating * tail))
+        j = rng.randrange(len(w))
+        flipped = w.letters[:j] + (w.letters[j].inverse(),) + w.letters[j + 1:]
+        pairs.append((w, TwistWord(sig, flipped)))
+        p, q = rand_word(rng.randrange(4)), rand_word(rng.randrange(4))
+        x = rand_word(rng.randrange(3))
+        pairs.append((p * x * q, p * rand_word(rng.randrange(3)) * q))
+        pairs.append((p * x * q, p * rng.choice(rels) * x * q))
+    return pairs
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+@pytest.mark.parametrize("boundary", [0, 1])
+def test_quotient_stream_agrees_with_two_stream_reference(genus, boundary):
+    sig = SurfaceSig(genus, boundary)
+    rng = random.Random(f"quotient/{genus}/{boundary}")
+    seen = set()
+    for w1, w2 in seeded_pairs(rng, sig):
+        expected = two_stream_verdict(w1, w2)
+        if expected is not None:
+            assert decide_equal(w1, w2)[0] == expected, (w1, w2)
+            seen.add(expected)
+        assert homology_equal(w1, w2) == (word_matrix(w1) == word_matrix(w2))
+    assert seen == {"true", "false"}
+
+
+def test_shared_ends_keep_long_equal_words_under_the_cap():
+    # the images of (a1 b1^-1)^16 pass the default cap, but psi is a
+    # conjugate of the six-letter braid relator
+    w = word(T1, "a1 b1^-1").power(16)
+    assert decide_equal(w, w * word(T1, "a1 b1 a1 b1^-1 a1^-1 b1^-1")) == ("true", ENGINE_PI1)
+
+
+def test_homology_rejects_before_the_free_group_runs():
+    w = word(T1, "a1 b1^-1").power(6)
+    assert decide_equal(w, word(T1, "a1"), cap=3) == ("false", ENGINE_PI1)

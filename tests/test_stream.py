@@ -14,7 +14,7 @@ from dehn import (
 )
 from dehn.freegroup import invert_word, reduce_word
 from dehn.pi1 import apply_twist, apply_word, twist_tables
-from dehn.surface import compile_word, standard_curves
+from dehn.surface import compile_word, quotient_stream, standard_curves
 
 
 def reference_apply(auto, z):
@@ -135,6 +135,30 @@ def test_compiled_stream_cancels():
     plain = TwistWord.from_names(sig, "a1^-1")
     assert compile_word(plain * TwistWord(sig, (t,))) == (
         ("a1", -1), ("b2", 1), ("b1", 1), ("b2", -1))
+
+
+def test_quotient_stream():
+    sig = SurfaceSig(2, 1)
+    u = (("a1", 1), ("b2", -1))
+    w = TwistWord(sig, (Twist("b1", 1, u), Twist("a2", -1, u), Twist("d2")))
+    assert quotient_stream(w, w) == ()
+    # psi = w2^-1 . w1: w1's stream, then w2's reversed with signs flipped
+    a1, b1 = TwistWord.from_names(sig, "a1"), TwistWord.from_names(sig, "b1")
+    assert quotient_stream(a1, b1) == (("a1", 1), ("b1", -1))
+    assert quotient_stream(a1, TwistWord(sig, ())) == (("a1", 1),)
+    assert quotient_stream(TwistWord(sig, ()), a1) == (("a1", -1),)
+    # the shared first-acting steps (w's stream) and the shared last-acting
+    # steps (u's) are dropped, whatever lies between them
+    mid1 = TwistWord.from_names(sig, "b2 a2^-1")
+    mid2 = TwistWord.from_names(sig, "e2")
+    v = TwistWord.from_names(sig, "a1 b1 a1^-1")
+    assert quotient_stream(v * mid1 * w, v * mid2 * w) == (
+        ("a2", -1), ("b2", 1), ("e2", -1))
+    # one stream a prefix of the other: only the extra steps remain
+    assert quotient_stream(w, a1 * w) == (("a1", -1),)
+    assert quotient_stream(w * a1, w) == (("a1", 1),)
+    with pytest.raises(ValueError, match="different surfaces"):
+        quotient_stream(a1, TwistWord.from_names(SurfaceSig(2, 0), "a1"))
 
 
 def test_compiled_path_respects_cap():

@@ -22,7 +22,6 @@ def intersection_pairing(u, v):
 
 def test_surface_sig_validation():
     assert SurfaceSig(2, 1).genus == 2
-    assert SurfaceSig(0, 0).closed
     with pytest.raises(ValueError):
         SurfaceSig(-1, 0)
     with pytest.raises(ValueError):
