@@ -370,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="auto", help="equality engine tier")
     parser.add_argument("--out", default=None,
                         help="also write the report to this path")
-    parser.add_argument("--json", action="store_true",
-                        help="emit JSON (the default; accepted for symmetry)")
     parser.add_argument("--timing", action="store_true",
                         help="append runtime_ms (breaks byte-determinism)")
     return parser

@@ -62,20 +62,18 @@ def theorem11_family(n: int, cap: int = DEFAULT_CAP) -> FamilyReport:
     x0_word = chain_word(sig, 4 * n + 2)
     pattern = TwistWord.from_names(sig, "a1 b1 a2").power(4)
 
+    # every step trades the same (chain)^4 block, so it is rewritten once
+    pulled = commute_pull(chain_word(sig, 4), pattern, cap)
+    substituted = chain_substitute(pulled.output, cap)
+    for rep in (pulled, substituted):
+        if rep.verified == "false":
+            raise AssertionError("rewriting step failed verification")
+
     fillings = [Fibration("disk", sig, x0_word)]
     verdicts: list[tuple[str, str]] = []
-    done: tuple[Twist, ...] = ()
-    remaining = 4 * n + 2
-    for _ in range(n):
-        block = chain_word(sig, 4)
-        pulled = commute_pull(block, pattern, cap)
-        substituted = chain_substitute(pulled.output, cap)
-        for rep in (pulled, substituted):
-            if rep.verified == "false":
-                raise AssertionError("rewriting step failed verification")
-        done = done + substituted.output.letters
-        remaining -= 4
-        word = TwistWord(sig, done + chain_word(sig, remaining).letters)
+    for i in range(1, n + 1):
+        word = TwistWord(sig, substituted.output.letters * i
+                         + chain_word(sig, 4 * (n - i) + 2).letters)
         verdict, engine = decide_equal(word, x0_word, "auto", cap)
         if verdict == "false":
             raise AssertionError("family member differs from the base monodromy")
@@ -137,9 +135,8 @@ def branched_double_cover(page: SurfaceSig, monodromy: TwistWord
         return Twist(_MIRROR[t.base], -t.sign,
                      tuple((_MIRROR[n], s) for n, s in t.conj))
 
-    copy1 = tuple(Twist(t.base, t.sign, t.conj) for t in monodromy.letters)
     copy2 = tuple(mirror(t) for t in reversed(monodromy.letters))
-    return closed, TwistWord(closed, copy1 + copy2)
+    return closed, TwistWord(closed, monodromy.letters + copy2)
 
 
 def swap_matrix() -> Matrix:

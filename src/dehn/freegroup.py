@@ -94,11 +94,5 @@ class FreeAutomorphism:
             raise ValueError("rank mismatch")
         return FreeAutomorphism(tuple(self.apply(w) for w in other.images))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FreeAutomorphism) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
     def is_identity(self) -> bool:
         return all(w == (k + 1,) for k, w in enumerate(self.images))

@@ -29,10 +29,11 @@ from .surface import (
     SurfaceSig,
     Twist,
     TwistWord,
+    check_curve,
     compile_word,
+    curve_classes,
     homology_class,
     quotient_stream,
-    standard_curves,
 )
 
 Vector = tuple[int, ...]
@@ -48,9 +49,8 @@ Sparse = tuple[tuple[int, int, int, int], ...]
 def _sparse_classes(sig: SurfaceSig) -> dict[str, Sparse]:
     """The sparse class of every standard curve on ``sig``."""
     return {
-        name: tuple((i, vi, i ^ 1, vi if i % 2 else -vi)
-                    for i, vi in enumerate(homology_class(name, sig)) if vi)
-        for name in standard_curves(sig)
+        name: tuple((i, vi, i ^ 1, vi if i % 2 else -vi) for i, vi in enumerate(v) if vi)
+        for name, v in curve_classes(sig).items()
     }
 
 
@@ -86,8 +86,12 @@ def transported_class(twist: Twist, sig: SurfaceSig) -> Vector:
     v = homology_class(twist.base, sig)
     if not twist.conj:
         return v
+    for name, _ in twist.conj:
+        check_curve(name, sig)
+    # the conjugator u acts as its letters, last first; u's cancelling
+    # pairs need no removal, as they compose to the identity
     x = list(v)
-    _run_stream(x, _steps(sig, compile_word(TwistWord.from_names(sig, twist.conj))))
+    _run_stream(x, _steps(sig, reversed(twist.conj)))
     return tuple(x)
 
 

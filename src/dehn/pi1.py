@@ -52,7 +52,7 @@ from .freegroup import (
     reduce_word,
 )
 from .homology import is_identity, stream_matrix
-from .surface import SurfaceSig, Twist, TwistWord, compile_word, quotient_stream
+from .surface import SurfaceSig, Twist, TwistWord, chain_name, compile_word, quotient_stream
 
 DEFAULT_CAP = 10**6
 
@@ -151,9 +151,8 @@ def twist_tables(genus: int) -> dict[tuple[str, int], FreeAutomorphism]:
 
     w_tables: dict[tuple[str, int], FreeAutomorphism] = {}
     for j in range(1, 2 * g + 1):
-        name = f"a{(j + 1) // 2}" if j % 2 else f"b{j // 2}"
         for sign in (1, -1):
-            w_tables[(name, sign)] = _chain_table_w(g, j, sign)
+            w_tables[(chain_name(j), sign)] = _chain_table_w(g, j, sign)
 
     if g >= 2:
         d2_pos, d2_neg = _d2_table_w(g, 1), _d2_table_w(g, -1)

@@ -26,6 +26,7 @@ from .surface import (
     Twist,
     TwistWord,
     chain_index,
+    chain_name,
     chain_word,
     check_curve,
     geometric_disjoint,
@@ -48,10 +49,6 @@ class RewriteReport:
     engine: str
 
 
-def _chain_name(j: int) -> str:
-    return f"a{(j + 1) // 2}" if j % 2 else f"b{j // 2}"
-
-
 def transport_pairs(curve: str, sig: SurfaceSig) -> tuple[tuple[str, int], ...]:
     """Flat word v with  v . t_curve . v^-1  =  t_a1, as (name, sign) pairs.
 
@@ -70,7 +67,7 @@ def transport_pairs(curve: str, sig: SurfaceSig) -> tuple[tuple[str, int], ...]:
         hop = ()
         top = chain_index(curve)
     for j in range(2, top + 1):
-        down += [(_chain_name(j), -1), (_chain_name(j - 1), -1)]
+        down += [(chain_name(j), -1), (chain_name(j - 1), -1)]
     return tuple(down) + hop
 
 

@@ -11,8 +11,6 @@ then runs on one column per class rather than one per letter.
 
 from __future__ import annotations
 
-import math
-
 
 def smith_normal_form(rows: list[list[int]]) -> list[list[int]]:
     """Diagonalize an integer matrix by invertible row and column moves.
@@ -64,26 +62,11 @@ def smith_normal_form(rows: list[list[int]]) -> list[list[int]]:
                 m[t][j] += m[bad][j]  # pull nondivisible content into the pivot row
             continue
 
+        # m[t][t] divides the whole trailing block, so every later pivot is a
+        # multiple of it: the diagonal is a chain, with its zeros last
         if m[t][t] < 0:
             m[t][t] = -m[t][t]
         t += 1
-
-    # Enforce the divisibility chain along the diagonal.
-    k = min(nrows, ncols)
-    d = [abs(m[i][i]) for i in range(k)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k - 1):
-            if d[i] == 0 and d[i + 1]:
-                d[i], d[i + 1] = d[i + 1], 0
-                changed = True
-            elif d[i] and d[i + 1] % d[i]:
-                g = math.gcd(d[i], d[i + 1])
-                d[i], d[i + 1] = g, d[i] * d[i + 1] // g
-                changed = True
-    for i in range(k):
-        m[i][i] = d[i]
     return m
 
 

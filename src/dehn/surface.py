@@ -27,14 +27,20 @@ hard-coded: ``a_i -> e_{2i-1}``; ``b_i -> e_{2i} - e_{2i+2}`` for ``i < g``
 and ``b_g -> e_{2g}`` (consecutive chain curves must pair +1, so the b-classes
 are not bare basis vectors); ``d2 -> e1 + e3``; ``e2 -> -(e1 + e3)``;
 ``delta -> 0``.
+
+The alphabet is one table per surface, ``curve_classes``: every standard
+curve name mapped to its class, in the standard order.  Validity, the
+curve list and the classes are all read from it, and ``chain_name`` is the
+one place where a chain position becomes a name.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-_CURVE_RE = re.compile(r"^(?:([ab])([1-9][0-9]*)|d2|e2|delta)$")
+_CHAIN_RE = re.compile(r"([ab])([1-9][0-9]*)")
 
 
 @dataclass(frozen=True)
@@ -51,16 +57,32 @@ class SurfaceSig:
             raise ValueError(f"boundary must be 0 or 1, got {self.boundary!r}")
 
 
+@lru_cache(maxsize=None)
+def curve_classes(sig: SurfaceSig) -> dict[str, tuple[int, ...]]:
+    """Every standard curve on ``sig`` with its class: chain, then d2/e2, then delta.
+
+    The table is cached and shared between callers, which only read it.
+    """
+    n = 2 * sig.genus
+    table = {}
+    for j in range(1, n + 1):
+        v = [0] * n
+        v[j - 1] = 1
+        if j % 2 == 0 and j < n:
+            v[j + 1] = -1
+        table[chain_name(j)] = tuple(v)
+    if sig.genus >= 2:
+        d2 = (1, 0, 1) + (0,) * (n - 3)
+        table["d2"] = d2
+        table["e2"] = tuple(-x for x in d2)
+    if sig.boundary == 1:
+        table["delta"] = (0,) * n
+    return table
+
+
 def curve_valid(name: str, sig: SurfaceSig) -> bool:
     """Whether ``name`` denotes a standard curve on the surface ``sig``."""
-    m = _CURVE_RE.match(name) if isinstance(name, str) else None
-    if m is None:
-        return False
-    if name == "delta":
-        return sig.boundary == 1
-    if name in ("d2", "e2"):
-        return sig.genus >= 2
-    return int(m.group(2)) <= sig.genus
+    return isinstance(name, str) and name in curve_classes(sig)
 
 
 def check_curve(name: str, sig: SurfaceSig) -> None:
@@ -71,21 +93,18 @@ def check_curve(name: str, sig: SurfaceSig) -> None:
 
 def standard_curves(sig: SurfaceSig) -> tuple[str, ...]:
     """All standard curve names on ``sig``: chain, then d2/e2, then delta."""
-    names = []
-    for i in range(1, sig.genus + 1):
-        names.append(f"a{i}")
-        names.append(f"b{i}")
-    if sig.genus >= 2:
-        names += ["d2", "e2"]
-    if sig.boundary == 1:
-        names.append("delta")
-    return tuple(names)
+    return tuple(curve_classes(sig))
+
+
+def chain_name(j: int) -> str:
+    """Name of the chain curve at position j (a1=1, b1=2, ...); inverse of chain_index."""
+    return f"a{(j + 1) // 2}" if j % 2 else f"b{j // 2}"
 
 
 def chain_index(name: str) -> int | None:
     """Position of a chain curve in the chain a1=1, b1=2, a2=3, ...; else None."""
-    m = _CURVE_RE.match(name)
-    if m is None or m.group(1) is None:
+    m = _CHAIN_RE.fullmatch(name)
+    if m is None:
         return None
     i = int(m.group(2))
     return 2 * i - 1 if m.group(1) == "a" else 2 * i
@@ -94,23 +113,7 @@ def chain_index(name: str) -> int | None:
 def homology_class(name: str, sig: SurfaceSig) -> tuple[int, ...]:
     """Class of a standard curve in the fixed basis (length 2g)."""
     check_curve(name, sig)
-    g = sig.genus
-    v = [0] * (2 * g)
-    if name == "delta":
-        return tuple(v)
-    if name in ("d2", "e2"):
-        s = 1 if name == "d2" else -1
-        v[0] = s
-        v[2] = s
-        return tuple(v)
-    kind, i = name[0], int(name[1:])
-    if kind == "a":
-        v[2 * i - 2] = 1
-    else:
-        v[2 * i - 1] = 1
-        if i < g:
-            v[2 * i + 1] = -1
-    return tuple(v)
+    return curve_classes(sig)[name]
 
 
 def geometric_disjoint(c1: str, c2: str) -> bool:
@@ -280,8 +283,5 @@ def chain_word(sig: SurfaceSig, copies: int = 1) -> TwistWord:
     """(a1 b1 a2 b2 ... ag bg) repeated ``copies`` times, plain positive."""
     if sig.genus < 1:
         raise ValueError("chain word requires genus >= 1")
-    once = []
-    for i in range(1, sig.genus + 1):
-        once.append(Twist(f"a{i}"))
-        once.append(Twist(f"b{i}"))
-    return TwistWord(sig, tuple(once) * copies)
+    once = tuple(Twist(chain_name(j)) for j in range(1, 2 * sig.genus + 1))
+    return TwistWord(sig, once * copies)

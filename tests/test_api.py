@@ -1,6 +1,7 @@
 """The package exports exactly the documented surface and imports nothing unused."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -38,3 +39,19 @@ def test_every_imported_name_is_used():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert not unused, unused
+
+
+def test_benchmark_bindings_resolve():
+    # bench/run.py wraps these at start-up; a missing one would only fail there
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    bindings = [entry[:2] for entry in tracer.LAYERS + tracer.COUNTED]
+    assert bindings
+    for module, attr in bindings:
+        owner = importlib.import_module(f"dehn.{module}")
+        if "." in attr:  # a method, replaced on its class
+            cls_name, method = attr.split(".")
+            assert method in vars(getattr(owner, cls_name)), f"{module}.{attr}"
+        else:
+            assert callable(getattr(owner, attr, None)), f"{module}.{attr}"

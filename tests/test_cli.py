@@ -136,6 +136,11 @@ def test_letter_validation():
     code, rep, _ = run_cli(["positivize"], unknown_curve)
     assert code == 2
 
+    for base in ("a1\n", "d2\n"):
+        trailing = {"surface": surface(2, 1), "words": [[{"base": base}], letters("a1")]}
+        code, rep, _ = run_cli(["verify"], trailing)
+        assert code == 2 and "is not valid" in rep["error"]
+
     not_an_object = {"surface": surface(1, 0), "word": ["a1"]}
     code, rep, _ = run_cli(["positivize"], not_an_object)
     assert code == 2 and "word[0]" in rep["error"]

@@ -65,10 +65,3 @@ def test_compose_matches_sequential_application():
         w = tuple(rng.choice((1, -1)) * rng.randrange(1, n + 1) for _ in range(8))
         assert f.compose(g).apply(w) == f.apply(g.apply(w))
 
-
-def test_equality_and_hash():
-    f = FreeAutomorphism(((1, 2), (2,)))
-    g = FreeAutomorphism(((1, 2), (2,)))
-    assert f == g
-    assert hash(f) == hash(g)
-    assert f != FreeAutomorphism(((1,), (2,)))

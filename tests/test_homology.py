@@ -200,6 +200,13 @@ def test_conjugated_letter_uses_transported_class():
         assert mat_vec(m, e) == transvect(e, expected)
 
 
+def test_transported_class_rejects_foreign_conjugator_curves():
+    sig = SurfaceSig(2, 0)
+    for conj in ((("delta", 1),), (("b1", 1), ("a3", -1))):
+        with pytest.raises(ValueError, match="is not valid on genus"):
+            transported_class(Twist("a1", 1, conj), sig)
+
+
 def test_conjugated_letter_matrix_matches_word_conjugation():
     sig = SurfaceSig(2, 0)
     conj = (("b2", -1), ("a1", 1))

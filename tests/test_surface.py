@@ -1,5 +1,7 @@
 """Surface signatures, curve tables, and twist-word plumbing."""
 
+import re
+
 import pytest
 
 from dehn.surface import (
@@ -7,6 +9,7 @@ from dehn.surface import (
     Twist,
     TwistWord,
     chain_index,
+    chain_name,
     chain_word,
     curve_valid,
     geometric_disjoint,
@@ -99,6 +102,82 @@ def test_adjacent_chain_pairings_are_plus_one():
         assert intersection_pairing(
             homology_class(c1, sig), homology_class(c2, sig)) == 1
 
+
+# The curve alphabet written out by branches, as a reference for the table.
+_REF_CURVE_RE = re.compile(r"^(?:([ab])([1-9][0-9]*)|d2|e2|delta)$")
+
+
+def ref_curve_valid(name, sig):
+    m = _REF_CURVE_RE.match(name) if isinstance(name, str) else None
+    if m is None:
+        return False
+    if name == "delta":
+        return sig.boundary == 1
+    if name in ("d2", "e2"):
+        return sig.genus >= 2
+    return int(m.group(2)) <= sig.genus
+
+
+def ref_standard_curves(sig):
+    names = []
+    for i in range(1, sig.genus + 1):
+        names.append(f"a{i}")
+        names.append(f"b{i}")
+    if sig.genus >= 2:
+        names += ["d2", "e2"]
+    if sig.boundary == 1:
+        names.append("delta")
+    return tuple(names)
+
+
+def ref_homology_class(name, sig):
+    g = sig.genus
+    v = [0] * (2 * g)
+    if name == "delta":
+        return tuple(v)
+    if name in ("d2", "e2"):
+        s = 1 if name == "d2" else -1
+        v[0] = s
+        v[2] = s
+        return tuple(v)
+    kind, i = name[0], int(name[1:])
+    if kind == "a":
+        v[2 * i - 2] = 1
+    else:
+        v[2 * i - 1] = 1
+        if i < g:
+            v[2 * i + 1] = -1
+    return tuple(v)
+
+
+@pytest.mark.parametrize("boundary", [0, 1])
+@pytest.mark.parametrize("genus", range(9))
+def test_curve_table_matches_reference(genus, boundary):
+    sig = SurfaceSig(genus, boundary)
+    assert standard_curves(sig) == ref_standard_curves(sig)
+    names = list(ref_standard_curves(SurfaceSig(genus + 1, 1))) + [
+        "a0", "b0", "a01", f"a{genus + 1}", f"b{genus + 1}", "c1", "", " a1", "A1",
+        "d2", "e2", "delta", None, 1, ["a1"]]
+    for name in names:
+        valid = ref_curve_valid(name, sig)
+        assert curve_valid(name, sig) is valid, name
+        if valid:
+            assert homology_class(name, sig) == ref_homology_class(name, sig)
+        else:
+            with pytest.raises(ValueError, match="is not valid on genus"):
+                homology_class(name, sig)
+    for j in range(1, 2 * genus + 1):
+        assert chain_index(chain_name(j)) == j
+
+
+def test_trailing_newline_is_not_a_curve():
+    # a regex "$" also matches before a final newline; the table does not
+    sig = SurfaceSig(2, 1)
+    for name in ("a1\n", "d2\n", "delta\n"):
+        assert not curve_valid(name, sig)
+        assert chain_index(name) is None
+        with pytest.raises(ValueError):
+            Twist(name).validate(sig)
 
 def test_geometric_disjoint_table():
     assert not geometric_disjoint("a1", "b1")
