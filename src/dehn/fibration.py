@@ -20,7 +20,7 @@ from .homology import is_identity, transported_class, word_matrix
 from .pi1 import DEFAULT_CAP
 from .rewriting import positivize
 from .snf import abelian_group_from_columns
-from .surface import SurfaceSig, TwistWord, chain_word
+from .surface import SurfaceSig, TwistWord, chain_word, curve_classes
 
 BASES = ("disk", "sphere")
 
@@ -94,9 +94,14 @@ def first_homology(f: Fibration) -> AbelianGroup:
 
 
 def is_allowable(f: Fibration) -> bool:
-    """True iff every vanishing cycle is homologically essential."""
-    zero = (0,) * (2 * f.fiber.genus)
-    return all(v != zero for v in letter_classes(f))
+    """True iff every vanishing cycle is homologically essential.
+
+    Reads each letter's base class with no transport: a conjugator acts on
+    H1 by a product of transvections, which is invertible, so the
+    transported class is zero exactly when the base class is.
+    """
+    classes = curve_classes(f.fiber)
+    return all(any(classes[t.base]) for t in f.word.letters)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
 """Filling families, completions, covers, bundles, splittings."""
 
 import dataclasses
+import io
+import json
+import sys
 
 import pytest
 
@@ -21,7 +24,7 @@ from dehn import (
 )
 from dehn.fibration import AbelianGroup
 from dehn.homology import homology_class, identity_matrix, is_identity, mat_mul, word_matrix
-from dehn.pi1 import ENGINE_PI1
+from dehn.pi1 import ENGINE_PI1, decide_equal
 
 T1 = SurfaceSig(1, 1)
 TORUS = SurfaceSig(1, 0)
@@ -66,6 +69,73 @@ def test_family_n3():
     assert rep.chis == (79, 69, 59, 49)
     assert all(v[0] == "true" for v in rep.equal_verdicts)
     assert all(h.trivial for h in rep.h1s)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_family_members_equal_the_base_by_the_engine(n):
+    # the family verifies its members by substituting the one trade; this
+    # compares every whole member with X_0 directly instead
+    rep = theorem11_family(n)
+    x0 = rep.fillings[0].word
+    assert x0 == chain_word(SurfaceSig(n, 1), 4 * n + 2)
+    trade = 8 * n - 10  # (chain)^4 is 8n letters; S is ten shorter
+    for i, f in enumerate(rep.fillings):
+        assert len(f.word) == len(x0) - 10 * i
+        for k in range(i):
+            assert f.word.letters[k * trade:k * trade + 2] == (Twist("d2"), Twist("e2"))
+        assert f.word.letters[i * trade:] == chain_word(f.fiber, 4 * (n - i) + 2).letters
+        if i:
+            assert decide_equal(f.word, x0) == ("true", ENGINE_PI1)
+
+
+def _family_with_trade_verdict(monkeypatch, rewrite, verdict):
+    import dehn.constructions
+
+    real = getattr(dehn.constructions, rewrite)
+
+    def patched(*args):
+        return dataclasses.replace(real(*args), verified=verdict)
+
+    monkeypatch.setattr(dehn.constructions, rewrite, patched)
+
+
+@pytest.mark.parametrize("rewrite", ["commute_pull", "chain_substitute"])
+def test_family_passes_on_an_unknown_trade(monkeypatch, rewrite):
+    from dehn.cli import EXIT_UNKNOWN, run
+
+    _family_with_trade_verdict(monkeypatch, rewrite, "unknown")
+    rep = theorem11_family(2)
+    assert rep.equal_verdicts == (("unknown", ENGINE_PI1),) * 2
+    out = io.StringIO()
+    assert run(["family", "--n", "2"], stdin=io.StringIO(""), stdout=out) == EXIT_UNKNOWN
+    assert [v["verdict"] for v in json.loads(out.getvalue())["verdicts"]] == ["unknown"] * 2
+
+
+@pytest.mark.parametrize("rewrite", ["commute_pull", "chain_substitute"])
+def test_family_raises_on_a_false_trade(monkeypatch, rewrite):
+    _family_with_trade_verdict(monkeypatch, rewrite, "false")
+    with pytest.raises(AssertionError):
+        theorem11_family(2)
+
+
+def test_family_decides_only_its_two_rewrites(monkeypatch):
+    import dehn.pi1
+
+    real = dehn.pi1.decide_equal
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    # rebind every dehn module's reference, not only the ones that hold one today
+    for mod in [m for name, m in sys.modules.items() if name.startswith("dehn.")]:
+        if getattr(mod, "decide_equal", None) is real:
+            monkeypatch.setattr(mod, "decide_equal", counted)
+    for n in (2, 3, 4, 5):
+        calls.clear()
+        theorem11_family(n)
+        assert len(calls) == 2, n
 
 
 def test_family_rejects_small_genus():

@@ -20,7 +20,8 @@ from dehn import (
     positivize,
 )
 from dehn.fibration import letter_classes
-from dehn.homology import is_identity, word_matrix
+from dehn.homology import is_identity, transported_class, word_matrix
+from dehn.surface import standard_curves
 
 T1 = SurfaceSig(1, 1)
 TORUS = SurfaceSig(1, 0)
@@ -81,6 +82,30 @@ def test_first_homology_and_allowability():
     t = Twist("a1", 1, (("b1", 1),))
     f = Fibration("disk", T1, TwistWord(T1, (t,)))
     assert letter_classes(f) == [(1, 1)]
+
+
+@pytest.mark.parametrize("sig", [T1, TORUS, SurfaceSig(2, 1), SurfaceSig(3, 0)])
+def test_allowability_ignores_conjugators(sig):
+    # reference: every letter's class transported through its conjugator
+    def reference(f):
+        zero = (0,) * (2 * f.fiber.genus)
+        return all(transported_class(t, f.fiber) != zero for t in f.word.letters)
+
+    curves = standard_curves(sig)
+    rng = random.Random(f"allowable/{sig.genus}/{sig.boundary}")
+    seen = set()
+    for _ in range(60):
+        letters = []
+        for _ in range(rng.randint(1, 4)):
+            conj = tuple((rng.choice(curves), rng.choice((1, -1)))
+                         for _ in range(rng.randint(0, 4)))
+            # delta is drawn often, so words with and without one both occur
+            base = "delta" if "delta" in curves and rng.random() < 0.2 else rng.choice(curves)
+            letters.append(Twist(base, 1, conj))
+        f = Fibration("disk", sig, TwistWord(sig, tuple(letters)))
+        assert is_allowable(f) == reference(f), letters
+        seen.add(reference(f))
+    assert seen == ({True, False} if sig.boundary else {True})
 
 
 def test_double_trefoil():
