@@ -8,6 +8,13 @@ byte-identical across repeated runs of the same request; ``--timing``
 appends a runtime_ms field for humans, off by default to keep reports
 deterministic.
 
+Every report is written as ``json.dumps(report, indent=2)`` would write
+it.  Reports that carry a word (``word_out``) hold it as a TwistWord, and
+``report_text`` writes each distinct letter once and splices the letters
+into the rest of the report, so a word of thousands of letters does not
+go through the indented encoder, which runs in pure Python; the bytes are
+unchanged.
+
 Word schema::
 
     {"surface": {"genus": 1, "boundary": 0},
@@ -147,14 +154,42 @@ def parse_word(sig: SurfaceSig, letters, where: str = "word") -> TwistWord:
         raise InputError(f"{where}: {exc}") from exc
 
 
-def word_json(word: TwistWord) -> list:
-    out = []
+# Stands in for the word_out word while the rest of the report is encoded.
+_WORD_OUT = "\u0000word_out"
+_WORD_OUT_JSON = json.dumps(_WORD_OUT)
+
+
+def _letter_text(t: Twist) -> str:
+    """One letter as it sits in word_out: indent-2 JSON, nested two levels."""
+    entry = {"base": t.base, "sign": t.sign}
+    if t.conj:
+        entry["conj"] = [{"base": n, "sign": s} for n, s in t.conj]
+    return json.dumps(entry, indent=2).replace("\n", "\n    ")
+
+
+def report_text(report: dict) -> str:
+    """The report as ``json.dumps(report, indent=2)``, with word_out written fast.
+
+    A top-level ``word_out`` holds a TwistWord.  The rest of the report is
+    encoded with the word replaced by a sentinel; each distinct letter is
+    encoded once, its text cached for this call only; and the joined
+    letters are spliced in place of the sentinel.  The bytes are those of
+    encoding the word as a list of letter objects, which the indented
+    encoder would write in pure Python, one letter at a time.
+    """
+    word = report.get("word_out")
+    if word is None:
+        return json.dumps(report, indent=2)
+    fragments = {}
+    parts = []
     for t in word.letters:
-        entry = {"base": t.base, "sign": t.sign}
-        if t.conj:
-            entry["conj"] = [{"base": n, "sign": s} for n, s in t.conj]
-        out.append(entry)
-    return out
+        fragment = fragments.get(t)
+        if fragment is None:
+            fragment = fragments[t] = _letter_text(t)
+        parts.append(fragment)
+    letters = "[\n    " + ",\n    ".join(parts) + "\n  ]" if parts else "[]"
+    text = json.dumps({**report, "word_out": _WORD_OUT}, indent=2)
+    return text.replace(_WORD_OUT_JSON, letters, 1)
 
 
 def group_json(group: AbelianGroup) -> dict:
@@ -198,7 +233,7 @@ def _cmd_positivize(args, stdin) -> tuple[dict, int]:
         "command": "positivize",
         "verdict": rep.verified,
         "engine": rep.engine,
-        "word_out": word_json(rep.output),
+        "word_out": rep.output,
         "steps": rep.steps,
     }
     return report, _VERDICT_EXIT[rep.verified]
@@ -216,7 +251,7 @@ def _cmd_double(args, stdin) -> tuple[dict, int]:
         "engine": rep.engine,
         "chi": euler_characteristic(f),
         "h1": group_json(first_homology(f)),
-        "word_out": word_json(f.word),
+        "word_out": f.word,
     }
     return report, _VERDICT_EXIT[rep.verified]
 
@@ -278,7 +313,7 @@ def _cmd_branched_double(args, stdin) -> tuple[dict, int]:
     report = {
         "command": "branched-double",
         "fiber": {"genus": fiber.genus, "boundary": fiber.boundary},
-        "word_out": word_json(monodromy),
+        "word_out": monodromy,
         "h1": group_json(mapping_torus_homology(fiber, monodromy)),
     }
     return report, EXIT_TRUE
@@ -297,7 +332,7 @@ def _cmd_fibersum(args, stdin) -> tuple[dict, int]:
         "command": "fibersum",
         "chi": euler_characteristic(f),
         "h1": group_json(first_homology(f)),
-        "word_out": word_json(f.word),
+        "word_out": f.word,
     }
     return report, EXIT_TRUE
 
@@ -312,7 +347,7 @@ def _cmd_gn(args, stdin) -> tuple[dict, int]:
         "command": "gn",
         "chi": euler_characteristic(f),
         "h1": group_json(first_homology(f)),
-        "word_out": word_json(f.word),
+        "word_out": f.word,
     }
     return report, EXIT_TRUE
 
@@ -389,7 +424,7 @@ def run(argv=None, stdin=None, stdout=None) -> int:
         report, code = {"command": args.command, "error": str(exc)}, EXIT_INPUT
     if args.timing:
         report["runtime_ms"] = int((time.monotonic() - started) * 1000)
-    text = json.dumps(report, indent=2) + "\n"
+    text = report_text(report) + "\n"
     stdout.write(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -77,8 +77,8 @@ def theorem11_family(n: int, cap: int = DEFAULT_CAP) -> FamilyReport:
 
     fillings = [Fibration("disk", sig, chain_word(sig, 4 * n + 2))]
     for i in range(1, n + 1):
-        word = TwistWord(sig, substituted.output.letters * i
-                         + chain_word(sig, 4 * (n - i) + 2).letters)
+        word = TwistWord._trusted(sig, substituted.output.letters * i
+                                  + chain_word(sig, 4 * (n - i) + 2).letters)
         fillings.append(Fibration("disk", sig, word))
     verdicts = ((trade.verified, trade.engine),) * n
 

@@ -5,6 +5,8 @@ all-positive twist word listing the vanishing cycles (one letter per
 singular fiber).  Sphere fibrations need a closed fiber and a word whose
 homology action is the identity (a necessary condition for the monodromy to
 close up; exact closure is checked by the equality engines where needed).
+``gn_word`` and ``fiber_sum`` build sphere fibrations whose words are
+trivial by a theorem or by construction, and skip that check.
 
 Invariants are computed from the handle decomposition: the Euler
 characteristic from the letter count, and first homology of the total
@@ -68,6 +70,20 @@ class Fibration:
             if not is_identity(word_matrix(self.word)):
                 raise ValueError("sphere fibration word must act trivially on homology")
 
+    @classmethod
+    def _certified_sphere(cls, fiber: SurfaceSig, word: TwistWord) -> "Fibration":
+        """A sphere fibration whose word is trivial by how it was built; no check runs.
+
+        For a positive word on the closed ``fiber`` that is trivial by a
+        theorem (the chain relation) or is a product of words already
+        checked; every other word goes through the public constructor.
+        """
+        f = object.__new__(cls)
+        object.__setattr__(f, "base", "sphere")
+        object.__setattr__(f, "fiber", fiber)
+        object.__setattr__(f, "word", word)
+        return f
+
     @property
     def letter_count(self) -> int:
         return len(self.word)
@@ -81,14 +97,15 @@ def euler_characteristic(f: Fibration) -> int:
     return 2 * (2 - 2 * g) + k
 
 
-def letter_classes(f: Fibration) -> list[tuple[int, ...]]:
-    """Homology class of each vanishing cycle, conjugators applied."""
-    return [transported_class(t, f.fiber) for t in f.word.letters]
-
-
 def first_homology(f: Fibration) -> AbelianGroup:
-    """H1 of the total space: H1(fiber) modulo the vanishing-cycle classes."""
-    cols = [list(v) for v in letter_classes(f)]
+    """H1 of the total space: H1(fiber) modulo the vanishing-cycle classes.
+
+    Each letter contributes its class with the conjugator applied.  A
+    repeated letter only repeats a column, which leaves the quotient
+    unchanged, so each distinct letter is transported once: gn's word
+    repeats 2n letters thousands of times.
+    """
+    cols = [list(transported_class(t, f.fiber)) for t in dict.fromkeys(f.word.letters)]
     rank, torsion = abelian_group_from_columns(2 * f.fiber.genus, cols)
     return AbelianGroup(rank, tuple(torsion))
 
@@ -136,12 +153,17 @@ def fiber_sum(f1: Fibration, f2: Fibration) -> Fibration:
         raise ValueError("fiber sum is defined for sphere fibrations")
     if f1.fiber != f2.fiber:
         raise ValueError("fiber signatures differ")
-    return Fibration("sphere", f1.fiber, f1.word * f2.word)
+    # the product of two trivial words is trivial
+    return Fibration._certified_sphere(f1.fiber, f1.word * f2.word)
 
 
 def gn_word(n: int) -> Fibration:
-    """The genus-n sphere fibration with word (a1 b1 ... an bn)^(4n+2)."""
+    """The genus-n sphere fibration with word (a1 b1 ... an bn)^(4n+2).
+
+    The word is trivial by the chain relation (c1 ... c2n)^(4n+2) = 1 on the
+    closed genus-n surface, so it is not checked again.
+    """
     if n < 1:
         raise ValueError("genus must be at least 1")
     sig = SurfaceSig(n, 0)
-    return Fibration("sphere", sig, chain_word(sig, 4 * n + 2))
+    return Fibration._certified_sphere(sig, chain_word(sig, 4 * n + 2))

@@ -76,11 +76,6 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
-
-
 def transported_class(twist: Twist, sig: SurfaceSig) -> Vector:
     """Homology class of the letter's core curve pushed through its conjugator."""
     v = homology_class(twist.base, sig)

@@ -13,6 +13,10 @@ strongest applicable engine:
   (``inverse_twist_expansion``) after transporting the curve to a1.
 * ``chain_substitute`` — replace a literal (a1 b1 a2)^4 block by d2 e2,
   shortening the word by ten letters.
+
+Every output letter is a letter of the input or is built from curve names
+standard on its surface, so outputs are built with ``TwistWord._trusted``
+and no letter is validated twice.
 """
 
 from __future__ import annotations
@@ -110,7 +114,7 @@ def commute_pull(w: TwistWord, pattern: TwistWord,
             letters[pos - 1], letters[pos] = t, x2
             steps += 1
             pos -= 1
-    output = TwistWord(w.surface, tuple(letters))
+    output = TwistWord._trusted(w.surface, tuple(letters))
     verdict, engine = decide_equal(w, output, "auto", cap)
     return RewriteReport(w, output, steps, verdict, engine)
 
@@ -129,8 +133,8 @@ def prop9_factor(n: int, cap: int = DEFAULT_CAP) -> tuple[TwistWord, TwistWord]:
     report = commute_pull(w, pattern, cap)
     if report.verified == "false":
         raise AssertionError("commutation pull failed verification")
-    prefix = TwistWord(sig, report.output.letters[:12])
-    psi = TwistWord(sig, report.output.letters[12:])
+    prefix = TwistWord._trusted(sig, report.output.letters[:12])
+    psi = TwistWord._trusted(sig, report.output.letters[12:])
     return prefix, psi
 
 
@@ -145,7 +149,7 @@ def inverse_twist_expansion(sig: SurfaceSig) -> TwistWord:
     if sig.genus < 1:
         raise ValueError("genus >= 1 required")
     chain = chain_word(sig, 1).letters
-    return TwistWord(sig, chain[1:] + chain * (4 * sig.genus + 1))
+    return TwistWord._trusted(sig, chain[1:] + chain * (4 * sig.genus + 1))
 
 
 def positivize(w: TwistWord, cap: int = DEFAULT_CAP,
@@ -175,7 +179,7 @@ def positivize(w: TwistWord, cap: int = DEFAULT_CAP,
         conj = t.conj + _invert_pairs(transport_pairs(t.base, sig))
         out.extend(Twist(e.base, 1, conj) for e in expansion.letters)
         steps += 1
-    output = TwistWord(sig, tuple(out))
+    output = TwistWord._trusted(sig, tuple(out))
     verdict, engine_used = decide_equal(w, output, engine, cap)
     return RewriteReport(w, output, steps, verdict, engine_used)
 
@@ -203,7 +207,7 @@ def chain_substitute(w: TwistWord, cap: int = DEFAULT_CAP) -> RewriteReport:
             break
     if start is None:
         raise ValueError("no contiguous (a1 b1 a2)^4 block found")
-    output = TwistWord(
+    output = TwistWord._trusted(
         w.surface,
         letters[:start] + (Twist("d2"), Twist("e2")) + letters[start + 12:])
     verdict, engine = decide_equal(w, output, "auto", cap)

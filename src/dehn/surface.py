@@ -14,7 +14,10 @@ A :class:`Twist` is a signed Dehn twist about a standard curve, optionally
 conjugated by a flat word of signed standard twists (depth one, never
 nested): ``(conj=u, base=c, sign=s)`` denotes ``u · t_c^s · u^-1``.  A
 :class:`TwistWord` is a finite sequence of twists composed left-to-right,
-with the *rightmost* letter acting first on the surface.
+with the *rightmost* letter acting first on the surface.  The public
+constructor validates every letter on the word's surface; words the package
+builds from letters already valid there (products, inverses, powers, the
+chain word, rewrite outputs) use ``TwistWord._trusted`` and skip the check.
 ``compile_word`` expands a word into the plain (curve, sign) steps in the
 order they act, the one stream every engine applies; ``quotient_stream``
 builds the stream of w2^-1 . w1 from two compiled words, so that every
@@ -186,6 +189,19 @@ class TwistWord:
                 raise TypeError(f"letters must be Twist instances, got {t!r}")
             t.validate(self.surface)
 
+    @classmethod
+    def _trusted(cls, surface: SurfaceSig, letters: tuple[Twist, ...]) -> "TwistWord":
+        """A word of letters already valid on ``surface``, built with no check.
+
+        For letters taken from words validated on the same surface, or
+        built from names that are standard there by construction; every
+        other word goes through the public constructor.
+        """
+        word = object.__new__(cls)
+        object.__setattr__(word, "surface", surface)
+        object.__setattr__(word, "letters", letters)
+        return word
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -195,16 +211,17 @@ class TwistWord:
     def __mul__(self, other: "TwistWord") -> "TwistWord":
         if self.surface != other.surface:
             raise ValueError("cannot concatenate words on different surfaces")
-        return TwistWord(self.surface, self.letters + other.letters)
+        return TwistWord._trusted(self.surface, self.letters + other.letters)
 
     def inverse(self) -> "TwistWord":
         """Reversed word of inverted letters (the group inverse)."""
-        return TwistWord(self.surface, tuple(t.inverse() for t in reversed(self.letters)))
+        return TwistWord._trusted(self.surface,
+                                  tuple(t.inverse() for t in reversed(self.letters)))
 
     def power(self, k: int) -> "TwistWord":
         if k < 0:
             return self.inverse().power(-k)
-        return TwistWord(self.surface, self.letters * k)
+        return TwistWord._trusted(self.surface, self.letters * k)
 
     def all_positive(self) -> bool:
         return all(t.sign == 1 for t in self.letters)
@@ -284,4 +301,4 @@ def chain_word(sig: SurfaceSig, copies: int = 1) -> TwistWord:
     if sig.genus < 1:
         raise ValueError("chain word requires genus >= 1")
     once = tuple(Twist(chain_name(j)) for j in range(1, 2 * sig.genus + 1))
-    return TwistWord(sig, once * copies)
+    return TwistWord._trusted(sig, once * copies)

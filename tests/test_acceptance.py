@@ -34,10 +34,11 @@ from dehn.fibration import AbelianGroup
 from dehn.homology import (
     homology_equal,
     identity_matrix,
-    mat_mul,
     word_matrix,
 )
 from dehn.surface import standard_curves
+
+from matrices import mat_mul
 
 TORUS = SurfaceSig(1, 0)
 T1 = SurfaceSig(1, 1)

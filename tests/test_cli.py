@@ -323,9 +323,11 @@ def test_fibersum():
     assert rep["h1"] == {"rank": 0, "torsion": []}
     assert len(rep["word_out"]) == 24
 
-    bad = {"surface": surface(1, 0), "words": [letters("a1"), word6]}
-    code, rep, _ = run_cli(["fibersum"], bad)
-    assert code == 2
+    # each summand keeps its sphere check; only the sum is certified
+    for words in ([letters("a1"), word6], [word6, letters("b1", "b1")]):
+        bad = {"surface": surface(1, 0), "words": words}
+        code, rep, _ = run_cli(["fibersum"], bad)
+        assert code == 2 and "homology" in rep["error"]
 
 
 def test_gn():
@@ -352,12 +354,17 @@ def test_selftest():
 
 def test_out_file_matches_stdout(tmp_path):
     target = tmp_path / "report.json"
-    payload = {"surface": surface(1, 1), "words": [letters("a1"), letters("a1")]}
-    stdin = io.StringIO(json.dumps(payload))
-    stdout = io.StringIO()
-    code = run(["verify", "--out", str(target)], stdin=stdin, stdout=stdout)
-    assert code == 0
-    assert target.read_text(encoding="utf-8") == stdout.getvalue()
+    for command, payload in (
+        ("verify", {"surface": surface(1, 1), "words": [letters("a1"), letters("a1")]}),
+        # a report with a word_out, which the writer splices in
+        ("positivize", {"surface": surface(2, 0),
+                        "word": [{"base": "b2", "sign": -1, "conj": letters("a1")}]}),
+    ):
+        stdin = io.StringIO(json.dumps(payload))
+        stdout = io.StringIO()
+        code = run([command, "--out", str(target)], stdin=stdin, stdout=stdout)
+        assert code == 0
+        assert target.read_bytes() == stdout.getvalue().encode("utf-8")
 
 
 def test_timing_flag_adds_runtime():

@@ -23,8 +23,10 @@ from dehn import (
     trefoil_completions,
 )
 from dehn.fibration import AbelianGroup
-from dehn.homology import homology_class, identity_matrix, is_identity, mat_mul, word_matrix
+from dehn.homology import homology_class, identity_matrix, is_identity, word_matrix
 from dehn.pi1 import ENGINE_PI1, decide_equal
+
+from matrices import mat_mul
 
 T1 = SurfaceSig(1, 1)
 TORUS = SurfaceSig(1, 0)

@@ -8,7 +8,6 @@ from dehn.homology import (
     homology_equal,
     identity_matrix,
     is_identity,
-    mat_mul,
     transported_class,
     word_matrix,
 )
@@ -20,6 +19,8 @@ from dehn.surface import (
     homology_class,
     standard_curves,
 )
+
+from matrices import mat_mul
 
 # ---------------------------------------------------------------------------
 # The dense engine, kept as the reference for the sparse stream engine: each

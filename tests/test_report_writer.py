@@ -1,0 +1,145 @@
+"""The report writer: word_out spliced in, bytes as the indented encoder writes them."""
+
+import io
+import json
+import random
+
+import pytest
+
+import dehn.cli
+from dehn import SurfaceSig, Twist, TwistWord
+from dehn.cli import report_text, run
+from dehn.surface import standard_curves
+
+
+def old_word_json(word):
+    """word_out as the list of letter objects the indented encoder wrote."""
+    out = []
+    for t in word.letters:
+        entry = {"base": t.base, "sign": t.sign}
+        if t.conj:
+            entry["conj"] = [{"base": n, "sign": s} for n, s in t.conj]
+        out.append(entry)
+    return out
+
+
+def expected_text(report):
+    """json.dumps(report, indent=2), with a word_out word in its old list form."""
+    if "word_out" in report:
+        report = {**report, "word_out": old_word_json(report["word_out"])}
+    return json.dumps(report, indent=2)
+
+
+@pytest.fixture
+def captured(monkeypatch):
+    """Every report dict the CLI writes, in order."""
+    reports = []
+
+    def spy(report):
+        reports.append(dict(report))
+        return report_text(report)
+
+    monkeypatch.setattr(dehn.cli, "report_text", spy)
+    return reports
+
+
+def run_text(argv, payload=None):
+    stdin = io.StringIO("" if payload is None else json.dumps(payload))
+    stdout = io.StringIO()
+    code = run(argv, stdin=stdin, stdout=stdout)
+    return code, stdout.getvalue()
+
+
+def random_letter(rng, curves, sign=None):
+    conj = tuple((rng.choice(curves), rng.choice((1, -1)))
+                 for _ in range(rng.choice((0, 0, 1, 3))))
+    letter = {"base": rng.choice(curves), "sign": sign or rng.choice((1, -1))}
+    if conj:
+        letter["conj"] = [{"base": n, "sign": s} for n, s in conj]
+    return letter
+
+
+def chain_letters(genus, copies, rotate=0):
+    chain = [{"base": n} for n in standard_curves(SurfaceSig(genus, 0))[:2 * genus]]
+    word = chain * copies
+    return word[rotate:] + word[:rotate]
+
+
+def seeded_requests():
+    rng = random.Random("report-writer")
+    requests = []
+    for genus in (1, 2, 3):
+        sig = SurfaceSig(genus, 0)
+        curves = [c for c in standard_curves(sig) if c != "delta"]
+        for _ in range(3):
+            word = [random_letter(rng, curves) for _ in range(rng.randint(1, 4))]
+            requests.append((["positivize"], {"surface": {"genus": genus, "boundary": 0},
+                                              "word": word}))
+    requests.append((["positivize"], {"surface": {"genus": 2, "boundary": 0}, "word": []}))
+    t1 = ["a1", "b1"]
+    for _ in range(3):
+        word = [random_letter(rng, t1, sign=1) for _ in range(rng.randint(1, 3))]
+        requests.append((["double"], {"surface": {"genus": 1, "boundary": 1}, "word": word}))
+        word = [random_letter(rng, t1) for _ in range(rng.randint(1, 5))]
+        requests.append((["branched-double"], {"surface": {"genus": 1, "boundary": 1},
+                                               "word": word}))
+    requests.append((["branched-double"], {"surface": {"genus": 1, "boundary": 1},
+                                           "word": []}))
+    for genus in (1, 2):
+        words = [chain_letters(genus, 4 * genus + 2, rng.randrange(2 * genus))
+                 for _ in range(2)]
+        requests.append((["fibersum"], {"surface": {"genus": genus, "boundary": 0},
+                                        "words": words}))
+    for n in (1, 2, 3, 4):
+        requests.append((["gn", "--n", str(n)], None))
+    return requests
+
+
+@pytest.mark.parametrize("timing", [False, True])
+def test_writer_matches_indented_encoder_on_every_word_command(captured, timing):
+    requests = seeded_requests()
+    commands = set()
+    for argv, payload in requests:
+        argv = argv + ["--timing"] if timing else argv
+        code, text = run_text(argv, payload)
+        assert code == 0, (argv, text)
+        report = captured[-1]
+        assert "word_out" in report
+        assert ("runtime_ms" in report) == timing
+        assert text == expected_text(report) + "\n"
+        commands.add(report["command"])
+    assert commands == {"positivize", "double", "gn", "fibersum", "branched-double"}
+    assert any(not report["word_out"] for report in captured)
+
+
+def test_writer_on_conjugated_letters_and_delta():
+    sig = SurfaceSig(2, 1)
+    word = TwistWord(sig, (
+        Twist("delta", -1, (("a1", 1), ("b1", -1))),
+        Twist("delta"),
+        Twist("a1", 1, (("d2", 1), ("e2", -1), ("a1", 1))),
+        Twist("delta", -1, (("a1", 1), ("b1", -1))),
+        Twist("b2", -1),
+    ))
+    for report in (
+        {"command": "positivize", "verdict": "true", "word_out": word, "steps": 2},
+        {"command": "gn", "chi": 4, "h1": {"rank": 0, "torsion": []}, "word_out": word},
+        {"command": "double", "word_out": TwistWord(sig, ()), "runtime_ms": 3},
+        {"command": "verify", "verdict": "false", "engine": "pi1"},
+    ):
+        assert report_text(report) == expected_text(report)
+
+
+def test_error_reports_are_written_by_the_encoder(captured):
+    for argv, payload in (
+        (["positivize"], {"surface": {"genus": 1, "boundary": 1}, "word": [{"base": "a1"}]}),
+        (["gn", "--n", "0"], None),
+        (["fibersum", "--timing"], {"surface": {"genus": 1, "boundary": 0},
+                                    "words": [[{"base": "a1"}], []]}),
+        (["branched-double"], {"surface": {"genus": 1, "boundary": 1},
+                               "word": [{"base": "\u0000word_out"}]}),
+    ):
+        code, text = run_text(argv, payload)
+        assert code == 2
+        assert "error" in captured[-1] and "word_out" not in captured[-1]
+        assert text == json.dumps(captured[-1], indent=2) + "\n"

@@ -248,6 +248,11 @@ def test_twist_word_rejects_foreign_curves_and_surfaces():
         TwistWord.from_names(sig, "delta")
     with pytest.raises(ValueError):
         TwistWord.from_names(sig, "d2")
+    # the public constructor checks every base and every conjugator name
+    with pytest.raises(ValueError, match="not valid"):
+        TwistWord(sig, (Twist("a1"), Twist("a2", -1)))
+    with pytest.raises(ValueError, match="not valid"):
+        TwistWord(sig, (Twist("b1", -1, (("a1", 1), ("d2", 1))),))
     with pytest.raises(ValueError):
         TwistWord(sig) * TwistWord(SurfaceSig(2, 0))
 

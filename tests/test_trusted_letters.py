@@ -1,0 +1,91 @@
+"""Words built from letters already validated skip the check, and equal checked words."""
+
+import io
+import json
+
+from dehn import (
+    SurfaceSig,
+    Twist,
+    TwistWord,
+    chain_substitute,
+    chain_word,
+    commute_pull,
+    fiber_sum,
+    gn_word,
+    inverse_twist_expansion,
+    positivize,
+    prop9_factor,
+    theorem11_family,
+)
+from dehn.cli import run
+from dehn.homology import is_identity, word_matrix
+
+
+def checked(word):
+    """The same letters through the public constructor, which validates each."""
+    return TwistWord(word.surface, word.letters)
+
+
+def assert_like_checked(word):
+    again = checked(word)
+    assert word == again and again == word
+    assert hash(word) == hash(again)
+    assert type(word.letters) is tuple
+
+
+def test_every_trusted_path_equals_the_checked_word():
+    sig = SurfaceSig(2, 0)
+    w = TwistWord(sig, (Twist("a1"), Twist("b2", -1, (("a2", 1), ("b1", -1))), Twist("d2")))
+    v = TwistWord.from_names(sig, "e2 b1^-1")
+    for word in (w * v, v * w, w.inverse(), w.power(3), w.power(-2), w.power(0),
+                 chain_word(sig, 3), inverse_twist_expansion(sig)):
+        assert_like_checked(word)
+
+    assert_like_checked(positivize(w).output)
+    assert_like_checked(positivize(TwistWord(sig, ())).output)
+
+    b2 = SurfaceSig(2, 1)
+    pattern = TwistWord.from_names(b2, "a1 b1 a2").power(4)
+    pulled = commute_pull(chain_word(b2, 4), pattern)
+    assert_like_checked(pulled.output)
+    assert_like_checked(chain_substitute(pulled.output).output)
+    for part in prop9_factor(2):
+        assert_like_checked(part)
+    for filling in theorem11_family(2).fillings:
+        assert_like_checked(filling.word)
+
+
+def test_certified_sphere_words_act_trivially_on_homology():
+    # gn's word skips the sphere check: the chain relation is the theorem
+    # behind it, so its homology action is checked here instead
+    for n in range(1, 7):
+        f = gn_word(n)
+        assert f.base == "sphere" and f.fiber == SurfaceSig(n, 0)
+        assert f.word.all_positive()
+        assert is_identity(word_matrix(f.word))
+        assert_like_checked(f.word)
+    for n in (1, 2, 3):
+        summed = fiber_sum(gn_word(n), gn_word(n))
+        assert summed.base == "sphere"
+        assert is_identity(word_matrix(summed.word))
+        assert_like_checked(summed.word)
+
+
+def test_positivize_validates_each_input_letter_once(monkeypatch):
+    calls = []
+    validate = Twist.validate
+
+    def spy(self, sig):
+        calls.append(self)
+        return validate(self, sig)
+
+    monkeypatch.setattr(Twist, "validate", spy)
+    word = [{"base": "b2", "sign": -1, "conj": [{"base": "a1"}, {"base": "b1", "sign": -1}]},
+            {"base": "a2"},
+            {"base": "a3", "sign": -1}]
+    payload = {"surface": {"genus": 3, "boundary": 0}, "word": word}
+    stdout = io.StringIO()
+    code = run(["positivize"], stdin=io.StringIO(json.dumps(payload)), stdout=stdout)
+    assert code == 0
+    assert len(json.loads(stdout.getvalue())["word_out"]) == 1 + 2 * 83
+    assert 0 < len(calls) <= len(word)
