@@ -27,9 +27,8 @@ from .fibration import (
     is_allowable,
 )
 from .freegroup import WordGrowthExceeded
-from .pi1 import closed_equal, decide_equal, dehn_reduce, mcg_equal_rel_boundary
+from .pi1 import decide_equal, dehn_reduce
 from .rewriting import (
-    chain_relation_selftest,
     chain_substitute,
     commute_pull,
     inverse_twist_expansion,
@@ -42,11 +41,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbelianGroup", "Fibration", "SurfaceSig", "Twist", "TwistWord",
-    "WordGrowthExceeded", "branched_double_cover", "chain_relation_selftest",
-    "chain_substitute", "chain_word", "closed_equal", "commute_pull",
-    "decide_equal", "dehn_reduce", "double_report", "euler_characteristic",
-    "fiber_sum", "first_homology", "gn_word", "inverse_twist_expansion",
-    "is_allowable", "mapping_torus_homology", "mcg_equal_rel_boundary",
-    "positivize", "prop9_factor", "splitting_words", "swap_matrix",
-    "theorem11_family", "trefoil_completions",
+    "WordGrowthExceeded", "branched_double_cover", "chain_substitute",
+    "chain_word", "commute_pull", "decide_equal", "dehn_reduce",
+    "double_report", "euler_characteristic", "fiber_sum", "first_homology",
+    "gn_word", "inverse_twist_expansion", "is_allowable",
+    "mapping_torus_homology", "positivize", "prop9_factor",
+    "splitting_words", "swap_matrix", "theorem11_family",
+    "trefoil_completions",
 ]

@@ -10,17 +10,20 @@ y_i, negatives for inverses.
 Twist words act on this free group on the right of nothing and the left of
 everything: the rightmost letter acts first.  The action is faithful for
 mapping classes fixing the boundary pointwise, so two twist words are equal
-rel boundary exactly when all generator images agree
-(``mcg_equal_rel_boundary``).
+rel boundary exactly when all generator images agree.
 
-For closed surfaces ``closed_equal`` decides equality of the induced
-automorphisms of the one-relator quotient: genus 1 via the (faithful)
-homology action, genus >= 2 by comparing generator images with Dehn's
-algorithm against the boundary relator (``dehn_reduce``), which decides
-the word problem of the surface group.  At genus >= 2 that is equality of
+``decide_equal`` is the one equality entry point, and the surface picks
+its engine.  On a one-boundary surface it compares generator images in
+the free group (``ENGINE_PI1``).  On a closed surface it decides equality
+of the induced automorphisms of the one-relator quotient: genus <= 1 via
+the (faithful) homology action (``ENGINE_HOMOLOGY_FAITHFUL``), genus >= 2
+by comparing generator images with Dehn's algorithm against the boundary
+relator (``dehn_reduce``, ``ENGINE_CLOSED``), which decides the word
+problem of the surface group.  At genus >= 2 that is equality of
 automorphisms of pi1 with a marked point, i.e. in Mod(S_g, *), not in
 Mod(S_g): two words that differ by a point-push are equal on the closed
-surface but are reported unequal ("false").
+surface but are reported unequal ("false").  ``engine="homology"`` asks
+for the cheap necessary test only.
 
 A word is applied through its stream (``dehn.surface.compile_word``): the
 flat sequence of plain (curve, sign) steps in the order they act, with
@@ -197,11 +200,13 @@ COMMUTING_PAIRS = (
 # chain relations as (genus, lhs, rhs) on SurfaceSig(genus, 1): (a1 b1)^6 and
 # (a1 b1 a2 b2)^10 are the boundary twist; (d2 b2 e2)^4 twists about both
 # boundary curves of its neighbourhood, the outer boundary and the curve
-# bounding a1, b1, whose twist is (a1 b1)^6
+# bounding a1, b1, whose twist is (a1 b1)^6; (a1 b1 a2)^4 twists about the
+# two boundary curves of its neighbourhood, d2 and e2
 CHAIN_RELATIONS = (
     (1, " ".join(["a1 b1"] * 6), "delta"),
     (2, " ".join(["a1 b1 a2 b2"] * 10), "delta"),
     (2, " ".join(["d2 b2 e2"] * 4), " ".join(["delta"] + ["a1 b1"] * 6)),
+    (2, " ".join(["a1 b1 a2"] * 4), "d2 e2"),
 )
 RELATOR_CORPUS = (
     tuple((2, f"{c} {d} {c}", f"{d} {c} {d}") for c, d in BRAID_PAIRS)
@@ -240,14 +245,6 @@ def apply_twist(t: Twist, z: Word, sig: SurfaceSig, cap: int = DEFAULT_CAP) -> W
 def apply_word(word: TwistWord, z: Word, cap: int = DEFAULT_CAP) -> Word:
     """Image of z under the whole word; the rightmost letter acts first."""
     return _run(_tables(word.surface.genus, compile_word(word)), z, cap)
-
-
-def mcg_equal_rel_boundary(w1: TwistWord, w2: TwistWord, cap: int = DEFAULT_CAP) -> bool:
-    """Exact equality in the mapping class group rel boundary (b = 1)."""
-    psi = quotient_stream(w1, w2)
-    if w1.surface.boundary != 1:
-        raise ValueError("rel-boundary comparison requires a one-boundary surface")
-    return _fixes_generators(w1.surface, psi, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -331,25 +328,6 @@ def _fixes_generators(sig: SurfaceSig, psi, cap: int) -> bool:
     return True
 
 
-def closed_equal(w1: TwistWord, w2: TwistWord, cap: int = DEFAULT_CAP) -> bool:
-    """Equality of induced automorphisms of the closed-surface group.
-
-    Decided on the stream of psi = w2^-1 . w1, whose words ``cap`` bounds.
-    Genus <= 1 is decided by the homology action, which is faithful there;
-    genus >= 2 checks that psi fixes every generator modulo the relator by
-    Dehn reduction.  That decides equality in Mod(S_g, *), with a marked point:
-    words that differ only by a point-push are equal in Mod(S_g) but
-    compare unequal here.
-    """
-    psi = quotient_stream(w1, w2)
-    sig = w1.surface
-    if sig.boundary != 0:
-        raise ValueError("closed comparison requires a closed surface")
-    if sig.genus <= 1:
-        return is_identity(stream_matrix(sig, psi))
-    return _fixes_generators(sig, psi, cap)
-
-
 # ---------------------------------------------------------------------------
 # Verdict dispatch shared by the CLI and the construction pipelines.
 # ---------------------------------------------------------------------------
@@ -360,29 +338,28 @@ ENGINE_CLOSED = "closed(dehn,g>=2)"
 ENGINE_HOMOLOGY_NECESSARY = "homology(necessary)"
 
 
-# The exact engines: engine -> required boundary count.
-_EXACT_ENGINES = {"pi1": 1, "closed": 0}
+# The values of decide_equal's ``engine``: "auto" runs the exact engine of
+# the surface, "homology" only the necessary homology test.
+ENGINES = ("auto", "homology")
 
 
 def decide_equal(w1: TwistWord, w2: TwistWord, engine: str = "auto",
                  cap: int = DEFAULT_CAP) -> tuple[str, str]:
     """Compare two twist words; returns (verdict, engine description).
 
-    Verdict is "true", "false", or "unknown" (resource cap, or a
-    necessary-only engine that could not separate the words).  Every
+    The one equality entry point.  Verdict is "true", "false", or
+    "unknown" (resource cap, or a necessary-only engine that could not
+    separate the words).  With ``engine="auto"`` the surface picks the
+    exact engine: ENGINE_PI1 with one boundary component, otherwise
+    ENGINE_HOMOLOGY_FAITHFUL at genus <= 1 and ENGINE_CLOSED above.  Every
     engine tests whether the stream of psi = w2^-1 . w1 acts trivially,
     rejecting on its homology matrix before any free-group work; ``cap``
     bounds the words that psi's stream produces.
     """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
     psi = quotient_stream(w1, w2)
     sig = w1.surface
-    if engine == "auto":
-        engine = "pi1" if sig.boundary == 1 else "closed"
-    if engine != "homology":
-        if engine not in _EXACT_ENGINES:
-            raise ValueError(f"unknown engine {engine!r}")
-        if sig.boundary != _EXACT_ENGINES[engine]:
-            raise ValueError(f"{engine} engine requires boundary = {_EXACT_ENGINES[engine]}")
     acts_on_h1 = not is_identity(stream_matrix(sig, psi))
     if sig.boundary == 0 and sig.genus <= 1:
         return ("false" if acts_on_h1 else "true", ENGINE_HOMOLOGY_FAITHFUL)

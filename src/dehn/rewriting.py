@@ -12,7 +12,8 @@ strongest applicable engine:
   the inverse of a nonseparating twist is a positive word
   (``inverse_twist_expansion``) after transporting the curve to a1.
 * ``chain_substitute`` — replace a literal (a1 b1 a2)^4 block by d2 e2,
-  shortening the word by ten letters.
+  shortening the word by ten letters.  The relation itself is a row of
+  ``pi1.CHAIN_RELATIONS``, checked with the rest of the relator corpus.
 
 Every output letter is a letter of the input or is built from curve names
 standard on its surface, so outputs are built with ``TwistWord._trusted``
@@ -23,8 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .homology import homology_equal
-from .pi1 import DEFAULT_CAP, decide_equal, mcg_equal_rel_boundary
+from .pi1 import DEFAULT_CAP, decide_equal
 from .surface import (
     SurfaceSig,
     Twist,
@@ -213,10 +213,3 @@ def chain_substitute(w: TwistWord, cap: int = DEFAULT_CAP) -> RewriteReport:
     verdict, engine = decide_equal(w, output, "auto", cap)
     return RewriteReport(w, output, 1, verdict, engine)
 
-
-def chain_relation_selftest() -> bool:
-    """Confirm (a1 b1 a2)^4 = d2 e2 on (g=2, b=1) under both engines."""
-    sig = SurfaceSig(2, 1)
-    lhs = TwistWord.from_names(sig, "a1 b1 a2").power(4)
-    rhs = TwistWord.from_names(sig, "d2 e2")
-    return homology_equal(lhs, rhs) and mcg_equal_rel_boundary(lhs, rhs)

@@ -74,11 +74,16 @@ def test_verify_forced_homology_is_only_necessary():
                    "engine": "homology(necessary)"}
 
 
-def test_verify_engine_surface_mismatch():
+def test_verify_engine_choices():
+    # the surface picks the exact engine, so only auto and homology remain
+    from dehn.cli import build_parser
+
+    assert "--engine {auto,homology}" in build_parser().format_usage()
     payload = {"surface": surface(1, 0), "words": [letters("a1"), letters("a1")]}
-    code, rep, _ = run_cli(["verify", "--engine", "pi1"], payload)
-    assert code == 2
-    assert "boundary" in rep["error"]
+    for engine in ("pi1", "closed"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify", "--engine", engine], payload)
+        assert exc.value.code == 2
 
 
 def test_verify_conjugated_letters():
@@ -347,6 +352,17 @@ def test_selftest():
     assert rep == {"command": "selftest", "verdict": "true"}
 
 
+def test_selftest_decides_the_relator_corpus(monkeypatch):
+    import dehn.cli
+    from dehn.pi1 import RELATOR_CORPUS
+
+    # a relation that does not hold turns the verdict
+    monkeypatch.setattr(dehn.cli, "RELATOR_CORPUS", RELATOR_CORPUS + ((2, "a1 b1", "b1 a1"),))
+    code, rep, _ = run_cli(["selftest"])
+    assert code == 1
+    assert rep == {"command": "selftest", "verdict": "false"}
+
+
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------
@@ -365,6 +381,15 @@ def test_out_file_matches_stdout(tmp_path):
         code = run([command, "--out", str(target)], stdin=stdin, stdout=stdout)
         assert code == 0
         assert target.read_bytes() == stdout.getvalue().encode("utf-8")
+
+
+def test_unwritable_out_is_an_input_error(tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, rep, _ = run_cli(["selftest", "--out", str(target)])
+    assert code == 2
+    assert rep["command"] == "selftest"
+    assert str(target) in rep["error"]
+    assert not target.exists()
 
 
 def test_timing_flag_adds_runtime():

@@ -18,7 +18,7 @@ from itertools import product
 
 import pytest
 
-from dehn.pi1 import apply_word, mcg_equal_rel_boundary
+from dehn.pi1 import ENGINE_PI1, apply_word, decide_equal
 from dehn.surface import SurfaceSig, Twist, TwistWord
 
 # ---------------------------------------------------------------------------
@@ -110,7 +110,7 @@ def test_engine_equality_matches_oracle_partition(words):
 
 
 def test_engine_equal_agrees_with_oracle_on_sampled_pairs(words):
-    # direct spot-check of mcg_equal_rel_boundary against the oracle on a
+    # direct spot-check of decide_equal against the oracle on a
     # deterministic sample of pairs (the full quadratic comparison is done
     # via the partition above)
     sig = SurfaceSig(1, 1)
@@ -120,4 +120,4 @@ def test_engine_equal_agrees_with_oracle_on_sampled_pairs(words):
             lhs = TwistWord(sig, tuple(Twist(n, s) for n, s in wi))
             rhs = TwistWord(sig, tuple(Twist(n, s) for n, s in wj))
             expected = _oracle_images(wi) == _oracle_images(wj)
-            assert mcg_equal_rel_boundary(lhs, rhs) is expected
+            assert decide_equal(lhs, rhs) == ("true" if expected else "false", ENGINE_PI1)

@@ -9,10 +9,8 @@ from dehn import (
     Twist,
     TwistWord,
     WordGrowthExceeded,
-    closed_equal,
     decide_equal,
     dehn_reduce,
-    mcg_equal_rel_boundary,
 )
 from dehn.freegroup import invert_word, reduce_word
 from dehn.homology import homology_equal, word_matrix
@@ -44,7 +42,11 @@ def generator_images(w):
 
 
 def is_trivial_rel_boundary(w):
-    return mcg_equal_rel_boundary(w, TwistWord(w.surface, ()))
+    return decide_equal(w, TwistWord(w.surface, ())) == ("true", ENGINE_PI1)
+
+
+def verdict(sig, lhs, rhs):
+    return decide_equal(word(sig, lhs), word(sig, rhs))
 
 
 def abelianize(z, genus):
@@ -140,21 +142,27 @@ def test_outputs_are_reduced():
 
 def test_braid_relations():
     for c, d in BRAID_PAIRS:
-        assert mcg_equal_rel_boundary(word(T2, f"{c} {d} {c}"), word(T2, f"{d} {c} {d}"))
+        assert verdict(T2, f"{c} {d} {c}", f"{d} {c} {d}") == ("true", ENGINE_PI1)
 
 
 def test_commuting_relations():
     for c, d in COMMUTING_PAIRS:
-        assert mcg_equal_rel_boundary(word(T2, f"{c} {d}"), word(T2, f"{d} {c}"))
+        assert verdict(T2, f"{c} {d}", f"{d} {c}") == ("true", ENGINE_PI1)
     # intersecting pairs do not commute
-    assert not mcg_equal_rel_boundary(word(T2, "a1 b1"), word(T2, "b1 a1"))
-    assert not mcg_equal_rel_boundary(word(T2, "d2 b2"), word(T2, "b2 d2"))
+    assert verdict(T2, "a1 b1", "b1 a1") == ("false", ENGINE_PI1)
+    assert verdict(T2, "d2 b2", "b2 d2") == ("false", ENGINE_PI1)
 
 
 def test_chain_relations():
     for genus, lhs, rhs in CHAIN_RELATIONS:
+        assert verdict(SurfaceSig(genus, 1), lhs, rhs) == ("true", ENGINE_PI1), lhs
+
+
+def test_every_corpus_relation_is_decided_true():
+    for genus, lhs, rhs in RELATOR_CORPUS:
         sig = SurfaceSig(genus, 1)
-        assert mcg_equal_rel_boundary(word(sig, lhs), word(sig, rhs)), lhs
+        assert homology_equal(word(sig, lhs), word(sig, rhs)), lhs
+        assert verdict(sig, lhs, rhs) == ("true", ENGINE_PI1), lhs
 
 
 def test_relator_battery_on_random_words():
@@ -166,17 +174,17 @@ def test_relator_battery_on_random_words():
         names = [(rng.choice(curves), rng.choice((1, -1))) for _ in range(rng.randrange(7))]
         w = TwistWord.from_names(T2, names)
         r = rng.choice(relators)
-        assert mcg_equal_rel_boundary(w * r, w)
-        assert not mcg_equal_rel_boundary(w * r * word(T2, "a1"), w)
+        assert decide_equal(w * r, w) == ("true", ENGINE_PI1)
+        assert decide_equal(w * r * word(T2, "a1"), w) == ("false", ENGINE_PI1)
 
 
 def test_growth_cap():
     w = word(T1, "a1 b1").power(6)
+    assert decide_equal(w, word(T1, "delta"), cap=3) == ("unknown", ENGINE_PI1)
     with pytest.raises(WordGrowthExceeded) as info:
-        mcg_equal_rel_boundary(w, word(T1, "delta"), cap=3)
+        apply_word(w, (1,), cap=3)
     assert info.value.cap == 3
     assert info.value.length > 3
-    assert decide_equal(w, word(T1, "delta"), cap=3) == ("unknown", ENGINE_PI1)
 
 
 def test_identical_words_are_equal_without_applying_them():
@@ -188,15 +196,15 @@ def test_identical_words_are_equal_without_applying_them():
     w2 = word(closed2, "a1 b1^-1 a2 b2^-1").power(4)
     assert decide_equal(w2, w2, cap=3) == ("true", ENGINE_CLOSED)
     torus = SurfaceSig(1, 0)
-    assert decide_equal(word(torus, "a1"), word(torus, "a1"), engine="closed") == (
+    assert decide_equal(word(torus, "a1"), word(torus, "a1")) == (
         "true", ENGINE_HOMOLOGY_FAITHFUL)
     assert decide_equal(word(torus, "a1"), word(torus, "a1"), engine="homology") == (
         "true", ENGINE_HOMOLOGY_FAITHFUL)
     # the necessary-only engine still cannot certify equality
     a = word(T2, "a1 b2")
     assert decide_equal(a, a, engine="homology") == ("unknown", ENGINE_HOMOLOGY_NECESSARY)
-    # engine/surface mismatches are still errors
-    with pytest.raises(ValueError):
+    # the surface picks the exact engine; naming one is an error
+    with pytest.raises(ValueError, match="unknown engine"):
         decide_equal(a, a, engine="closed")
 
 
@@ -256,23 +264,24 @@ def test_dehn_reduce():
         assert dehn_reduce(z, 2) == z
 
 
-def test_closed_equal():
+def test_decide_equal_on_closed_surfaces():
     torus = SurfaceSig(1, 0)
     empty = TwistWord(torus, ())
-    assert closed_equal(word(torus, "a1 b1").power(6), empty)
-    assert not closed_equal(word(torus, "a1 b1").power(5), empty)
+    faithful = ENGINE_HOMOLOGY_FAITHFUL
+    assert decide_equal(word(torus, "a1 b1").power(6), empty) == ("true", faithful)
+    assert decide_equal(word(torus, "a1 b1").power(5), empty) == ("false", faithful)
 
     closed2 = SurfaceSig(2, 0)
     empty2 = TwistWord(closed2, ())
-    assert closed_equal(word(closed2, "a1 b1 a2 b2").power(10), empty2)
-    assert not closed_equal(word(closed2, "a1 b1 a2 b2").power(9), empty2)
-    assert not closed_equal(word(closed2, "a1"), empty2)
+    assert decide_equal(word(closed2, "a1 b1 a2 b2").power(10), empty2) == ("true", ENGINE_CLOSED)
+    assert decide_equal(word(closed2, "a1 b1 a2 b2").power(9), empty2) == ("false", ENGINE_CLOSED)
+    assert decide_equal(word(closed2, "a1"), empty2) == ("false", ENGINE_CLOSED)
 
     sphere = SurfaceSig(0, 0)
-    assert closed_equal(TwistWord(sphere, ()), TwistWord(sphere, ()))
+    assert decide_equal(TwistWord(sphere, ()), TwistWord(sphere, ())) == ("true", faithful)
 
-    with pytest.raises(ValueError):
-        closed_equal(word(T1, "a1"), word(T1, "a1"))
+    # a one-boundary surface goes to the rel-boundary engine, not the closed one
+    assert decide_equal(word(T1, "a1"), word(T1, "a1")) == ("true", ENGINE_PI1)
 
 
 def test_decide_equal_dispatch():
@@ -294,13 +303,16 @@ def test_decide_equal_dispatch():
     a, b = word(T2, "a1 a2"), word(T2, "a2 a1")
     assert decide_equal(a, b, engine="homology") == ("unknown", ENGINE_HOMOLOGY_NECESSARY)
     assert decide_equal(a, word(T2, "a1 a1"), engine="homology")[0] == "false"
-    # engine/surface mismatches
-    with pytest.raises(ValueError, match=r"^pi1 engine requires boundary = 1$"):
+    # the surface picks the exact engine: only "auto" and "homology" are engines
+    with pytest.raises(ValueError, match=r"^unknown engine 'pi1'$"):
         decide_equal(word(torus, "a1"), word(torus, "a1"), engine="pi1")
-    with pytest.raises(ValueError, match=r"^closed engine requires boundary = 0$"):
+    with pytest.raises(ValueError, match=r"^unknown engine 'closed'$"):
         decide_equal(a, b, engine="closed")
     with pytest.raises(ValueError, match=r"^unknown engine 'nonsense'$"):
         decide_equal(a, b, engine="nonsense")
+    # the engine is checked before the words are compared at all
+    with pytest.raises(ValueError, match=r"^unknown engine 'pi1'$"):
+        decide_equal(a, word(T1, "a1"), engine="pi1")
     with pytest.raises(ValueError):
         decide_equal(a, word(T1, "a1"))
 
