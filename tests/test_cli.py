@@ -79,6 +79,10 @@ def test_verify_engine_choices():
     from dehn.cli import build_parser
 
     assert "--engine {auto,homology}" in build_parser().format_usage()
+
+
+def test_verify_engine_surface_mismatch():
+    # naming an exact engine, even one that does not fit the surface, is an input error
     payload = {"surface": surface(1, 0), "words": [letters("a1"), letters("a1")]}
     for engine in ("pi1", "closed"):
         with pytest.raises(SystemExit) as exc:

@@ -264,7 +264,7 @@ def test_dehn_reduce():
         assert dehn_reduce(z, 2) == z
 
 
-def test_decide_equal_on_closed_surfaces():
+def test_closed_equal():
     torus = SurfaceSig(1, 0)
     empty = TwistWord(torus, ())
     faithful = ENGINE_HOMOLOGY_FAITHFUL

@@ -17,7 +17,7 @@ from dehn import (
     prop9_factor,
 )
 from dehn.homology import homology_class, homology_equal, transported_class
-from dehn.pi1 import ENGINE_CLOSED, ENGINE_HOMOLOGY_FAITHFUL, ENGINE_PI1
+from dehn.pi1 import CHAIN_RELATIONS, ENGINE_CLOSED, ENGINE_HOMOLOGY_FAITHFUL, ENGINE_PI1
 from dehn.rewriting import transport_pairs
 from dehn.surface import standard_curves
 
@@ -240,3 +240,10 @@ def test_chain_substitute_rejections():
     with pytest.raises(ValueError, match="genus"):
         chain_substitute(word(SurfaceSig(1, 1), "a1 b1"))
 
+
+def test_chain_relation_selftest():
+    # (a1 b1 a2)^4 = d2 e2 on (g=2, b=1), in homology and rel boundary
+    lhs, rhs = word(T2, "a1 b1 a2").power(4), word(T2, "d2 e2")
+    assert (2, " ".join(["a1 b1 a2"] * 4), "d2 e2") in CHAIN_RELATIONS
+    assert homology_equal(lhs, rhs)
+    assert decide_equal(lhs, rhs) == ("true", ENGINE_PI1)
