@@ -58,7 +58,7 @@ from .pi1 import (
     decide_equal,
 )
 from .rewriting import positivize
-from .surface import SurfaceSig, Twist, TwistWord, is_sign
+from .surface import SurfaceSig, Twist, TwistWord, curve_classes, is_sign
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -362,7 +362,7 @@ def _selftest_relator_corpus() -> bool:
     # the boundary word is fixed by every generator
     sig = SurfaceSig(2, 1)
     bw = boundary_word(2)
-    for name in ("a1", "b1", "a2", "b2", "d2", "e2", "delta"):
+    for name in curve_classes(sig):
         if apply_word(TwistWord(sig, (Twist(name),)), bw) != bw:
             return False
     return True

@@ -11,10 +11,11 @@ class v acts by the transvection
 A word acts through its stream (``dehn.surface.compile_word``), the same
 cancelled sequence of plain (curve, sign) steps the free-group engines
 apply: each step is the transvection about a standard curve class.  Those
-classes have at most two nonzero entries, so they are kept sparse, one
-table per surface, and each step costs O(1) per vector, O(2g) for a whole
-matrix.  Two words are compared on one matrix, that of the stream of
-w2^-1 . w1 (``dehn.surface.quotient_stream``), against the identity.
+classes have at most two nonzero entries and are read sparse from the one
+curve table (``dehn.surface.curve_classes``), so each step costs O(1) per
+vector, O(2g) for a whole matrix.  Two words are compared on one matrix,
+that of the stream of w2^-1 . w1 (``dehn.surface.quotient_stream``),
+against the identity.
 
 For genus 1 closed surfaces this action is a faithful invariant: two twist
 words are equal as mapping classes exactly when their matrices agree.  For
@@ -23,9 +24,8 @@ higher genus it is necessary but not sufficient.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .surface import (
+    Sparse,
     SurfaceSig,
     Twist,
     TwistWord,
@@ -39,24 +39,10 @@ from .surface import (
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]  # rows
 
-# A curve class as its nonzero entries (i, v_i, j, p): <x, v> is the sum of
-# p * x[j], where j = i ^ 1 is the entry paired with i by the form and
-# p = v_i for odd i, -v_i for even i.
-Sparse = tuple[tuple[int, int, int, int], ...]
-
-
-@lru_cache(maxsize=None)
-def _sparse_classes(sig: SurfaceSig) -> dict[str, Sparse]:
-    """The sparse class of every standard curve on ``sig``."""
-    return {
-        name: tuple((i, vi, i ^ 1, vi if i % 2 else -vi) for i, vi in enumerate(v) if vi)
-        for name, v in curve_classes(sig).items()
-    }
-
 
 def _steps(sig: SurfaceSig, stream) -> list[tuple[Sparse, int]]:
     """The stream with each curve replaced by its sparse class."""
-    classes = _sparse_classes(sig)
+    classes = curve_classes(sig)
     return [(classes[name], sign) for name, sign in stream]
 
 

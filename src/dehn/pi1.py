@@ -46,6 +46,7 @@ word.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
 from .freegroup import (
     FreeAutomorphism,
@@ -55,7 +56,16 @@ from .freegroup import (
     reduce_word,
 )
 from .homology import is_identity, stream_matrix
-from .surface import SurfaceSig, Twist, TwistWord, chain_name, compile_word, quotient_stream
+from .surface import (
+    SurfaceSig,
+    Twist,
+    TwistWord,
+    chain_name,
+    compile_word,
+    curve_classes,
+    intersection,
+    quotient_stream,
+)
 
 DEFAULT_CAP = 10**6
 
@@ -186,17 +196,16 @@ def twist_tables(genus: int) -> dict[tuple[str, int], FreeAutomorphism]:
 # ---------------------------------------------------------------------------
 # The relator corpus: relations rel boundary that the tables must satisfy.
 # CLI ``selftest`` and the test suite both check it.  Curves are named as
-# for ``TwistWord.from_names``; pairs live on SurfaceSig(2, 1).
+# for ``TwistWord.from_names``; pairs live on SurfaceSig(2, 1) and are read
+# off the curve table: every pair of distinct curves with intersection
+# number +-1 meets once and braids, c d c = d c d, and every pair with
+# intersection number 0 is disjoint and commutes, c d = d c.
 # ---------------------------------------------------------------------------
 
-# curves meeting once: c d c = d c d
-BRAID_PAIRS = (("a1", "b1"), ("b1", "a2"), ("a2", "b2"), ("d2", "b2"), ("b2", "e2"))
-# disjoint curves: c d = d c
-COMMUTING_PAIRS = (
-    ("a1", "a2"), ("a1", "b2"), ("b1", "b2"), ("d2", "e2"),
-    ("d2", "a1"), ("d2", "b1"), ("d2", "a2"), ("e2", "a1"), ("e2", "b1"),
-    ("delta", "a1"), ("delta", "b2"), ("delta", "d2"),
-)
+_CORPUS_SIG = SurfaceSig(2, 1)
+_CORPUS_PAIRS = tuple(combinations(curve_classes(_CORPUS_SIG), 2))
+BRAID_PAIRS = tuple(p for p in _CORPUS_PAIRS if abs(intersection(*p, _CORPUS_SIG)) == 1)
+COMMUTING_PAIRS = tuple(p for p in _CORPUS_PAIRS if intersection(*p, _CORPUS_SIG) == 0)
 # chain relations as (genus, lhs, rhs) on SurfaceSig(genus, 1): (a1 b1)^6 and
 # (a1 b1 a2 b2)^10 are the boundary twist; (d2 b2 e2)^4 twists about both
 # boundary curves of its neighbourhood, the outer boundary and the curve

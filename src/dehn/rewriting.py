@@ -5,8 +5,9 @@ Three rewriting algorithms on twist words, each returning a
 strongest applicable engine:
 
 * ``commute_pull`` — move a pattern's letters to the front one adjacent
-  transposition at a time; the hopped-over letter picks up a conjugator,
-  so the letter count never changes.
+  transposition at a time; the hopped-over letter picks up a conjugator
+  unless the two twists commute (intersection number 0), so the letter
+  count never changes.
 * ``positivize`` — rewrite every negative letter of a word on a closed
   surface as a product of conjugated positive twists, using the fact that
   the inverse of a nonseparating twist is a positive word
@@ -33,7 +34,7 @@ from .surface import (
     chain_name,
     chain_word,
     check_curve,
-    geometric_disjoint,
+    intersection,
 )
 
 
@@ -84,11 +85,11 @@ def commute_pull(w: TwistWord, pattern: TwistWord,
     """Rewrite w as pattern . remainder by adjacent commutation moves.
 
     Each elementary move swaps an adjacent pair X T into T X', where X' is
-    X conjugated by T^-1 (recorded on the conjugator field), except that X
-    passes unchanged when the two bases are literally equal or declared
-    disjoint and X carries no conjugator.  Pattern letters are matched
-    leftmost-first against plain letters of w and pulled leftward; the
-    letter count is preserved exactly.
+    X conjugated by T^-1 (recorded on the conjugator field), except that a
+    plain X passes unchanged when its base has intersection number 0 with
+    T's (equal or disjoint curves, whose twists commute).  Pattern letters
+    are matched leftmost-first against plain letters of w and pulled
+    leftward; the letter count is preserved exactly.
     """
     if w.surface != pattern.surface:
         raise ValueError("word and pattern live on different surfaces")
@@ -107,7 +108,7 @@ def commute_pull(w: TwistWord, pattern: TwistWord,
                 f"{pat.base}^{pat.sign} at or after position {i}")
         while pos > i:
             x, t = letters[pos - 1], letters[pos]
-            if not x.conj and (x.base == t.base or geometric_disjoint(x.base, t.base)):
+            if not x.conj and intersection(x.base, t.base, w.surface) == 0:
                 x2 = x  # exact commutation, no bookkeeping needed
             else:
                 x2 = Twist(x.base, x.sign, ((t.base, -t.sign),) + x.conj)

@@ -7,7 +7,7 @@ components.  Its standard curves are:
   this order meet in one point, all other pairs are disjoint;
 * ``d2`` and ``e2`` (genus >= 2 only) — the two boundary circles of a
   regular neighbourhood of the 3-chain ``a1, b1, a2``, each meeting ``b2``
-  once and disjoint from ``a1, b1, a2`` and from each other;
+  once and disjoint from every other standard curve;
 * ``delta`` (one-boundary surfaces only) — a curve parallel to the boundary.
 
 A :class:`Twist` is a signed Dehn twist about a standard curve, optionally
@@ -32,9 +32,10 @@ are not bare basis vectors); ``d2 -> e1 + e3``; ``e2 -> -(e1 + e3)``;
 ``delta -> 0``.
 
 The alphabet is one table per surface, ``curve_classes``: every standard
-curve name mapped to its class, in the standard order.  Validity, the
-curve list and the classes are all read from it, and ``chain_name`` is the
-one place where a chain position becomes a name.
+curve name mapped to its class, in the standard order, stored sparse as
+its at most two nonzero entries.  Validity, the curve list, the classes
+and who meets whom (``intersection``) are all read from it, and
+``chain_name`` is the one place where a chain position becomes a name.
 """
 
 from __future__ import annotations
@@ -60,27 +61,32 @@ class SurfaceSig:
             raise ValueError(f"boundary must be 0 or 1, got {self.boundary!r}")
 
 
+# A curve class as its nonzero entries (i, v_i, j, p): <x, v> is the sum of
+# p * x[j], where j = i ^ 1 is the entry paired with i by the form and
+# p = v_i for odd i, -v_i for even i.
+Sparse = tuple[tuple[int, int, int, int], ...]
+
+
 @lru_cache(maxsize=None)
-def curve_classes(sig: SurfaceSig) -> dict[str, tuple[int, ...]]:
-    """Every standard curve on ``sig`` with its class: chain, then d2/e2, then delta.
+def curve_classes(sig: SurfaceSig) -> dict[str, Sparse]:
+    """Every standard curve on ``sig`` with its sparse class: chain, then d2/e2, then delta.
 
     The table is cached and shared between callers, which only read it.
     """
     n = 2 * sig.genus
     table = {}
     for j in range(1, n + 1):
-        v = [0] * n
-        v[j - 1] = 1
+        entries = [(j - 1, 1)]
         if j % 2 == 0 and j < n:
-            v[j + 1] = -1
-        table[chain_name(j)] = tuple(v)
+            entries.append((j + 1, -1))
+        table[chain_name(j)] = entries
     if sig.genus >= 2:
-        d2 = (1, 0, 1) + (0,) * (n - 3)
-        table["d2"] = d2
-        table["e2"] = tuple(-x for x in d2)
+        table["d2"] = [(0, 1), (2, 1)]
+        table["e2"] = [(0, -1), (2, -1)]
     if sig.boundary == 1:
-        table["delta"] = (0,) * n
-    return table
+        table["delta"] = []
+    return {name: tuple((i, vi, i ^ 1, vi if i % 2 else -vi) for i, vi in entries)
+            for name, entries in table.items()}
 
 
 def curve_valid(name: str, sig: SurfaceSig) -> bool:
@@ -116,28 +122,24 @@ def chain_index(name: str) -> int | None:
 def homology_class(name: str, sig: SurfaceSig) -> tuple[int, ...]:
     """Class of a standard curve in the fixed basis (length 2g)."""
     check_curve(name, sig)
-    return curve_classes(sig)[name]
+    v = [0] * (2 * sig.genus)
+    for i, vi, _, _ in curve_classes(sig)[name]:
+        v[i] = vi
+    return tuple(v)
 
 
-def geometric_disjoint(c1: str, c2: str) -> bool:
-    """Whether the fixed table declares the two standard curves disjoint.
+def intersection(c1: str, c2: str, sig: SurfaceSig) -> int:
+    """The algebraic intersection number <c1, c2>; ``intersection("a1", "b1", sig) == 1``.
 
-    Consecutive chain curves meet once; d2/e2 meet b2 once and are disjoint
-    from each other and from a1, b1, a2; delta is disjoint from everything.
-    Pairs the table does not cover are reported as not disjoint.
+    Any two standard curves meet in exactly |<c1, c2>| points, all of one
+    sign, and that number is 0 or 1.  So 0 means the curves are disjoint
+    (or equal) and their twists commute, and +-1 means they meet once and
+    their twists braid: t_c t_d t_c = t_d t_c t_d.
     """
-    if "delta" in (c1, c2):
-        return True
-    if c1 == c2:
-        return False
-    special = {c1, c2} & {"d2", "e2"}
-    if special:
-        if {c1, c2} == {"d2", "e2"}:
-            return True
-        (other,) = {c1, c2} - special
-        return other in ("a1", "b1", "a2")
-    i, j = chain_index(c1), chain_index(c2)
-    return abs(i - j) != 1
+    check_curve(c1, sig)
+    check_curve(c2, sig)
+    classes = curve_classes(sig)
+    return sum(p * xi for _, _, j, p in classes[c2] for i, xi, _, _ in classes[c1] if i == j)
 
 
 def is_sign(s) -> bool:
@@ -258,11 +260,18 @@ def compile_word(word: TwistWord) -> tuple[Step, ...]:
     flipped), then the base twist, then u (its letters in reverse).
     Adjacent x^s x^-s pairs compose to the identity and are cancelled as
     the stream is built, so the u ... u^-1 seams between letters that share
-    a conjugator disappear.  Every engine applies a word through this
-    stream.
+    a conjugator disappear.  The boundary twist is central (u . delta .
+    u^-1 = delta), so every delta letter, conjugated or not, is left out
+    and delta^e, e their net exponent, acts last: words that differ only
+    in where their delta letters stand compile alike.  Every engine applies
+    a word through this stream.
     """
     stream: list[Step] = []
+    delta = 0
     for t in reversed(word.letters):
+        if t.base == "delta":
+            delta += t.sign
+            continue
         steps = [(name, -sign) for name, sign in t.conj]
         steps.append((t.base, t.sign))
         steps += reversed(t.conj)
@@ -271,6 +280,7 @@ def compile_word(word: TwistWord) -> tuple[Step, ...]:
                 stream.pop()
             else:
                 stream.append((name, sign))
+    stream += [("delta", 1 if delta > 0 else -1)] * abs(delta)
     return tuple(stream)
 
 

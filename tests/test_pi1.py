@@ -27,7 +27,7 @@ from dehn.pi1 import (
     apply_word,
     boundary_word,
 )
-from dehn.surface import chain_word, standard_curves
+from dehn.surface import chain_word, intersection, standard_curves
 
 T1 = SurfaceSig(1, 1)
 T2 = SurfaceSig(2, 1)
@@ -140,17 +140,55 @@ def test_outputs_are_reduced():
             assert z == reduce_word(z)
 
 
+# A hand-written reference for the corpus pairs: the pairs read off the
+# curve table must hold every one of them.
+REF_BRAID_PAIRS = (("a1", "b1"), ("b1", "a2"), ("a2", "b2"), ("d2", "b2"), ("b2", "e2"))
+REF_COMMUTING_PAIRS = (
+    ("a1", "a2"), ("a1", "b2"), ("b1", "b2"), ("d2", "e2"),
+    ("d2", "a1"), ("d2", "b1"), ("d2", "a2"), ("e2", "a1"), ("e2", "b1"),
+    ("delta", "a1"), ("delta", "b2"), ("delta", "d2"),
+)
+
+
+def unordered(pairs):
+    return {frozenset(p) for p in pairs}
+
+
 def test_braid_relations():
+    assert unordered(REF_BRAID_PAIRS) <= unordered(BRAID_PAIRS)
     for c, d in BRAID_PAIRS:
         assert verdict(T2, f"{c} {d} {c}", f"{d} {c} {d}") == ("true", ENGINE_PI1)
 
 
 def test_commuting_relations():
+    assert unordered(REF_COMMUTING_PAIRS) <= unordered(COMMUTING_PAIRS)
+    # every pair of distinct curves is in exactly one of the two lists
+    curves = standard_curves(T2)
+    assert len(BRAID_PAIRS) + len(COMMUTING_PAIRS) == len(curves) * (len(curves) - 1) // 2
+    assert not unordered(BRAID_PAIRS) & unordered(COMMUTING_PAIRS)
     for c, d in COMMUTING_PAIRS:
         assert verdict(T2, f"{c} {d}", f"{d} {c}") == ("true", ENGINE_PI1)
     # intersecting pairs do not commute
     assert verdict(T2, "a1 b1", "b1 a1") == ("false", ENGINE_PI1)
     assert verdict(T2, "d2 b2", "b2 d2") == ("false", ENGINE_PI1)
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_intersection_decides_commute_or_braid(genus):
+    # the rule commute_pull and the corpus rest on: 0 commutes, +-1 braids
+    sig = SurfaceSig(genus, 1)
+    curves = standard_curves(sig)
+    for i, c in enumerate(curves):
+        for d in curves[i + 1:]:
+            n = intersection(c, d, sig)
+            assert n in (-1, 0, 1), (c, d)
+            commute = verdict(sig, f"{c} {d}", f"{d} {c}")
+            if n == 0:
+                assert commute == ("true", ENGINE_PI1), (c, d)
+            else:
+                assert commute == ("false", ENGINE_PI1), (c, d)
+                assert verdict(sig, f"{c} {d} {c}", f"{d} {c} {d}") == (
+                    "true", ENGINE_PI1), (c, d)
 
 
 def test_chain_relations():

@@ -88,6 +88,10 @@ def test_commute_pull_disjoint_and_same_base_skip_conjugators():
     rep = commute_pull(word(T2, "a1^-1 a1"), word(T2, "a1"))
     assert rep.output.letters == (Twist("a1"), Twist("a1", -1))
     assert rep.verified == "true"
+    # d2 and a3 have intersection number 0, so d2 stays plain
+    rep = commute_pull(word(SurfaceSig(3, 1), "d2 a3"), word(SurfaceSig(3, 1), "a3"))
+    assert rep.output.letters == (Twist("a3"), Twist("d2"))
+    assert (rep.verified, rep.engine) == ("true", ENGINE_PI1)
 
 
 def test_commute_pull_preserves_letter_count():

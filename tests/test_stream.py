@@ -136,6 +136,37 @@ def test_compiled_stream_cancels():
         ("a1", -1), ("b2", 1), ("b1", 1), ("b2", -1))
 
 
+def test_delta_letters_act_last():
+    # the boundary twist is central: every delta letter, plain or
+    # conjugated, leaves the stream and delta^e acts last
+    sig = SurfaceSig(2, 1)
+    u = (("a1", 1), ("b2", -1))
+    assert compile_word(TwistWord.from_names(sig, "delta a1 delta")) == (
+        ("a1", 1), ("delta", 1), ("delta", 1))
+    assert compile_word(TwistWord.from_names(sig, "a1 delta^-1 b1")) == (
+        ("b1", 1), ("a1", 1), ("delta", -1))
+    w = TwistWord(sig, (Twist("b1"), Twist("delta", -1, u), Twist("delta", 1, u)))
+    assert compile_word(w) == (("b1", 1),)
+    w = TwistWord(sig, (Twist("delta", 1, u), Twist("a2")))
+    assert compile_word(w) == (("a2", 1), ("delta", 1))
+    # a plain and a conjugated delta give the same stream, wherever they stand
+    a1 = TwistWord.from_names(sig, "a1")
+    delta = TwistWord.from_names(sig, "delta")
+    assert quotient_stream(delta * a1, TwistWord(sig, (Twist("a1"), Twist("delta", 1, u)))) == ()
+    assert quotient_stream(delta * a1, a1 * delta.inverse()) == (
+        ("delta", 1), ("delta", 1))
+
+
+def test_moved_delta_is_decided_under_a_small_cap():
+    # the images of x = (a1 b1^-1)^14 pass cap 1000; with delta hoisted to
+    # the last-acting end the shared x needs no free-group work at all
+    sig = SurfaceSig(1, 1)
+    x = TwistWord.from_names(sig, "a1 b1^-1").power(14)
+    delta = TwistWord.from_names(sig, "delta")
+    assert decide_equal(delta * x, x * delta, cap=1000) == ("true", ENGINE_PI1)
+    assert decide_equal(delta * x, x * delta.inverse(), cap=1000) == ("false", ENGINE_PI1)
+
+
 def test_quotient_stream():
     sig = SurfaceSig(2, 1)
     u = (("a1", 1), ("b2", -1))

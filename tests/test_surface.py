@@ -11,9 +11,10 @@ from dehn.surface import (
     chain_index,
     chain_name,
     chain_word,
+    curve_classes,
     curve_valid,
-    geometric_disjoint,
     homology_class,
+    intersection,
     standard_curves,
 )
 
@@ -80,19 +81,22 @@ def test_homology_classes_hardcoded():
 
 
 def test_homology_classes_match_intersection_table():
-    # Declared-disjoint pairs pair to zero; chain-adjacent pairs pair to +-1.
-    for sig in (SurfaceSig(2, 1), SurfaceSig(3, 1)):
-        names = [c for c in standard_curves(sig)]
-        for c1 in names:
-            for c2 in names:
-                v1, v2 = homology_class(c1, sig), homology_class(c2, sig)
-                pairing = intersection_pairing(v1, v2)
-                if geometric_disjoint(c1, c2):
-                    assert pairing == 0, (c1, c2)
-                else:
+    # intersection is the dense pairing of the reference classes on every
+    # pair; chain-adjacent pairs pair to +-1
+    for genus in range(9):
+        for boundary in (0, 1):
+            sig = SurfaceSig(genus, boundary)
+            names = ref_standard_curves(sig)
+            for c1 in names:
+                for c2 in names:
+                    pairing = intersection_pairing(
+                        ref_homology_class(c1, sig), ref_homology_class(c2, sig))
+                    assert intersection(c1, c2, sig) == pairing, (sig, c1, c2)
                     i, j = chain_index(c1), chain_index(c2)
                     if i is not None and j is not None and abs(i - j) == 1:
                         assert pairing in (1, -1), (c1, c2)
+    with pytest.raises(ValueError, match="is not valid on genus"):
+        intersection("a1", "a3", SurfaceSig(2, 1))
 
 
 def test_adjacent_chain_pairings_are_plus_one():
@@ -179,24 +183,42 @@ def test_trailing_newline_is_not_a_curve():
         with pytest.raises(ValueError):
             Twist(name).validate(sig)
 
-def test_geometric_disjoint_table():
-    assert not geometric_disjoint("a1", "b1")
-    assert not geometric_disjoint("b1", "a2")
-    assert geometric_disjoint("a1", "a2")
-    assert geometric_disjoint("a1", "b2")
-    assert geometric_disjoint("b1", "b2")
-    assert not geometric_disjoint("a1", "a1")
+def test_intersection_table():
+    sig = SurfaceSig(2, 1)
+    assert intersection("a1", "b1", sig) == 1
+    assert intersection("b1", "a2", sig) == 1
+    assert intersection("b1", "a1", sig) == -1
+    assert intersection("a1", "a2", sig) == 0
+    assert intersection("a1", "b2", sig) == 0
+    assert intersection("b1", "b2", sig) == 0
+    assert intersection("a1", "a1", sig) == 0
     # d2/e2 block: disjoint from a1, b1, a2 and each other; meet b2
     for c in ("a1", "b1", "a2"):
-        assert geometric_disjoint("d2", c)
-        assert geometric_disjoint(c, "e2")
-    assert geometric_disjoint("d2", "e2")
-    assert not geometric_disjoint("d2", "b2")
-    assert not geometric_disjoint("e2", "b2")
-    assert not geometric_disjoint("d2", "d2")
+        assert intersection("d2", c, sig) == 0
+        assert intersection(c, "e2", sig) == 0
+    assert intersection("d2", "e2", sig) == 0
+    assert intersection("d2", "b2", sig) == 1
+    assert intersection("e2", "b2", sig) == -1
+    assert intersection("d2", "d2", sig) == 0
+    # ... and from the chain curves past b2
+    sig3 = SurfaceSig(3, 1)
+    for c in ("a3", "b3"):
+        assert intersection("d2", c, sig3) == 0
+        assert intersection("e2", c, sig3) == 0
     # the boundary-parallel curve misses everything, itself included
     for c in ("a1", "b2", "d2", "delta"):
-        assert geometric_disjoint("delta", c)
+        assert intersection("delta", c, sig) == 0
+        assert intersection(c, "delta", sig) == 0
+
+
+def test_curve_table_is_linear_in_genus():
+    sig = SurfaceSig(1500, 1)
+    table = curve_classes(sig)
+    assert len(table) == 3003
+    assert all(len(v) <= 2 for v in table.values())
+    b1 = homology_class("b1", sig)
+    assert len(b1) == 3000
+    assert b1[:4] == (0, 1, 0, -1) and not any(b1[4:])
 
 
 def test_twist_validation():
