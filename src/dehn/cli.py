@@ -200,7 +200,7 @@ def _read_request(stdin) -> dict:
     text = stdin.read()
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"malformed JSON on stdin: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError("request must be a JSON object")

@@ -31,7 +31,7 @@ from .fibration import (
     first_homology,
 )
 from .homology import Matrix, word_matrix
-from .pi1 import DEFAULT_CAP, decide_equal
+from .pi1 import CHAIN_TRADE, DEFAULT_CAP, decide_equal
 from .rewriting import chain_substitute, commute_pull, positivize
 from .snf import abelian_group_from_columns
 from .surface import SurfaceSig, Twist, TwistWord, chain_word
@@ -65,7 +65,7 @@ def theorem11_family(n: int, cap: int = DEFAULT_CAP) -> FamilyReport:
     if n < 2:
         raise ValueError("the family needs genus n >= 2")
     sig = SurfaceSig(n, 1)
-    pattern = TwistWord.from_names(sig, "a1 b1 a2").power(4)
+    pattern = TwistWord.from_names(sig, CHAIN_TRADE[0])
 
     pulled = commute_pull(chain_word(sig, 4), pattern, cap)
     substituted = chain_substitute(pulled.output, cap)
@@ -118,7 +118,8 @@ def branched_double_cover(page: SurfaceSig, monodromy: TwistWord
     page's a1, b1 re-embed as themselves and the mirrored copy re-embeds as
     d2, b2 — every mirror curve is disjoint from every original curve, so
     the two halves commute.  Pages of genus >= 2 would need mirror curves
-    outside the standard alphabet and are rejected.
+    outside the standard alphabet and are rejected, and so is every letter
+    that names delta, as its base or in its conjugator.
     """
     if page.boundary != 1:
         raise ValueError("the page must have one boundary component")
@@ -127,7 +128,8 @@ def branched_double_cover(page: SurfaceSig, monodromy: TwistWord
     if page.genus != 1:
         raise ValueError("only genus-1 pages are supported: the mirrored copy of a "
                          "higher-genus chain leaves the standard curve alphabet")
-    if any(t.base == "delta" for t in monodromy.letters):
+    if any(name not in _MIRROR
+           for t in monodromy.letters for name in (t.base, *(n for n, _ in t.conj))):
         raise ValueError("boundary-parallel letters double to a separating seam "
                          "twist outside the standard alphabet")
 

@@ -36,11 +36,11 @@ The per-curve automorphisms are constructed once per genus:  positive chain
 twists act by the half-twist lift on chain-curve loops (loop j maps loop
 j-1 to (j-1)(j) and loop j+1 to (j)^-1 (j+1)); d2 conjugates the first
 three chain loops by (loop1 loop3)^-1 and prefixes loop 4 with it; e2 is
-d2^-1 composed with (a1 b1 a2)^4; delta conjugates everything by the
-inverse boundary word.  All tables are checked against ``RELATOR_CORPUS``
-(braid, disjointness and chain relations) by the CLI ``selftest`` and by
-the test suite, which both also check that every twist fixes the boundary
-word.
+d2^-1 composed with (a1 b1 a2)^4 (``CHAIN_TRADE``'s left side); delta
+conjugates everything by the inverse boundary word.  All tables are
+checked against ``RELATOR_CORPUS`` (braid, disjointness and chain
+relations) by the CLI ``selftest`` and by the test suite, which both also
+check that every twist fixes the boundary word.
 """
 
 from __future__ import annotations
@@ -68,6 +68,9 @@ from .surface import (
 )
 
 DEFAULT_CAP = 10**6
+
+# the 3-chain relation (lhs, rhs): the e2 table and Theorem 11's one trade rest on it
+CHAIN_TRADE = (" ".join(["a1 b1 a2"] * 4), "d2 e2")
 
 
 def boundary_word(genus: int) -> Word:
@@ -178,7 +181,7 @@ def twist_tables(genus: int) -> dict[tuple[str, int], FreeAutomorphism]:
                 auto = auto.compose(w_tables[(name, sign)])
             return auto
 
-        chain3 = [("a1", 1), ("b1", 1), ("a2", 1)] * 4
+        chain3 = [(name, 1) for name in CHAIN_TRADE[0].split()]
         chain3_inv = [(n, -s) for n, s in reversed(chain3)]
         w_tables[("e2", 1)] = d2_neg.compose(word_auto(chain3))
         w_tables[("e2", -1)] = word_auto(chain3_inv).compose(d2_pos)
@@ -215,7 +218,7 @@ CHAIN_RELATIONS = (
     (1, " ".join(["a1 b1"] * 6), "delta"),
     (2, " ".join(["a1 b1 a2 b2"] * 10), "delta"),
     (2, " ".join(["d2 b2 e2"] * 4), " ".join(["delta"] + ["a1 b1"] * 6)),
-    (2, " ".join(["a1 b1 a2"] * 4), "d2 e2"),
+    (2, *CHAIN_TRADE),
 )
 RELATOR_CORPUS = (
     tuple((2, f"{c} {d} {c}", f"{d} {c} {d}") for c, d in BRAID_PAIRS)

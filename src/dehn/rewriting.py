@@ -11,9 +11,11 @@ strongest applicable engine:
 * ``positivize`` — rewrite every negative letter of a word on a closed
   surface as a product of conjugated positive twists, using the fact that
   the inverse of a nonseparating twist is a positive word
-  (``inverse_twist_expansion``) after transporting the curve to a1.
+  (``inverse_twist_expansion``) after transporting the curve to a1.  The
+  transport (``transport_pairs``) is read off the curve table alone.
 * ``chain_substitute`` — replace a literal (a1 b1 a2)^4 block by d2 e2,
-  shortening the word by ten letters.  The relation itself is a row of
+  shortening the word by ten letters.  Both sides are ``pi1.CHAIN_TRADE``,
+  the one spelling of the trade, which is also a row of
   ``pi1.CHAIN_RELATIONS``, checked with the rest of the relator corpus.
 
 Every output letter is a letter of the input or is built from curve names
@@ -25,15 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pi1 import DEFAULT_CAP, decide_equal
+from .pi1 import CHAIN_TRADE, DEFAULT_CAP, decide_equal
 from .surface import (
     SurfaceSig,
     Twist,
     TwistWord,
-    chain_index,
-    chain_name,
     chain_word,
     check_curve,
+    curve_classes,
     intersection,
 )
 
@@ -57,22 +58,25 @@ class RewriteReport:
 def transport_pairs(curve: str, sig: SurfaceSig) -> tuple[tuple[str, int], ...]:
     """Flat word v with  v . t_curve . v^-1  =  t_a1, as (name, sign) pairs.
 
-    Chain curves ride down the chain one braid hop at a time; d2 and e2
-    first hop onto b2 (which each meets once) and then ride down.  Validated
-    against the faithful engine and on homology classes in the tests.
+    Everything is read off the curve table: the chain is its first 2g
+    names, and a curve off the chain first hops onto the first chain curve
+    it meets (two curves meeting once braid, so t_c t_m carries c onto m).
+    A chain curve then rides down the chain one braid hop at a time.  A
+    curve that meets no chain curve is separating and has no transport.
+    Validated against the faithful engine and on homology classes in the
+    tests.
     """
     check_curve(curve, sig)
-    if curve == "delta":
-        raise ValueError("delta is separating; no transport to a1 exists")
+    chain = tuple(curve_classes(sig))[:2 * sig.genus]
+    hop, start = (), curve
+    if curve not in chain:
+        start = next((c for c in chain if intersection(curve, c, sig)), None)
+        if start is None:
+            raise ValueError(f"{curve} is separating; no transport to a1 exists")
+        hop = ((curve, 1), (start, 1))
     down = []
-    if curve in ("d2", "e2"):
-        hop = ((curve, 1), ("b2", 1))  # carries the curve onto b2
-        top = 4
-    else:
-        hop = ()
-        top = chain_index(curve)
-    for j in range(2, top + 1):
-        down += [(chain_name(j), -1), (chain_name(j - 1), -1)]
+    for j in range(1, chain.index(start) + 1):
+        down += [(chain[j], -1), (chain[j - 1], -1)]
     return tuple(down) + hop
 
 
@@ -130,7 +134,7 @@ def prop9_factor(n: int, cap: int = DEFAULT_CAP) -> tuple[TwistWord, TwistWord]:
         raise ValueError("factorization requires genus >= 2")
     sig = SurfaceSig(n, 1)
     w = chain_word(sig, 4)
-    pattern = TwistWord.from_names(sig, "a1 b1 a2").power(4)
+    pattern = TwistWord.from_names(sig, CHAIN_TRADE[0])
     report = commute_pull(w, pattern, cap)
     if report.verified == "false":
         raise AssertionError("commutation pull failed verification")
@@ -168,8 +172,6 @@ def positivize(w: TwistWord, cap: int = DEFAULT_CAP,
     sig = w.surface
     if sig.boundary != 0:
         raise ValueError("positivization is defined on closed surfaces")
-    if any(t.base == "delta" for t in w.letters):
-        raise ValueError("delta is separating; positivization needs nonseparating bases")
     expansion = inverse_twist_expansion(sig) if any(t.sign < 0 for t in w.letters) else None
     out: list[Twist] = []
     steps = 0
@@ -185,32 +187,25 @@ def positivize(w: TwistWord, cap: int = DEFAULT_CAP,
     return RewriteReport(w, output, steps, verdict, engine_used)
 
 
-_CHAIN_BLOCK = ("a1", "b1", "a2") * 4
+# the two sides of CHAIN_TRADE as plain positive letters, built once
+_TRADE_LHS, _TRADE_RHS = (tuple(Twist(name) for name in side.split()) for side in CHAIN_TRADE)
 
 
 def chain_substitute(w: TwistWord, cap: int = DEFAULT_CAP) -> RewriteReport:
-    """Replace the leftmost literal (a1 b1 a2)^4 block by d2 e2.
+    """Replace the leftmost literal (a1 b1 a2)^4 block by d2 e2 (``CHAIN_TRADE``).
 
-    The output is ten letters shorter and equal to the input as a mapping
-    class (the chain relation); equality is verified by the strongest
-    applicable engine.
+    The block matches only plain positive letters, since ``Twist`` equality
+    compares base, sign and conjugator.  The output is ten letters shorter
+    and equal to the input as a mapping class (the chain relation);
+    equality is verified by the strongest applicable engine.
     """
     if w.surface.genus < 2:
         raise ValueError("the chain relation needs genus >= 2")
-    letters = w.letters
-    start = None
-    for i in range(len(letters) - 11):
-        if all(letters[i + k].base == _CHAIN_BLOCK[k]
-               and letters[i + k].sign == 1
-               and not letters[i + k].conj
-               for k in range(12)):
-            start = i
-            break
+    letters, n = w.letters, len(_TRADE_LHS)
+    start = next((i for i in range(len(letters) - n + 1) if letters[i:i + n] == _TRADE_LHS),
+                 None)
     if start is None:
-        raise ValueError("no contiguous (a1 b1 a2)^4 block found")
-    output = TwistWord._trusted(
-        w.surface,
-        letters[:start] + (Twist("d2"), Twist("e2")) + letters[start + 12:])
+        raise ValueError(f"no contiguous block {CHAIN_TRADE[0]} found")
+    output = TwistWord._trusted(w.surface, letters[:start] + _TRADE_RHS + letters[start + n:])
     verdict, engine = decide_equal(w, output, "auto", cap)
     return RewriteReport(w, output, 1, verdict, engine)
-

@@ -33,18 +33,17 @@ are not bare basis vectors); ``d2 -> e1 + e3``; ``e2 -> -(e1 + e3)``;
 
 The alphabet is one table per surface, ``curve_classes``: every standard
 curve name mapped to its class, in the standard order, stored sparse as
-its at most two nonzero entries.  Validity, the curve list, the classes
-and who meets whom (``intersection``) are all read from it, and
-``chain_name`` is the one place where a chain position becomes a name.
+its at most two nonzero entries.  Validity, the curve list (``tuple(
+curve_classes(sig))``), the chain order (its first 2g names), the classes
+and who meets whom (``intersection``) are all read from it; no other
+module lists the curves or parses their names.  ``chain_name`` is the one
+place where a chain position becomes a name.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-_CHAIN_RE = re.compile(r"([ab])([1-9][0-9]*)")
 
 
 @dataclass(frozen=True)
@@ -100,23 +99,9 @@ def check_curve(name: str, sig: SurfaceSig) -> None:
                          f"boundary {sig.boundary}")
 
 
-def standard_curves(sig: SurfaceSig) -> tuple[str, ...]:
-    """All standard curve names on ``sig``: chain, then d2/e2, then delta."""
-    return tuple(curve_classes(sig))
-
-
 def chain_name(j: int) -> str:
-    """Name of the chain curve at position j (a1=1, b1=2, ...); inverse of chain_index."""
+    """Name of the chain curve at position j (a1=1, b1=2, ...)."""
     return f"a{(j + 1) // 2}" if j % 2 else f"b{j // 2}"
-
-
-def chain_index(name: str) -> int | None:
-    """Position of a chain curve in the chain a1=1, b1=2, a2=3, ...; else None."""
-    m = _CHAIN_RE.fullmatch(name)
-    if m is None:
-        return None
-    i = int(m.group(2))
-    return 2 * i - 1 if m.group(1) == "a" else 2 * i
 
 
 def homology_class(name: str, sig: SurfaceSig) -> tuple[int, ...]:

@@ -35,7 +35,7 @@ from dehn.homology import (
     word_matrix,
 )
 from dehn.pi1 import ENGINE_PI1
-from dehn.surface import standard_curves
+from dehn.surface import curve_classes
 
 from matrices import mat_mul
 
@@ -143,7 +143,7 @@ def test_criterion_08_positivization_battery():
     for _ in range(100):
         g = rng.randrange(1, 4)
         sig = SurfaceSig(g, 0)
-        curves = [c for c in standard_curves(sig) if c != "delta"]
+        curves = [c for c in curve_classes(sig) if c != "delta"]
         k = rng.randrange(11)
         names = [(rng.choice(curves), rng.choice((1, -1))) for _ in range(k)]
         w = TwistWord.from_names(sig, names)

@@ -55,3 +55,36 @@ def test_benchmark_bindings_resolve():
             assert method in vars(getattr(owner, cls_name)), f"{module}.{attr}"
         else:
             assert callable(getattr(owner, attr, None)), f"{module}.{attr}"
+
+
+def test_no_public_name_only_the_tests_use():
+    # every public module-level function, class or constant of src/dehn is
+    # used elsewhere in the package, bound by the bench, exported, or the
+    # console script; a name only the tests call is dead weight
+    sources = {path: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted((ROOT / "src" / "dehn").glob("*.py"))}
+    used = set()
+    for tree in sources.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    bench = "\n".join(p.read_text(encoding="utf-8") for p in sorted((ROOT / "bench").glob("*.py")))
+    script = re.search(r'^dehn = "dehn\.\w+:(\w+)"$',
+                       (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M).group(1)
+    unused = []
+    for path, tree in sources.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused += [f"{path.name}: {name}" for name in names
+                       if not name.startswith("_") and name not in used
+                       and name not in dehn.__all__ and name != script
+                       and not re.search(rf"\b{name}\b", bench)]
+    assert not unused, unused

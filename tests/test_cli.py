@@ -104,10 +104,12 @@ def test_verify_conjugated_letters():
 
 
 def test_malformed_json():
-    stdout = io.StringIO()
-    code = run(["verify"], stdin=io.StringIO("{nope"), stdout=stdout)
-    assert code == 2
-    assert "malformed JSON" in json.loads(stdout.getvalue())["error"]
+    # past its depth limit json.loads raises RecursionError, not JSONDecodeError
+    for text in ("{nope", "[" * 100000):
+        stdout = io.StringIO()
+        code = run(["verify"], stdin=io.StringIO(text), stdout=stdout)
+        assert code == 2
+        assert json.loads(stdout.getvalue())["error"].startswith("malformed JSON on stdin: ")
 
 
 def test_request_must_be_object():
@@ -321,6 +323,14 @@ def test_branched_double():
     assert [e["base"] for e in rep["word_out"]] == ["a1", "b1", "b2", "d2"]
     assert [e["sign"] for e in rep["word_out"]] == [1, 1, -1, -1]
     assert rep["h1"]["rank"] >= 1  # the base circle always survives
+
+
+def test_branched_double_rejects_delta_in_a_conjugator():
+    payload = {"surface": surface(1, 1),
+               "word": [{"base": "a1", "conj": [{"base": "delta"}]}]}
+    code, rep, _ = run_cli(["branched-double"], payload)
+    assert code == 2
+    assert "boundary-parallel letters" in rep["error"]
 
 
 def test_fibersum():

@@ -206,6 +206,10 @@ def test_branched_double_cover_rejections():
         branched_double_cover(sig21, word(sig21, "a1"))
     with pytest.raises(ValueError, match="separating"):
         branched_double_cover(T1, word(T1, "delta"))
+    # delta has no mirror in a conjugator either
+    t = Twist("a1", 1, (("b1", 1), ("delta", -1)))
+    with pytest.raises(ValueError, match="boundary-parallel letters"):
+        branched_double_cover(T1, TwistWord(T1, (t,)))
 
 
 def test_swap_matrix_properties():

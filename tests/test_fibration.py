@@ -20,7 +20,7 @@ from dehn import (
     positivize,
 )
 from dehn.homology import is_identity, transported_class, word_matrix
-from dehn.surface import standard_curves
+from dehn.surface import curve_classes
 
 T1 = SurfaceSig(1, 1)
 TORUS = SurfaceSig(1, 0)
@@ -91,7 +91,7 @@ def test_allowability_ignores_conjugators(sig):
         zero = (0,) * (2 * f.fiber.genus)
         return all(transported_class(t, f.fiber) != zero for t in f.word.letters)
 
-    curves = standard_curves(sig)
+    curves = tuple(curve_classes(sig))
     rng = random.Random(f"allowable/{sig.genus}/{sig.boundary}")
     seen = set()
     for _ in range(60):

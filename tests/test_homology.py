@@ -16,8 +16,8 @@ from dehn.surface import (
     Twist,
     TwistWord,
     chain_word,
+    curve_classes,
     homology_class,
-    standard_curves,
 )
 
 from matrices import mat_mul
@@ -84,7 +84,7 @@ def is_symplectic(m):
 
 def random_word(rng, sig, length):
     """Conjugated letters with adjacent t t^-1 pairs and shared conjugators."""
-    curves = standard_curves(sig)
+    curves = tuple(curve_classes(sig))
 
     def plain():
         return (rng.choice(curves), rng.choice((1, -1)))
@@ -176,14 +176,14 @@ def test_word_matrix_composition_order():
 
 def test_generator_matrices_are_symplectic():
     for sig in (SurfaceSig(1, 1), SurfaceSig(2, 1), SurfaceSig(3, 0)):
-        for name in standard_curves(sig):
+        for name in curve_classes(sig):
             for sign in (1, -1):
                 assert is_symplectic(letter_matrix(Twist(name, sign), sig)), name
 
 
 def test_twist_matrix_inverse_pair():
     sig = SurfaceSig(2, 0)
-    for name in standard_curves(sig):
+    for name in curve_classes(sig):
         m1 = letter_matrix(Twist(name, 1), sig)
         m2 = letter_matrix(Twist(name, -1), sig)
         assert mat_mul(m1, m2) == identity_matrix(4)
@@ -246,7 +246,7 @@ def test_homology_equal_requires_same_surface():
 def test_random_words_symplectic_and_invertible():
     rng = random.Random(7)
     sig = SurfaceSig(2, 1)
-    names = standard_curves(sig)
+    names = tuple(curve_classes(sig))
     for _ in range(25):
         letters = tuple(
             Twist(rng.choice(names), rng.choice((1, -1))) for _ in range(8))

@@ -27,7 +27,7 @@ from dehn.pi1 import (
     apply_word,
     boundary_word,
 )
-from dehn.surface import chain_word, intersection, standard_curves
+from dehn.surface import chain_word, curve_classes, intersection
 
 T1 = SurfaceSig(1, 1)
 T2 = SurfaceSig(2, 1)
@@ -112,13 +112,13 @@ def test_boundary_word_is_fixed_by_every_twist():
     for g in (1, 2, 3):
         sig = SurfaceSig(g, 1)
         bw = boundary_word(g)
-        for curve in standard_curves(sig):
+        for curve in curve_classes(sig):
             for s in ("", "^-1"):
                 assert apply_word(word(sig, f"{curve}{s}"), bw) == bw
 
 
 def test_inverse_pairs_are_trivial():
-    for curve in standard_curves(T2):
+    for curve in curve_classes(T2):
         w = word(T2, f"{curve} {curve}^-1")
         assert is_trivial_rel_boundary(w)
     # also with a conjugated letter
@@ -131,7 +131,7 @@ def test_inverse_pairs_are_trivial():
 
 def test_outputs_are_reduced():
     rng = random.Random(11)
-    curves = standard_curves(T2)
+    curves = tuple(curve_classes(T2))
     for _ in range(20):
         names = [(rng.choice(curves), rng.choice((1, -1))) for _ in range(5)]
         w = TwistWord.from_names(T2, names)
@@ -163,7 +163,7 @@ def test_braid_relations():
 def test_commuting_relations():
     assert unordered(REF_COMMUTING_PAIRS) <= unordered(COMMUTING_PAIRS)
     # every pair of distinct curves is in exactly one of the two lists
-    curves = standard_curves(T2)
+    curves = tuple(curve_classes(T2))
     assert len(BRAID_PAIRS) + len(COMMUTING_PAIRS) == len(curves) * (len(curves) - 1) // 2
     assert not unordered(BRAID_PAIRS) & unordered(COMMUTING_PAIRS)
     for c, d in COMMUTING_PAIRS:
@@ -177,7 +177,7 @@ def test_commuting_relations():
 def test_intersection_decides_commute_or_braid(genus):
     # the rule commute_pull and the corpus rest on: 0 commutes, +-1 braids
     sig = SurfaceSig(genus, 1)
-    curves = standard_curves(sig)
+    curves = tuple(curve_classes(sig))
     for i, c in enumerate(curves):
         for d in curves[i + 1:]:
             n = intersection(c, d, sig)
@@ -207,7 +207,7 @@ def test_relator_battery_on_random_words():
     rng = random.Random(23)
     relators = [word(T2, lhs) * word(T2, rhs).inverse()
                 for genus, lhs, rhs in RELATOR_CORPUS if genus == 2]
-    curves = standard_curves(T2)
+    curves = tuple(curve_classes(T2))
     for _ in range(30):
         names = [(rng.choice(curves), rng.choice((1, -1))) for _ in range(rng.randrange(7))]
         w = TwistWord.from_names(T2, names)
@@ -278,7 +278,7 @@ def test_action_commutes_with_abelianization():
     rng = random.Random(5)
     for g in (1, 2, 3):
         sig = SurfaceSig(g, 1)
-        curves = standard_curves(sig)
+        curves = tuple(curve_classes(sig))
         for _ in range(10):
             names = [(rng.choice(curves), rng.choice((1, -1))) for _ in range(4)]
             w = TwistWord.from_names(sig, names)
@@ -399,7 +399,7 @@ def seeded_pairs(rng, sig):
     about a separating curve (the boundary at genus 1), gives pairs that
     homology cannot separate.
     """
-    curves = standard_curves(sig)
+    curves = tuple(curve_classes(sig))
     pool = [(), ((rng.choice(curves), 1),),
             tuple((rng.choice(curves), rng.choice((1, -1))) for _ in range(2))]
 

@@ -9,7 +9,7 @@ import pytest
 import dehn.cli
 from dehn import SurfaceSig, Twist, TwistWord
 from dehn.cli import report_text, run
-from dehn.surface import standard_curves
+from dehn.surface import curve_classes
 
 
 def old_word_json(word):
@@ -60,7 +60,7 @@ def random_letter(rng, curves, sign=None):
 
 
 def chain_letters(genus, copies, rotate=0):
-    chain = [{"base": n} for n in standard_curves(SurfaceSig(genus, 0))[:2 * genus]]
+    chain = [{"base": n} for n in tuple(curve_classes(SurfaceSig(genus, 0)))[:2 * genus]]
     word = chain * copies
     return word[rotate:] + word[:rotate]
 
@@ -70,7 +70,7 @@ def seeded_requests():
     requests = []
     for genus in (1, 2, 3):
         sig = SurfaceSig(genus, 0)
-        curves = [c for c in standard_curves(sig) if c != "delta"]
+        curves = [c for c in curve_classes(sig) if c != "delta"]
         for _ in range(3):
             word = [random_letter(rng, curves) for _ in range(rng.randint(1, 4))]
             requests.append((["positivize"], {"surface": {"genus": genus, "boundary": 0},

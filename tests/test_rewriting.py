@@ -19,7 +19,7 @@ from dehn import (
 from dehn.homology import homology_class, homology_equal, transported_class
 from dehn.pi1 import CHAIN_RELATIONS, ENGINE_CLOSED, ENGINE_HOMOLOGY_FAITHFUL, ENGINE_PI1
 from dehn.rewriting import transport_pairs
-from dehn.surface import standard_curves
+from dehn.surface import curve_classes
 
 T2 = SurfaceSig(2, 1)
 
@@ -46,11 +46,34 @@ def test_transport_pairs_examples():
         transport_pairs("d2", SurfaceSig(1, 1))
 
 
+def ref_transport_pairs(curve, sig):
+    """The transport rule written out by hand: d2/e2 hop onto b2, then ride down."""
+    chain = [f"a{(j + 1) // 2}" if j % 2 else f"b{j // 2}" for j in range(1, 2 * sig.genus + 1)]
+    if curve in ("d2", "e2"):
+        hop, top = ((curve, 1), ("b2", 1)), 4
+    else:
+        hop, top = (), chain.index(curve) + 1
+    down = []
+    for j in range(2, top + 1):
+        down += [(chain[j - 1], -1), (chain[j - 2], -1)]
+    return tuple(down) + hop
+
+
+@pytest.mark.parametrize("boundary", [0, 1])
+@pytest.mark.parametrize("genus", [2, 3, 4, 5])
+def test_transport_pairs_match_the_hand_written_rule(genus, boundary):
+    # positivize reports carry these words, so they must not move
+    sig = SurfaceSig(genus, boundary)
+    for curve in curve_classes(sig):
+        if curve != "delta":
+            assert transport_pairs(curve, sig) == ref_transport_pairs(curve, sig), curve
+
+
 def test_transport_conjugates_to_a1():
-    for g in (2, 3):
+    for g in (2, 3, 4):
         sig = SurfaceSig(g, 1)
         a1 = word(sig, "a1")
-        for curve in standard_curves(sig):
+        for curve in curve_classes(sig):
             if curve == "delta":
                 continue
             v = TwistWord.from_names(sig, transport_pairs(curve, sig))
@@ -201,7 +224,7 @@ def test_positivize_random_battery():
     for _ in range(15):
         g = rng.choice((1, 2))
         sig = SurfaceSig(g, 0)
-        curves = [c for c in standard_curves(sig) if c != "delta"]
+        curves = [c for c in curve_classes(sig) if c != "delta"]
         k = rng.randrange(1, 7)
         names = [(rng.choice(curves), rng.choice((1, -1))) for _ in range(k)]
         w = TwistWord.from_names(sig, names)
@@ -241,6 +264,12 @@ def test_chain_substitute_rejections():
         chain_substitute(chain_word(T2, 4))  # b2 letters interrupt the block
     with pytest.raises(ValueError, match="no contiguous"):
         chain_substitute(word(T2, "a1 b1 a2").power(3))
+    # a 12-letter block with one conjugated letter, or with one a1^-1, is no match
+    block = list(word(T2, "a1 b1 a2").power(4).letters)
+    for k, bad in ((4, Twist("b1", 1, (("a1", 1),))), (6, Twist("a1", -1))):
+        letters = block[:k] + [bad] + block[k + 1:]
+        with pytest.raises(ValueError, match="no contiguous"):
+            chain_substitute(TwistWord(T2, letters))
     with pytest.raises(ValueError, match="genus"):
         chain_substitute(word(SurfaceSig(1, 1), "a1 b1"))
 

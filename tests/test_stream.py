@@ -13,7 +13,7 @@ from dehn import (
 )
 from dehn.freegroup import invert_word, reduce_word
 from dehn.pi1 import ENGINE_CLOSED, ENGINE_PI1, apply_twist, apply_word, twist_tables
-from dehn.surface import compile_word, quotient_stream, standard_curves
+from dehn.surface import compile_word, curve_classes, quotient_stream
 
 
 def reference_apply(auto, z):
@@ -44,7 +44,7 @@ def reference_apply_word(word, z):
 
 def random_word(rng, sig, length):
     """Conjugated letters with adjacent t t^-1 pairs and shared conjugators."""
-    curves = standard_curves(sig)
+    curves = tuple(curve_classes(sig))
 
     def plain():
         return (rng.choice(curves), rng.choice((1, -1)))
