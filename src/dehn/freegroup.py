@@ -4,7 +4,8 @@ A word is a tuple of nonzero ints: ``k`` is the k-th generator, ``-k`` its
 inverse, and words are kept freely reduced (no adjacent ``k, -k``).  An
 automorphism is represented by the tuple of images of the generators, with
 the images of the inverse generators computed once beside them, and is
-applied letterwise.
+applied letterwise by ``substitute``, which cancels only at the seams
+between consecutive images.
 """
 
 from __future__ import annotations
@@ -38,20 +39,44 @@ def invert_word(w: Word) -> Word:
     return tuple(-x for x in reversed(w))
 
 
+def substitute(signed, w, cap: int | None = None) -> list[int]:
+    """The word w with every letter x replaced by ``signed[x]``, freely reduced.
+
+    ``signed`` is a signed image table: ``signed[k]`` is the reduced image of
+    generator k and, by negative indexing, ``signed[-k]`` the inverse of that
+    image.  The images are reduced, so only the prefix of each one can cancel
+    against the output so far, and the result is reduced whatever w is.
+    Raises WordGrowthExceeded if the result is longer than ``cap``.
+    """
+    out: list[int] = []
+    for x in w:
+        img = signed[x]
+        i, n = 0, len(img)
+        while i < n and out and out[-1] == -img[i]:
+            out.pop()
+            i += 1
+        out += img[i:] if i else img
+    if cap is not None and len(out) > cap:
+        raise WordGrowthExceeded(len(out), cap)
+    return out
+
+
 class FreeAutomorphism:
     """An endomorphism of F_n given by generator images (assumed invertible).
 
-    ``images[k]`` is the reduced image word of generator k+1.  The signed
-    table ``_signed`` holds the image of every letter at the letter's own
-    index: ``_signed[k]`` is the image of generator k and, by negative
-    indexing, ``_signed[-k]`` the inverse of that image.  ``apply`` takes
-    letters in 1..n and -n..-1 only.
+    ``images[k]`` is the reduced image word of generator k+1, and ``moved``
+    lists, in increasing order, the generators whose image is not
+    themselves.  The signed table ``_signed`` holds the image of every
+    letter at the letter's own index: ``_signed[k]`` is the image of
+    generator k and, by negative indexing, ``_signed[-k]`` the inverse of
+    that image.  ``apply`` takes letters in 1..n and -n..-1 only.
     """
 
-    __slots__ = ("images", "_signed")
+    __slots__ = ("images", "moved", "_signed")
 
     def __init__(self, images):
         self.images = tuple(reduce_word(w) for w in images)
+        self.moved = tuple(k for k, w in enumerate(self.images, 1) if w != (k,))
         inverses = tuple(invert_word(w) for w in self.images)
         self._signed = (None,) + self.images + inverses[::-1]
 
@@ -74,19 +99,7 @@ class FreeAutomorphism:
         The cap is checked before the image is copied into a tuple, so an
         oversized image is never held twice.
         """
-        signed = self._signed
-        out: list[int] = []
-        for x in w:
-            img = signed[x]
-            # img is reduced, so only its prefix can cancel against out
-            i, n = 0, len(img)
-            while i < n and out and out[-1] == -img[i]:
-                out.pop()
-                i += 1
-            out.extend(img[i:])
-        if cap is not None and len(out) > cap:
-            raise WordGrowthExceeded(len(out), cap)
-        return tuple(out)
+        return tuple(substitute(self._signed, w, cap))
 
     def compose(self, other: "FreeAutomorphism") -> "FreeAutomorphism":
         """self o other: apply other first."""

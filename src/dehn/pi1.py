@@ -28,9 +28,11 @@ for the cheap necessary test only.
 A word is applied through its stream (``dehn.surface.compile_word``): the
 flat sequence of plain (curve, sign) steps in the order they act, with
 conjugators expanded and adjacent x^s x^-s pairs cancelled, each step
-looked up here as one table.  A comparison of w1 with w2 runs the one
-stream of psi = w2^-1 . w1 (``dehn.surface.quotient_stream``) on every
-generator; the word-length cap is checked after every table application.
+looked up here as one table.  A comparison of w1 with w2 composes the one
+stream of psi = w2^-1 . w1 (``dehn.surface.quotient_stream``) backwards,
+from its last-acting step to its first, on the images of all generators
+at once; each step rewrites only the images of the generators its table
+moves.  The word-length cap is checked on every image built.
 
 The per-curve automorphisms are constructed once per genus:  positive chain
 twists act by the half-twist lift on chain-curve loops (loop j maps loop
@@ -54,6 +56,7 @@ from .freegroup import (
     WordGrowthExceeded,
     invert_word,
     reduce_word,
+    substitute,
 )
 from .homology import is_identity, stream_matrix
 from .surface import (
@@ -228,25 +231,34 @@ RELATOR_CORPUS = (
 
 
 # ---------------------------------------------------------------------------
-# Applying streams to elements.  A stream is looked up once as the tables
-# of its steps, in the order they act.  A comparison runs the one stream of
-# w2^-1 . w1 (``dehn.surface.quotient_stream``) on one generator at a time,
-# never composing automorphism tables, so intermediate growth stays linear
-# per application; the length cap is checked after every table application.
+# Applying streams to elements.  A stream psi = T_n o ... o T_1 is run
+# backwards, from its last-acting step to its first, on the images of all
+# generators at once: with Q = T_n o ... o T_{j+1}, the composite Q o T_j
+# moves only the generators that T_j moves, and the new image of such a
+# generator is Q's images substituted into the short word T_j(x_k).  So a
+# step costs the length of the few images it rewrites, not of all 2g.  The
+# length cap is checked on every image built.
 # ---------------------------------------------------------------------------
 
 
-def _tables(genus: int, stream) -> tuple[FreeAutomorphism, ...]:
-    """The tables of the stream's steps, in the order they act."""
+def _images(genus: int, stream, cap: int) -> list:
+    """The stream's images of every generator, as a signed table.
+
+    ``images[k]`` is the image of generator k and ``images[-k]`` its
+    inverse, as ``substitute`` reads them; the images are lists, since
+    they are replaced as the stream runs.
+    """
     tables = twist_tables(genus)
-    return tuple(tables[step] for step in stream)
-
-
-def _run(autos: tuple[FreeAutomorphism, ...], z: Word, cap: int) -> Word:
-    z = reduce_word(z)
-    for auto in autos:
-        z = auto.apply(z, cap)
-    return z
+    n = 2 * genus
+    images = [None] + [[k] for k in range(1, n + 1)] + [[-k] for k in range(n, 0, -1)]
+    for step in reversed(stream):
+        auto = tables[step]
+        # every new image is built from the old ones before any is replaced
+        moved = [(k, substitute(images, auto.images[k - 1], cap)) for k in auto.moved]
+        for k, image in moved:
+            images[k] = image
+            images[-k] = [-x for x in reversed(image)]
+    return images
 
 
 def apply_twist(t: Twist, z: Word, sig: SurfaceSig, cap: int = DEFAULT_CAP) -> Word:
@@ -256,7 +268,8 @@ def apply_twist(t: Twist, z: Word, sig: SurfaceSig, cap: int = DEFAULT_CAP) -> W
 
 def apply_word(word: TwistWord, z: Word, cap: int = DEFAULT_CAP) -> Word:
     """Image of z under the whole word; the rightmost letter acts first."""
-    return _run(_tables(word.surface.genus, compile_word(word)), z, cap)
+    images = _images(word.surface.genus, compile_word(word), cap)
+    return tuple(substitute(images, reduce_word(z), cap))
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +341,14 @@ def _fixes_generators(sig: SurfaceSig, psi, cap: int) -> bool:
     Rel boundary psi(x_k) must equal x_k; on a closed surface of genus >= 2
     psi(x_k) x_k^-1 must Dehn-reduce to the empty word.
     """
-    autos = _tables(sig.genus, psi)
+    images = _images(sig.genus, psi, cap)
     for k in range(1, 2 * sig.genus + 1):
-        z = _run(autos, (k,), cap)
+        z = images[k]
         if sig.boundary:
-            if z != (k,):
+            if z != [k]:
                 return False
         # dehn_reduce cancels freely as it pushes, so z x_k^-1 needs no reduce_word
-        elif dehn_reduce(z + (-k,), sig.genus):
+        elif dehn_reduce(z + [-k], sig.genus):
             return False
     return True
 
@@ -366,7 +379,8 @@ def decide_equal(w1: TwistWord, w2: TwistWord, engine: str = "auto",
     ENGINE_HOMOLOGY_FAITHFUL at genus <= 1 and ENGINE_CLOSED above.  Every
     engine tests whether the stream of psi = w2^-1 . w1 acts trivially,
     rejecting on its homology matrix before any free-group work; ``cap``
-    bounds the words that psi's stream produces.
+    bounds the generator images built while psi is composed from its
+    last-acting step, and one that passes it gives "unknown".
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")

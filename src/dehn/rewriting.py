@@ -20,7 +20,8 @@ strongest applicable engine:
 
 Every output letter is a letter of the input or is built from curve names
 standard on its surface, so outputs are built with ``TwistWord._trusted``
-and no letter is validated twice.
+and no letter is validated twice; ``positivize`` builds its conjugated
+letters with ``Twist._trusted``, one conjugator shared per negative letter.
 """
 
 from __future__ import annotations
@@ -179,8 +180,9 @@ def positivize(w: TwistWord, cap: int = DEFAULT_CAP,
         if t.sign == 1:
             out.append(t)
             continue
+        # one conjugator of valid pairs, shared by every letter of the expansion
         conj = t.conj + _invert_pairs(transport_pairs(t.base, sig))
-        out.extend(Twist(e.base, 1, conj) for e in expansion.letters)
+        out.extend(Twist._trusted(e.base, 1, conj) for e in expansion.letters)
         steps += 1
     output = TwistWord._trusted(sig, tuple(out))
     verdict, engine_used = decide_equal(w, output, engine, cap)

@@ -17,7 +17,9 @@ nested): ``(conj=u, base=c, sign=s)`` denotes ``u · t_c^s · u^-1``.  A
 with the *rightmost* letter acting first on the surface.  The public
 constructor validates every letter on the word's surface; words the package
 builds from letters already valid there (products, inverses, powers, the
-chain word, rewrite outputs) use ``TwistWord._trusted`` and skip the check.
+chain word, rewrite outputs) use ``TwistWord._trusted`` and skip the check,
+and ``Twist._trusted`` does the same for a letter built from parts already
+valid.
 ``compile_word`` expands a word into the plain (curve, sign) steps in the
 order they act, the one stream every engine applies; ``quotient_stream``
 builds the stream of w2^-1 . w1 from two compiled words, so that every
@@ -152,6 +154,21 @@ class Twist:
         for _, s in self.conj:
             if not is_sign(s):
                 raise ValueError(f"conjugator entries must have sign +1 or -1, got {s!r}")
+
+    @classmethod
+    def _trusted(cls, base: str, sign: int, conj: tuple[tuple[str, int], ...]) -> "Twist":
+        """A twist from parts already known to be valid, built with no check.
+
+        ``sign`` must be +1 or -1 and ``conj`` a tuple of (str, +1 or -1)
+        pairs; it is shared, not copied, so letters with one conjugator
+        hold one tuple.  Every other twist goes through the public
+        constructor.
+        """
+        t = object.__new__(cls)
+        object.__setattr__(t, "base", base)
+        object.__setattr__(t, "sign", sign)
+        object.__setattr__(t, "conj", conj)
+        return t
 
     def inverse(self) -> "Twist":
         return Twist(self.base, -self.sign, self.conj)

@@ -12,7 +12,17 @@ from dehn import (
     decide_equal,
 )
 from dehn.freegroup import invert_word, reduce_word
-from dehn.pi1 import ENGINE_CLOSED, ENGINE_PI1, apply_twist, apply_word, twist_tables
+from dehn.homology import is_identity, stream_matrix
+from dehn.pi1 import (
+    DEFAULT_CAP,
+    ENGINE_CLOSED,
+    ENGINE_PI1,
+    _images,
+    apply_twist,
+    apply_word,
+    dehn_reduce,
+    twist_tables,
+)
 from dehn.surface import compile_word, curve_classes, quotient_stream
 
 
@@ -204,3 +214,68 @@ def test_compiled_path_respects_cap():
     closed = SurfaceSig(2, 0)
     w2 = TwistWord.from_names(closed, "a1 b1 a2 b2").power(10)
     assert decide_equal(w2, TwistWord(closed, ()), cap=5) == ("unknown", ENGINE_CLOSED)
+
+
+def forward_images(genus, stream, cap=DEFAULT_CAP):
+    """Reference: the whole stream, first-acting step first, run on each generator."""
+    tables = twist_tables(genus)
+    images = []
+    for k in range(1, 2 * genus + 1):
+        z = (k,)
+        for step in stream:
+            z = tables[step].apply(z, cap)
+        images.append(z)
+    return images
+
+
+def forward_verdict(w1, w2):
+    """Reference verdict of the free-group engines from the forward images."""
+    sig = w1.surface
+    psi = quotient_stream(w1, w2)
+    if not is_identity(stream_matrix(sig, psi)):
+        return "false"
+    images = enumerate(forward_images(sig.genus, psi), 1)
+    if sig.boundary:
+        fixed = all(u == (k,) for k, u in images)
+    else:
+        fixed = all(not dehn_reduce(u + (-k,), sig.genus) for k, u in images)
+    return "true" if fixed else "false"
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+@pytest.mark.parametrize("boundary", [0, 1])
+def test_backward_images_match_forward_reference(genus, boundary):
+    # equal as free words: equal rel boundary, and u v^-1 Dehn-reduces to ()
+    sig = SurfaceSig(genus, boundary)
+    rng = random.Random(f"images/{genus}/{boundary}")
+    n = 2 * genus
+    for _ in range(20):
+        stream = compile_word(random_word(rng, sig, rng.randint(1, 8)))
+        images = _images(genus, stream, DEFAULT_CAP)
+        assert [tuple(images[k]) for k in range(1, n + 1)] == forward_images(genus, stream)
+        for k in range(1, n + 1):
+            assert tuple(images[-k]) == invert_word(tuple(images[k]))
+
+
+@pytest.mark.parametrize("sig", [SurfaceSig(1, 1), SurfaceSig(2, 0), SurfaceSig(2, 1),
+                                 SurfaceSig(3, 0), SurfaceSig(3, 1)])
+def test_decide_equal_matches_forward_reference(sig):
+    # a braid relator inserted gives "true"; (a1 b1)^6, a twist about a
+    # separating curve (delta at genus 1), gives "false" past homology
+    rng = random.Random(f"verdicts/{sig.genus}/{sig.boundary}")
+    chain = tuple(curve_classes(sig))[:2 * sig.genus]
+    separating = TwistWord.from_names(sig, "a1 b1").power(6)
+    seen = set()
+    for _ in range(15):
+        w = random_word(rng, sig, rng.randint(1, 6))
+        i = rng.randrange(len(w) + 1)
+        head, tail = TwistWord(sig, w.letters[:i]), TwistWord(sig, w.letters[i:])
+        j = rng.randrange(len(chain) - 1)
+        c, d = chain[j], chain[j + 1]
+        relator = TwistWord.from_names(sig, f"{c} {d} {c} {d}^-1 {c}^-1 {d}^-1")
+        for other in (head * relator * tail, head * separating * tail,
+                      random_word(rng, sig, rng.randint(1, 6))):
+            expected = forward_verdict(w, other)
+            assert decide_equal(w, other)[0] == expected, (w, other)
+            seen.add(expected)
+    assert seen == {"true", "false"}

@@ -89,3 +89,26 @@ def test_positivize_validates_each_input_letter_once(monkeypatch):
     assert code == 0
     assert len(json.loads(stdout.getvalue())["word_out"]) == 1 + 2 * 83
     assert 0 < len(calls) <= len(word)
+
+
+def test_positivize_shares_one_checked_conjugator_per_negative_letter(monkeypatch):
+    sig = SurfaceSig(2, 0)
+    w = TwistWord(sig, (Twist("b2", -1, (("a1", 1),)), Twist("a2"), Twist("e2", -1)))
+    built = []
+    post_init = Twist.__post_init__
+
+    def spy(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Twist, "__post_init__", spy)
+    out = positivize(w).output.letters
+    # only the chain word's plain letters go through the checks
+    assert all(t.conj == () for t in built)
+    n = len(inverse_twist_expansion(sig))
+    assert len(out) == 1 + 2 * n
+    for part in (out[:n], out[n + 1:]):
+        assert len({id(t.conj) for t in part}) == 1
+    for t in out:
+        again = Twist(t.base, t.sign, t.conj)
+        assert t == again and hash(t) == hash(again)
