@@ -245,8 +245,10 @@ def _images(genus: int, stream, cap: int) -> list:
     """The stream's images of every generator, as a signed table.
 
     ``images[k]`` is the image of generator k and ``images[-k]`` its
-    inverse, as ``substitute`` reads them; the images are lists, since
-    they are replaced as the stream runs.
+    inverse, as ``substitute`` reads them.  The images are lists, not
+    tuples: the short tuples freed as images are replaced would fill
+    CPython's tuple free lists and raise peak memory with no more live
+    data.
     """
     tables = twist_tables(genus)
     n = 2 * genus

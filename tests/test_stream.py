@@ -216,14 +216,14 @@ def test_compiled_path_respects_cap():
     assert decide_equal(w2, TwistWord(closed, ()), cap=5) == ("unknown", ENGINE_CLOSED)
 
 
-def forward_images(genus, stream, cap=DEFAULT_CAP):
+def forward_images(genus, stream):
     """Reference: the whole stream, first-acting step first, run on each generator."""
     tables = twist_tables(genus)
     images = []
     for k in range(1, 2 * genus + 1):
         z = (k,)
         for step in stream:
-            z = tables[step].apply(z, cap)
+            z = tables[step].apply(z)
         images.append(z)
     return images
 
