@@ -57,7 +57,7 @@ from .pi1 import (
     boundary_word,
     decide_equal,
 )
-from .rewriting import positivize
+from .rewriting import inverse_twist_expansion, positivize, transport_pairs
 from .surface import SurfaceSig, Twist, TwistWord, curve_classes, is_sign
 
 EXIT_TRUE = 0
@@ -76,6 +76,12 @@ GN_MAX_N = 24
 # counts every conjugator letter.  The gn word at GN_MAX_N has 4,704 letters.
 JSON_MAX_GENUS = GN_MAX_N
 WORD_MAX_LETTERS = 10_000
+# Largest positivize or double output accepted, counted the same way and
+# worked out before any of it is built: a negative letter u t_c^-1 u^-1
+# becomes the (2g-1) + 2g(4g+1) letters of the expansion of a1^-1, each
+# conjugated by u and the transport of c.  One b24^-1 at genus 24 gives
+# 446,785 letters.
+OUTPUT_MAX_LETTERS = 1_000_000
 
 
 class InputError(Exception):
@@ -154,6 +160,30 @@ def parse_word(sig: SurfaceSig, letters, where: str = "word") -> TwistWord:
         raise InputError(f"{where}: {exc}") from exc
 
 
+def _output_size(sig: SurfaceSig, letters) -> int:
+    """Letters of ``positivize``'s output on ``letters``, conjugator letters included.
+
+    ``sig`` is the closed surface the letters are positivized on.  A
+    positive letter u t u^-1 passes through as 1 + |u| letters; a negative
+    one becomes len(E) (1 + |u| + |v_c|), E the expansion and v_c the
+    transport of its curve c.
+    """
+    size = sum(1 + len(t.conj) for t in letters if t.sign > 0)
+    negatives = [t for t in letters if t.sign < 0]
+    if negatives:
+        expansion = len(inverse_twist_expansion(sig))
+        transport = {c: len(transport_pairs(c, sig)) for c in {t.base for t in negatives}}
+        size += sum(expansion * (1 + len(t.conj) + transport[t.base]) for t in negatives)
+    return size
+
+
+def _check_output_size(sig: SurfaceSig, letters) -> None:
+    size = _output_size(sig, letters)
+    if size > OUTPUT_MAX_LETTERS:
+        raise InputError(f"field 'word' would give {size} output letters counting "
+                         f"conjugators, more than {OUTPUT_MAX_LETTERS}")
+
+
 # Stands in for the word_out word while the rest of the report is encoded.
 _WORD_OUT = "\u0000word_out"
 _WORD_OUT_JSON = json.dumps(_WORD_OUT)
@@ -228,6 +258,8 @@ def _cmd_positivize(args, stdin) -> tuple[dict, int]:
     req = _read_request(stdin)
     sig = parse_surface(req)
     word = parse_word(sig, _require(req, "word", list, ""))
+    if sig.boundary == 0:  # positivize names the fault on other surfaces
+        _check_output_size(sig, word.letters)
     rep = positivize(word, args.cap, args.engine)
     report = {
         "command": "positivize",
@@ -243,7 +275,11 @@ def _cmd_double(args, stdin) -> tuple[dict, int]:
     req = _read_request(stdin)
     sig = parse_surface(req)
     word = parse_word(sig, _require(req, "word", list, ""))
-    rep = double_report(Fibration("disk", sig, word), args.cap)
+    palf = Fibration("disk", sig, word)
+    if sig.boundary == 1 and is_allowable(palf):  # double_report names any other fault
+        # the doubled word is the capped word times its inverse
+        _check_output_size(SurfaceSig(sig.genus, 0), word.letters + word.inverse().letters)
+    rep = double_report(palf, args.cap)
     f = rep.fibration
     report = {
         "command": "double",
@@ -394,8 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Dehn-twist word verification, rewriting, and "
                     "Lefschetz-fibration invariants (JSON in, JSON out).",
         epilog=f"JSON requests are limited to surface genus {JSON_MAX_GENUS} and "
-               f"{WORD_MAX_LETTERS} letters per word, conjugator letters included; "
-               f"larger requests are input errors (exit 2).")
+               f"{WORD_MAX_LETTERS} letters per word, conjugator letters included, "
+               f"and positivize and double to {OUTPUT_MAX_LETTERS} output letters, "
+               f"counted the same way; larger requests are input errors (exit 2).")
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--n", type=int, default=None,
                         help=f"genus parameter for family (2..{FAMILY_MAX_N}) "

@@ -106,6 +106,3 @@ class FreeAutomorphism:
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
         return FreeAutomorphism(tuple(self.apply(w) for w in other.images))
-
-    def is_identity(self) -> bool:
-        return all(w == (k + 1,) for k, w in enumerate(self.images))

@@ -1,11 +1,17 @@
 """Faithful free-group action of twist words on a one-boundary surface.
 
 The fundamental group of a genus-g surface with one boundary component and
-a boundary basepoint is free of rank 2g on generators x_1, y_1, ..., x_g,
-y_g, chosen so that the boundary is the product of commutators
-[x_1,y_1]...[x_g,y_g] and each a_i-curve is freely homotopic to a conjugate
-of x_i.  Words encode these generators as signed ints: 2i-1 for x_i, 2i for
-y_i, negatives for inverses.
+a boundary basepoint is free of rank 2g on the chain loops w_1, ..., w_2g:
+in the hyperelliptic picture loop j circles the j-th and (j+1)-st branch
+points, so w_j runs once around the j-th chain curve (a1, b1, a2, b2, ...
+in ``chain_name`` order) and abelianizes to its class.  Words encode w_j as
+the signed int j, negatives for inverses.  The boundary is the relator
+(``boundary_word``)
+
+    w_1 w_3 ... w_{2g-1} . w_{2g}^-1 w_{2g-1}^-1 ... w_1^-1 . w_2 w_4 ... w_{2g},
+
+in which every loop occurs once with each sign, so every piece has length
+1 and Dehn's algorithm (``dehn_reduce``) applies at genus >= 2.
 
 Twist words act on this free group on the right of nothing and the left of
 everything: the rightmost letter acts first.  The action is faithful for
@@ -35,14 +41,14 @@ at once; each step rewrites only the images of the generators its table
 moves.  The word-length cap is checked on every image built.
 
 The per-curve automorphisms are constructed once per genus:  positive chain
-twists act by the half-twist lift on chain-curve loops (loop j maps loop
-j-1 to (j-1)(j) and loop j+1 to (j)^-1 (j+1)); d2 conjugates the first
-three chain loops by (loop1 loop3)^-1 and prefixes loop 4 with it; e2 is
-d2^-1 composed with (a1 b1 a2)^4 (``CHAIN_TRADE``'s left side); delta
-conjugates everything by the inverse boundary word.  All tables are
-checked against ``RELATOR_CORPUS`` (braid, disjointness and chain
-relations) by the CLI ``selftest`` and by the test suite, which both also
-check that every twist fixes the boundary word.
+twists act by the half-twist lift on the chain loops (twist j maps w_{j-1}
+to w_{j-1} w_j and w_{j+1} to w_j^-1 w_{j+1}); d2 conjugates w_1, w_2, w_3
+by (w_1 w_3)^-1 and prefixes w_4 with it; e2 is d2^-1 composed with
+(a1 b1 a2)^4 (``CHAIN_TRADE``'s left side); delta conjugates everything by
+the inverse boundary word.  All tables are checked against
+``RELATOR_CORPUS`` (braid, disjointness and chain relations) by the CLI
+``selftest`` and by the test suite, which both also check that every twist
+fixes the boundary word.
 """
 
 from __future__ import annotations
@@ -77,52 +83,18 @@ CHAIN_TRADE = (" ".join(["a1 b1 a2"] * 4), "d2 e2")
 
 
 def boundary_word(genus: int) -> Word:
-    """The boundary relator [x_1,y_1]...[x_g,y_g], length 4g."""
-    out = []
-    for i in range(1, genus + 1):
-        x, y = 2 * i - 1, 2 * i
-        out += [x, y, -x, -y]
-    return tuple(out)
+    """The boundary relator in the chain loops, of length 4g (module docstring)."""
+    odd, even = tuple(range(1, 2 * genus, 2)), tuple(range(2, 2 * genus + 1, 2))
+    return odd + tuple(range(-2 * genus, 0)) + even
 
 
 # ---------------------------------------------------------------------------
-# Table construction.  Internally the formulas are simplest in the basis of
-# chain-curve loops w_1..w_2g (loop j circles the j-th and (j+1)-st branch
-# points of the hyperelliptic picture); the public x/y basis is reached by
-# the change of basis beta below, validated by round-trip in the tests.
+# Table construction, by the formulas of the module docstring.
 # ---------------------------------------------------------------------------
 
 
-def _w_boundary(g: int) -> Word:
-    return tuple(range(1, 2 * g, 2)) + tuple(range(-2 * g, 0)) + tuple(range(2, 2 * g + 1, 2))
-
-
-def _beta(g: int) -> FreeAutomorphism:
-    """Chain-loop basis -> x/y basis."""
-    images = []
-    for i in range(1, g + 1):
-        images.append((2 * i - 1,))  # w_{2i-1} = x_i
-        if i < g:
-            images.append((-2 * i, 2 * i + 1, 2 * i + 2, -(2 * i + 1)))
-        else:
-            images.append((-2 * g,))  # w_{2g} = y_g^-1
-    return FreeAutomorphism(images)
-
-
-def _beta_inv(g: int) -> FreeAutomorphism:
-    """x/y basis -> chain-loop basis (inverse of beta)."""
-    y: dict[int, Word] = {g: (-2 * g,)}
-    for i in range(g - 1, 0, -1):
-        y[i] = reduce_word((2 * i + 1,) + y[i + 1] + (-(2 * i + 1), -2 * i))
-    images = []
-    for i in range(1, g + 1):
-        images.append((2 * i - 1,))
-        images.append(y[i])
-    return FreeAutomorphism(images)
-
-
-def _chain_table_w(g: int, j: int, sign: int) -> FreeAutomorphism:
-    """Twist about chain curve j in the chain-loop basis."""
+def _chain_table(g: int, j: int, sign: int) -> FreeAutomorphism:
+    """Twist about chain curve j."""
     n = 2 * g
     table: dict[int, Word] = {}
     if sign > 0:
@@ -138,7 +110,7 @@ def _chain_table_w(g: int, j: int, sign: int) -> FreeAutomorphism:
     return FreeAutomorphism.from_map(n, table)
 
 
-def _d2_table_w(g: int, sign: int) -> FreeAutomorphism:
+def _d2_table(g: int, sign: int) -> FreeAutomorphism:
     n = 2 * g
     d = (1, 3)
     di = invert_word(d)
@@ -154,7 +126,7 @@ def _d2_table_w(g: int, sign: int) -> FreeAutomorphism:
     return FreeAutomorphism.from_map(n, table)
 
 
-def _conj_table_w(g: int, u: Word) -> FreeAutomorphism:
+def _conj_table(g: int, u: Word) -> FreeAutomorphism:
     """z -> u z u^-1 on every generator."""
     n = 2 * g
     return FreeAutomorphism(tuple(reduce_word(u + (k,) + invert_word(u)) for k in range(1, n + 1)))
@@ -162,41 +134,33 @@ def _conj_table_w(g: int, u: Word) -> FreeAutomorphism:
 
 @lru_cache(maxsize=None)
 def twist_tables(genus: int) -> dict[tuple[str, int], FreeAutomorphism]:
-    """Automorphism of every standard twist, in the x/y basis, per genus."""
+    """Automorphism of every standard twist, in the chain-loop basis, per genus."""
     g = genus
-    beta, beta_inv = _beta(g), _beta_inv(g)
-    if not beta.compose(beta_inv).is_identity() or not beta_inv.compose(beta).is_identity():
-        raise AssertionError("basis change failed round-trip")
-
-    w_tables: dict[tuple[str, int], FreeAutomorphism] = {}
+    tables: dict[tuple[str, int], FreeAutomorphism] = {}
     for j in range(1, 2 * g + 1):
         for sign in (1, -1):
-            w_tables[(chain_name(j), sign)] = _chain_table_w(g, j, sign)
+            tables[(chain_name(j), sign)] = _chain_table(g, j, sign)
 
     if g >= 2:
-        d2_pos, d2_neg = _d2_table_w(g, 1), _d2_table_w(g, -1)
-        w_tables[("d2", 1)], w_tables[("d2", -1)] = d2_pos, d2_neg
+        d2_pos, d2_neg = _d2_table(g, 1), _d2_table(g, -1)
+        tables[("d2", 1)], tables[("d2", -1)] = d2_pos, d2_neg
 
         def word_auto(names_signs) -> FreeAutomorphism:
             # Composition of plain letters; leftmost outermost.
             auto = FreeAutomorphism.identity(2 * g)
             for name, sign in names_signs:
-                auto = auto.compose(w_tables[(name, sign)])
+                auto = auto.compose(tables[(name, sign)])
             return auto
 
         chain3 = [(name, 1) for name in CHAIN_TRADE[0].split()]
         chain3_inv = [(n, -s) for n, s in reversed(chain3)]
-        w_tables[("e2", 1)] = d2_neg.compose(word_auto(chain3))
-        w_tables[("e2", -1)] = word_auto(chain3_inv).compose(d2_pos)
+        tables[("e2", 1)] = d2_neg.compose(word_auto(chain3))
+        tables[("e2", -1)] = word_auto(chain3_inv).compose(d2_pos)
 
-    bw = _w_boundary(g)
-    w_tables[("delta", 1)] = _conj_table_w(g, invert_word(bw))
-    w_tables[("delta", -1)] = _conj_table_w(g, bw)
-
-    return {
-        key: beta.compose(auto).compose(beta_inv)
-        for key, auto in w_tables.items()
-    }
+    bw = boundary_word(g)
+    tables[("delta", 1)] = _conj_table(g, invert_word(bw))
+    tables[("delta", -1)] = _conj_table(g, bw)
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +199,7 @@ RELATOR_CORPUS = (
 # backwards, from its last-acting step to its first, on the images of all
 # generators at once: with Q = T_n o ... o T_{j+1}, the composite Q o T_j
 # moves only the generators that T_j moves, and the new image of such a
-# generator is Q's images substituted into the short word T_j(x_k).  So a
+# generator is Q's images substituted into the short word T_j(w_k).  So a
 # step costs the length of the few images it rewrites, not of all 2g.  The
 # length cap is checked on every image built.
 # ---------------------------------------------------------------------------
@@ -303,6 +267,7 @@ def _dehn_rules(genus: int) -> dict[Word, Word]:
 def dehn_reduce(z: Word, genus: int) -> Word:
     """Dehn's algorithm for the surface group, in time linear in len(z).
 
+    z is a word in the chain loops, and r is ``boundary_word(genus)``.
     Letters of z are pushed one at a time onto an output stack with free
     cancellation.  After each push the top 2g+1 letters are looked up among
     the cyclic subwords of the relator r and of r^-1 that are longer than
@@ -340,8 +305,8 @@ def dehn_reduce(z: Word, genus: int) -> Word:
 def _fixes_generators(sig: SurfaceSig, psi, cap: int) -> bool:
     """Whether the stream psi fixes every generator of pi1.
 
-    Rel boundary psi(x_k) must equal x_k; on a closed surface of genus >= 2
-    psi(x_k) x_k^-1 must Dehn-reduce to the empty word.
+    Rel boundary psi(w_k) must equal w_k; on a closed surface of genus >= 2
+    psi(w_k) w_k^-1 must Dehn-reduce to the empty word.
     """
     images = _images(sig.genus, psi, cap)
     for k in range(1, 2 * sig.genus + 1):
@@ -349,7 +314,7 @@ def _fixes_generators(sig: SurfaceSig, psi, cap: int) -> bool:
         if sig.boundary:
             if z != [k]:
                 return False
-        # dehn_reduce cancels freely as it pushes, so z x_k^-1 needs no reduce_word
+        # dehn_reduce cancels freely as it pushes, so z w_k^-1 needs no reduce_word
         elif dehn_reduce(z + [-k], sig.genus):
             return False
     return True

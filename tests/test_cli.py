@@ -2,6 +2,8 @@
 
 import io
 import json
+import random
+import time
 
 import pytest
 
@@ -295,6 +297,78 @@ def test_word_letter_upper_bound():
     assert code == 2 and "'words[1]'" in rep["error"]
     assert f"{WORD_MAX_LETTERS} letters per word" in " ".join(
         build_parser().format_help().split())
+
+
+def output_letters(rep):
+    return sum(1 + len(t.get("conj", [])) for t in rep["word_out"])
+
+
+def test_output_size_is_worked_out_exactly():
+    from dehn.cli import _output_size, parse_word
+    from dehn.surface import SurfaceSig, TwistWord, curve_classes
+
+    rng = random.Random("output-size")
+    for genus in (1, 2, 3):
+        closed, bounded = SurfaceSig(genus, 0), SurfaceSig(genus, 1)
+        curves = list(curve_classes(closed))
+        for _ in range(5):
+            word = [{"base": rng.choice(curves), "sign": rng.choice((1, -1)),
+                     "conj": [{"base": rng.choice(curves), "sign": rng.choice((1, -1))}
+                              for _ in range(rng.randrange(3))]} for _ in range(4)]
+            code, rep, _ = run_cli(["positivize", "--engine", "homology"],
+                                   {"surface": surface(genus, 0), "word": word})
+            parsed = parse_word(closed, word)
+            assert code in (0, 3) and output_letters(rep) == _output_size(closed, parsed.letters)
+            positive = [dict(t, sign=1) for t in word]
+            code, rep, _ = run_cli(["double"], {"surface": surface(genus, 1), "word": positive})
+            doubled = parse_word(bounded, positive)
+            assert code == 0 and output_letters(rep) == _output_size(
+                closed, doubled.letters + doubled.inverse().letters)
+    # one b24^-1 at genus 24, the largest plain negative letter, is under the bound
+    g24 = SurfaceSig(24, 0)
+    assert _output_size(g24, TwistWord.from_names(g24, "b24^-1").letters) == 446_785
+
+
+def test_output_letter_upper_bound():
+    from dehn.cli import OUTPUT_MAX_LETTERS, build_parser
+    from dehn.pi1 import twist_tables
+
+    # three b24^-1 positivize to 3 x 446,785 letters, past the bound
+    over = {"surface": surface(24, 0), "word": letters("b24^-1") * 3}
+    misses = twist_tables.cache_info().misses
+    started = time.monotonic()
+    code, rep, _ = run_cli(["positivize"], over)
+    assert code == 2 and "1340355 output letters" in rep["error"]
+    assert str(OUTPUT_MAX_LETTERS) in rep["error"]
+    # doubling three b24 gives 3 + 3 x 446,785
+    code, rep, _ = run_cli(["double"], {"surface": surface(24, 1), "word": letters("b24") * 3})
+    assert code == 2 and "1340358 output letters" in rep["error"]
+    assert time.monotonic() - started < 1.0
+    assert twist_tables.cache_info().misses == misses  # rejected before any table
+    assert f"{OUTPUT_MAX_LETTERS} output letters" in " ".join(
+        build_parser().format_help().split())
+
+
+def test_output_at_the_bound_passes(monkeypatch):
+    import dehn.cli
+
+    # a1^-1 b1 on the closed genus-2 surface positivizes to 40 letters
+    payload = {"surface": surface(2, 0), "word": letters("a1^-1", "b1")}
+    monkeypatch.setattr(dehn.cli, "OUTPUT_MAX_LETTERS", 40)
+    code, rep, _ = run_cli(["positivize"], payload)
+    assert code == 0 and output_letters(rep) == 40
+    monkeypatch.setattr(dehn.cli, "OUTPUT_MAX_LETTERS", 39)
+    code, rep, _ = run_cli(["positivize"], payload)
+    assert code == 2 and "40 output letters" in rep["error"] and "39" in rep["error"]
+    # a1 b1 on the genus-1 one-boundary surface doubles to 24 letters, 46
+    # counting the two-letter transport of b1 on each letter of its expansion
+    payload = {"surface": surface(1, 1), "word": letters("a1", "b1")}
+    monkeypatch.setattr(dehn.cli, "OUTPUT_MAX_LETTERS", 46)
+    code, rep, _ = run_cli(["double"], payload)
+    assert code == 0 and output_letters(rep) == 46
+    monkeypatch.setattr(dehn.cli, "OUTPUT_MAX_LETTERS", 45)
+    code, rep, _ = run_cli(["double"], payload)
+    assert code == 2 and "46 output letters" in rep["error"]
 
 
 def test_trefoil():

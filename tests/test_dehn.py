@@ -10,7 +10,8 @@ import dehn.pi1
 from dehn import WordGrowthExceeded, dehn_reduce
 from dehn.freegroup import WordGrowthExceeded as FreeGroupWordGrowthExceeded
 from dehn.freegroup import invert_word, reduce_word
-from dehn.pi1 import boundary_word, twist_tables
+from dehn.cli import JSON_MAX_GENUS
+from dehn.pi1 import _dehn_rules, boundary_word, twist_tables
 
 
 def reference_dehn_reduce(z, genus):
@@ -94,6 +95,20 @@ def test_relator_powers_reduce_to_empty(genus):
         assert dehn_reduce(invert_word(r) * k, genus) == ()
         s = k % len(r)
         assert dehn_reduce((r[s:] + r[:s]) * k, genus) == ()
+
+
+@pytest.mark.parametrize("genus", range(2, JSON_MAX_GENUS + 1))
+def test_relator_is_small_cancellation(genus):
+    # Dehn's algorithm needs every piece of r to have length 1: no two-letter
+    # cyclic subword occurs twice among r and r^-1 (C'(1/6) at genus >= 2)
+    r = boundary_word(genus)
+    assert len(r) == 4 * genus
+    rotations = [base[s:] + base[:s] for base in (r, invert_word(r)) for s in range(len(r))]
+    pairs = [rot[:2] for rot in rotations]
+    assert len(set(pairs)) == len(pairs) == 8 * genus
+    assert len(_dehn_rules(genus)) == 8 * genus
+    for rot in rotations:
+        assert dehn_reduce(rot, genus) == ()
 
 
 def test_zero_letter_is_rejected():

@@ -29,7 +29,7 @@ def test_invert_and_multiply():
 
 def test_automorphism_identity_and_from_map():
     ident = FreeAutomorphism.identity(3)
-    assert ident.is_identity()
+    assert ident.images == ((1,), (2,), (3,)) and ident.moved == ()
     assert ident.apply((1, -2, 3)) == (1, -2, 3)
     f = FreeAutomorphism.from_map(2, {1: (1, 2)})
     assert f.images == ((1, 2), (2,))

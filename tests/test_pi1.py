@@ -27,7 +27,7 @@ from dehn.pi1 import (
     apply_word,
     boundary_word,
 )
-from dehn.surface import chain_word, curve_classes, intersection
+from dehn.surface import chain_name, chain_word, curve_classes, homology_class, intersection
 
 T1 = SurfaceSig(1, 1)
 T2 = SurfaceSig(2, 1)
@@ -52,15 +52,16 @@ def verdict(sig, lhs, rhs):
 def abelianize(z, genus):
     """Homology class of the loop z in the standard symplectic basis.
 
-    x_i maps to the class of a_i (basis vector 2i-1) and y_i to minus the
-    vector 2i, which makes the free-group action and the homology action of
-    every twist word commute with this map.
+    The chain loop w_j maps to the class of chain curve j, which makes the
+    free-group action and the homology action of every twist word commute
+    with this map.
     """
+    sig = SurfaceSig(genus, 1)
     vec = [0] * (2 * genus)
     for letter in z:
-        k = abs(letter)
         s = 1 if letter > 0 else -1
-        vec[k - 1] += s if k % 2 else -s
+        for i, c in enumerate(homology_class(chain_name(abs(letter)), sig)):
+            vec[i] += s * c
     return tuple(vec)
 
 
@@ -69,30 +70,32 @@ def mat_vec(a, v):
 
 
 def test_boundary_word():
-    assert boundary_word(1) == (1, 2, -1, -2)
-    assert boundary_word(2) == (1, 2, -1, -2, 3, 4, -3, -4)
+    assert boundary_word(1) == (1, -2, -1, 2)
+    assert boundary_word(2) == (1, 3, -4, -3, -2, -1, 2, 4)
 
 
 def test_genus_one_tables():
-    # the textbook action on the free group <x, y>
-    assert generator_images(word(T1, "a1")) == ((1,), (2, 1))
-    assert generator_images(word(T1, "b1")) == ((1, -2), (2,))
-    assert generator_images(word(T1, "a1^-1")) == ((1,), (2, -1))
-    assert generator_images(word(T1, "b1^-1")) == ((1, 2), (2,))
+    # the half-twist lift on the two chain loops of <w_1, w_2>
+    assert generator_images(word(T1, "a1")) == ((1,), (-1, 2))
+    assert generator_images(word(T1, "b1")) == ((1, 2), (2,))
+    assert generator_images(word(T1, "a1^-1")) == ((1,), (1, 2))
+    assert generator_images(word(T1, "b1^-1")) == ((1, -2), (2,))
 
 
 def test_genus_two_extra_curve_tables():
+    # d2 conjugates w_1, w_2, w_3 by (w_1 w_3)^-1 and prefixes w_4 with it;
+    # e2 is disjoint from a1, b1 and a2, so it moves w_4 only
     assert generator_images(word(T2, "d2")) == (
         (-3, 1, 3),
-        (-3, -1, 3, 1, 2, 1, 3),
+        (-3, -1, 2, 1, 3),
         (-3, -1, 3, 1, 3),
-        (4, 1, 3),
+        (-3, -1, 4),
     )
     assert generator_images(word(T2, "e2")) == (
         (1,),
-        (3, 4, 3, -4, -3, 2, 1),
+        (2,),
         (3,),
-        (4, 3, -4, -3, 2, 1, -2, 3, 4),
+        (-3, -2, -1, 2, 4),
     )
 
 
@@ -269,8 +272,8 @@ def test_three_chain_power_equals_d2_squared_on_closed_genus_two():
 
 def test_abelianize():
     assert abelianize((1,), 2) == (1, 0, 0, 0)
-    assert abelianize((2,), 2) == (0, -1, 0, 0)
-    assert abelianize((-4, 3, 3), 2) == (0, 0, 2, 1)
+    assert abelianize((2,), 2) == (0, 1, 0, -1)
+    assert abelianize((-4, 3, 3), 2) == (0, 0, 2, -1)
     assert abelianize(boundary_word(3), 3) == (0,) * 6
 
 
