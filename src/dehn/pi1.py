@@ -83,7 +83,10 @@ CHAIN_TRADE = (" ".join(["a1 b1 a2"] * 4), "d2 e2")
 
 
 def boundary_word(genus: int) -> Word:
-    """The boundary relator in the chain loops, of length 4g (module docstring)."""
+    """The boundary relator w_1 w_3 ... w_{2g-1} . w_{2g}^-1 ... w_1^-1 . w_2 w_4 ... w_{2g}.
+
+    Its length is 4g, and every chain loop occurs once with each sign.
+    """
     odd, even = tuple(range(1, 2 * genus, 2)), tuple(range(2, 2 * genus + 1, 2))
     return odd + tuple(range(-2 * genus, 0)) + even
 
