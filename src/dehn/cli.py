@@ -10,10 +10,11 @@ deterministic.
 
 Every report is written as ``json.dumps(report, indent=2)`` would write
 it.  Reports that carry a word (``word_out``) hold it as a TwistWord, and
-``report_text`` writes each distinct letter once and splices the letters
-into the rest of the report, so a word of thousands of letters does not
-go through the indented encoder, which runs in pure Python; the bytes are
-unchanged.
+``report_text`` formats each conjugator once per run of letters that
+share it, writes each letter as its base and sign plus that text, and
+splices the letters into the rest of the report, so a word of thousands
+of letters does not go through the indented encoder, which runs in pure
+Python; the bytes are unchanged.
 
 Word schema::
 
@@ -32,6 +33,7 @@ import argparse
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from .constructions import (
     branched_double_cover,
@@ -189,34 +191,42 @@ _WORD_OUT = "\u0000word_out"
 _WORD_OUT_JSON = json.dumps(_WORD_OUT)
 
 
-def _letter_text(t: Twist) -> str:
-    """One letter as it sits in word_out: indent-2 JSON, nested two levels."""
-    entry = {"base": t.base, "sign": t.sign}
-    if t.conj:
-        entry["conj"] = [{"base": n, "sign": s} for n, s in t.conj]
-    return json.dumps(entry, indent=2).replace("\n", "\n    ")
+def _conj_tail(conj) -> str:
+    """The text of a letter in word_out after its sign, for conjugator ``conj``.
+
+    Indent-2 JSON nested two levels, as the indented encoder writes it:
+    the ``"conj"`` list when there is one, then the closing brace.
+    """
+    if not conj:
+        return "\n    }"
+    entries = ",\n".join(f'        {{\n          "base": {encode_basestring_ascii(name)},'
+                         f'\n          "sign": {sign}\n        }}' for name, sign in conj)
+    return f',\n      "conj": [\n{entries}\n      ]\n    }}'
 
 
 def report_text(report: dict) -> str:
     """The report as ``json.dumps(report, indent=2)``, with word_out written fast.
 
     A top-level ``word_out`` holds a TwistWord.  The rest of the report is
-    encoded with the word replaced by a sentinel; each distinct letter is
-    encoded once, its text cached for this call only; and the joined
-    letters are spliced in place of the sentinel.  The bytes are those of
-    encoding the word as a list of letter objects, which the indented
-    encoder would write in pure Python, one letter at a time.
+    encoded with the word replaced by a sentinel, and the letters, written
+    directly, are spliced in its place.  The word is walked in runs of
+    letters that share one conjugator: the conjugator's text is formatted
+    once per run, and each letter is its base and sign followed by that
+    text.  The bytes are those of encoding the word as a list of letter
+    objects, which the indented encoder would write in pure Python, one
+    letter at a time.
     """
     word = report.get("word_out")
     if word is None:
         return json.dumps(report, indent=2)
-    fragments = {}
+    conj, tail = (), _conj_tail(())
     parts = []
     for t in word.letters:
-        fragment = fragments.get(t)
-        if fragment is None:
-            fragment = fragments[t] = _letter_text(t)
-        parts.append(fragment)
+        if t.conj is not conj and t.conj != conj:
+            conj = t.conj
+            tail = _conj_tail(conj)
+        parts.append(f'{{\n      "base": {encode_basestring_ascii(t.base)},'
+                     f'\n      "sign": {t.sign}{tail}')
     letters = "[\n    " + ",\n    ".join(parts) + "\n  ]" if parts else "[]"
     text = json.dumps({**report, "word_out": _WORD_OUT}, indent=2)
     return text.replace(_WORD_OUT_JSON, letters, 1)
@@ -279,7 +289,7 @@ def _cmd_double(args, stdin) -> tuple[dict, int]:
     if sig.boundary == 1 and is_allowable(palf):  # double_report names any other fault
         # the doubled word is the capped word times its inverse
         _check_output_size(SurfaceSig(sig.genus, 0), word.letters + word.inverse().letters)
-    rep = double_report(palf, args.cap)
+    rep = double_report(palf, args.cap, args.engine)
     f = rep.fibration
     report = {
         "command": "double",

@@ -130,11 +130,14 @@ class DoubleReport:
     engine: str
 
 
-def double_report(palf: Fibration, cap: int = DEFAULT_CAP) -> DoubleReport:
+def double_report(palf: Fibration, cap: int = DEFAULT_CAP,
+                  engine: str = "auto") -> DoubleReport:
     """Double a disk fibration over a one-boundary fiber into a sphere one.
 
     Caps the fiber, appends the reverse-inverse of the word, and
     positivizes, so the letter count becomes k x (1 + expansion length).
+    ``engine`` is the tier that verifies the positivization, as in
+    ``positivize``.
     """
     if palf.base != "disk" or palf.fiber.boundary != 1:
         raise ValueError("doubling applies to disk fibrations over a one-boundary fiber")
@@ -143,7 +146,7 @@ def double_report(palf: Fibration, cap: int = DEFAULT_CAP) -> DoubleReport:
     closed = SurfaceSig(palf.fiber.genus, 0)
     capped = TwistWord(closed, palf.word.letters)
     doubled = capped * capped.inverse()
-    rep = positivize(doubled, cap)
+    rep = positivize(doubled, cap, engine)
     return DoubleReport(Fibration("sphere", closed, rep.output), rep.verified, rep.engine)
 
 

@@ -21,7 +21,8 @@ strongest applicable engine:
 Every output letter is a letter of the input or is built from curve names
 standard on its surface, so outputs are built with ``TwistWord._trusted``
 and no letter is validated twice; ``positivize`` builds its conjugated
-letters with ``Twist._trusted``, one conjugator shared per negative letter.
+letters with ``Twist._trusted``, one conjugator shared per negative letter,
+and ``commute_pull`` builds each hopped letter the same way.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def commute_pull(w: TwistWord, pattern: TwistWord,
             if not x.conj and intersection(x.base, t.base, w.surface) == 0:
                 x2 = x  # exact commutation, no bookkeeping needed
             else:
-                x2 = Twist(x.base, x.sign, ((t.base, -t.sign),) + x.conj)
+                x2 = Twist._trusted(x.base, x.sign, ((t.base, -t.sign),) + x.conj)
             letters[pos - 1], letters[pos] = t, x2
             steps += 1
             pos -= 1

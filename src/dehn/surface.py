@@ -259,29 +259,46 @@ def compile_word(word: TwistWord) -> tuple[Step, ...]:
 
     Within a word the rightmost letter acts first, and a conjugated letter
     u . t . u^-1 acts as u^-1 (its letters in forward order with signs
-    flipped), then the base twist, then u (its letters in reverse).
-    Adjacent x^s x^-s pairs compose to the identity and are cancelled as
-    the stream is built, so the u ... u^-1 seams between letters that share
-    a conjugator disappear.  The boundary twist is central (u . delta .
-    u^-1 = delta), so every delta letter, conjugated or not, is left out
-    and delta^e, e their net exponent, acts last: words that differ only
-    in where their delta letters stand compile alike.  Every engine applies
-    a word through this stream.
+    flipped), then the base twist, then u (its letters in reverse).  The
+    word is walked in runs of letters that share one conjugator: u^-1 is
+    pushed when a run opens, each base step of the run follows, and u when
+    the run closes, so u is paid for once per run rather than once per
+    letter.  Adjacent x^s x^-s pairs compose to the identity and are
+    cancelled as the stream is built, which also cancels u against the
+    next run's conjugator where they share letters.  The steps pushed
+    differ from the letter-by-letter expansion only by the u . u^-1 seams
+    inside runs, which are freely trivial, and free reduction is unique,
+    so the stream is the same as that expansion's after cancellation.  The
+    boundary twist is central (u . delta . u^-1 = delta), so every delta
+    letter, conjugated or not, is left out, without closing the run it
+    stands in, and delta^e, e their net exponent, acts last: words that
+    differ only in where their delta letters stand compile alike.  Every
+    engine applies a word through this stream.
     """
     stream: list[Step] = []
+
+    def push(name: str, sign: int) -> None:
+        if stream and stream[-1] == (name, -sign):
+            stream.pop()
+        else:
+            stream.append((name, sign))
+
     delta = 0
+    open_conj: tuple[Step, ...] = ()
     for t in reversed(word.letters):
         if t.base == "delta":
             delta += t.sign
             continue
-        steps = [(name, -sign) for name, sign in t.conj]
-        steps.append((t.base, t.sign))
-        steps += reversed(t.conj)
-        for name, sign in steps:
-            if stream and stream[-1] == (name, -sign):
-                stream.pop()
-            else:
-                stream.append((name, sign))
+        conj = t.conj
+        if conj is not open_conj and conj != open_conj:
+            for name, sign in reversed(open_conj):
+                push(name, sign)
+            for name, sign in conj:
+                push(name, -sign)
+            open_conj = conj
+        push(t.base, t.sign)
+    for name, sign in reversed(open_conj):
+        push(name, sign)
     stream += [("delta", 1 if delta > 0 else -1)] * abs(delta)
     return tuple(stream)
 

@@ -210,6 +210,18 @@ def test_double():
     assert len(rep["word_out"]) == 24
 
 
+def test_double_passes_engine_to_positivize():
+    # homology forces the necessary-only engine, which cannot say "true"
+    payload = {"surface": surface(2, 1), "word": letters("a1", "b2")}
+    code, rep, _ = run_cli(["double", "--engine", "homology"], payload)
+    assert code == 3
+    assert (rep["verdict"], rep["engine"]) == ("unknown", "homology(necessary)")
+    code, auto, _ = run_cli(["double"], payload)
+    assert code == 0
+    assert (auto["verdict"], auto["engine"]) == ("true", "closed(dehn,g>=2)")
+    assert auto["word_out"] == rep["word_out"]
+
+
 def test_invariants():
     payload = {"surface": surface(2, 1),
                "word": letters(*["a1", "b1", "a2", "b2"] * 10)}

@@ -9,7 +9,9 @@ import pytest
 import dehn.cli
 from dehn import SurfaceSig, Twist, TwistWord
 from dehn.cli import report_text, run
+from dehn.rewriting import positivize
 from dehn.surface import curve_classes
+from run_words import run_shaped_word
 
 
 def old_word_json(word):
@@ -127,6 +129,23 @@ def test_writer_on_conjugated_letters_and_delta():
         {"command": "double", "word_out": TwistWord(sig, ()), "runtime_ms": 3},
         {"command": "verify", "verdict": "false", "engine": "pi1"},
     ):
+        assert report_text(report) == expected_text(report)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+@pytest.mark.parametrize("boundary", [0, 1])
+def test_writer_on_runs_of_shared_conjugators(genus, boundary):
+    sig = SurfaceSig(genus, boundary)
+    rng = random.Random(f"writer-runs/{genus}/{boundary}")
+    words = [run_shaped_word(rng, sig, rng.randint(1, 6)) for _ in range(20)]
+    words.append(TwistWord(sig, ()))
+    if boundary == 0:
+        # positivize writes each negative letter as one run of its expansion
+        for _ in range(3):
+            signed = run_shaped_word(rng, sig, 2) * TwistWord.from_names(sig, "b1^-1")
+            words.append(positivize(signed, engine="homology").output)
+    for word in words:
+        report = {"command": "positivize", "verdict": "true", "word_out": word, "steps": 1}
         assert report_text(report) == expected_text(report)
 
 

@@ -23,7 +23,9 @@ from dehn.pi1 import (
     dehn_reduce,
     twist_tables,
 )
+from dehn.rewriting import positivize
 from dehn.surface import compile_word, curve_classes, quotient_stream
+from run_words import run_shaped_word
 
 
 def reference_apply(auto, z):
@@ -144,6 +146,67 @@ def test_compiled_stream_cancels():
     plain = TwistWord.from_names(sig, "a1^-1")
     assert compile_word(plain * TwistWord(sig, (t,))) == (
         ("a1", -1), ("b2", 1), ("b1", 1), ("b2", -1))
+
+
+def reference_compile_word(word):
+    """Letter by letter: u^-1, base, u pushed for every letter, seams cancelled one push at a time."""
+    stream = []
+    delta = 0
+    for t in reversed(word.letters):
+        if t.base == "delta":
+            delta += t.sign
+            continue
+        steps = [(name, -sign) for name, sign in t.conj]
+        steps.append((t.base, t.sign))
+        steps += reversed(t.conj)
+        for name, sign in steps:
+            if stream and stream[-1] == (name, -sign):
+                stream.pop()
+            else:
+                stream.append((name, sign))
+    stream += [("delta", 1 if delta > 0 else -1)] * abs(delta)
+    return tuple(stream)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+@pytest.mark.parametrize("boundary", [0, 1])
+def test_run_walk_matches_letter_by_letter_stream(genus, boundary):
+    sig = SurfaceSig(genus, boundary)
+    rng = random.Random(f"runs/{genus}/{boundary}")
+    for _ in range(40):
+        w = run_shaped_word(rng, sig, rng.randint(1, 6))
+        assert compile_word(w) == reference_compile_word(w), w
+    for _ in range(10):
+        w = random_word(rng, sig, rng.randint(1, 6))
+        assert compile_word(w) == reference_compile_word(w), w
+        if boundary == 0:
+            out = positivize(w, engine="homology").output
+            assert compile_word(out) == reference_compile_word(out)
+
+
+def test_run_walk_shapes():
+    sig = SurfaceSig(2, 1)
+    u, v = (("a1", 1), ("b2", -1)), (("a1", 1), ("d2", 1))
+    shared = [Twist._trusted("b1", 1, u), Twist._trusted("a2", -1, u)]
+    # equal conjugators in different tuples form one run, like one shared tuple
+    equal = [Twist("b1", 1, u), Twist("a2", -1, tuple(list(u)))]
+    assert equal[0].conj is not equal[1].conj
+    runs = (("a1", -1), ("b2", 1), ("a2", -1), ("b1", 1), ("b2", -1), ("a1", 1))
+    for letters in (shared, equal):
+        assert compile_word(TwistWord(sig, tuple(letters))) == runs
+    # a delta letter inside a run leaves the run open
+    w = TwistWord(sig, (shared[0], Twist("delta", -1, u), shared[1]))
+    assert compile_word(w) == runs + (("delta", -1),)
+    # alternating conjugators close and open a run at every letter; u and v
+    # share their first step, so closing one and opening the other cancel it
+    w = TwistWord(sig, (Twist("e2", 1, u), Twist("a2", 1, v), Twist("b1", -1, u)))
+    assert compile_word(w) == reference_compile_word(w) == (
+        ("a1", -1), ("b2", 1), ("b1", -1), ("b2", -1), ("d2", -1), ("a2", 1),
+        ("d2", 1), ("b2", 1), ("e2", 1), ("b2", -1), ("a1", 1))
+    # a conjugator whose last step is the base cancels it
+    w = TwistWord(sig, (Twist("b1", 1, (("a1", 1), ("b1", 1))),))
+    assert compile_word(w) == (("a1", -1), ("b1", 1), ("a1", 1))
+    assert compile_word(TwistWord(sig, ())) == ()
 
 
 def test_delta_letters_act_last():
