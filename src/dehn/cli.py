@@ -247,27 +247,36 @@ def _read_request(stdin) -> dict:
     return obj
 
 
+def _read_word(stdin) -> tuple[dict, TwistWord]:
+    """A one-word request and its word."""
+    req = _read_request(stdin)
+    return req, parse_word(parse_surface(req), _require(req, "word", list, ""))
+
+
+def _read_words(stdin, build=lambda word: word) -> tuple:
+    """The two words of a two-word request, each built before the next is read."""
+    req = _read_request(stdin)
+    sig = parse_surface(req)
+    words = _require(req, "words", list, "")
+    if len(words) != 2:
+        raise InputError("field 'words' must hold exactly two words")
+    return tuple(build(parse_word(sig, w, f"words[{i}]")) for i, w in enumerate(words))
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
 def _cmd_verify(args, stdin) -> tuple[dict, int]:
-    req = _read_request(stdin)
-    sig = parse_surface(req)
-    words = _require(req, "words", list, "")
-    if len(words) != 2:
-        raise InputError("field 'words' must hold exactly two words")
-    w1 = parse_word(sig, words[0], "words[0]")
-    w2 = parse_word(sig, words[1], "words[1]")
+    w1, w2 = _read_words(stdin)
     verdict, engine = decide_equal(w1, w2, args.engine, args.cap)
     return {"command": "verify", "verdict": verdict, "engine": engine}, _VERDICT_EXIT[verdict]
 
 
 def _cmd_positivize(args, stdin) -> tuple[dict, int]:
-    req = _read_request(stdin)
-    sig = parse_surface(req)
-    word = parse_word(sig, _require(req, "word", list, ""))
+    _, word = _read_word(stdin)
+    sig = word.surface
     if sig.boundary == 0:  # positivize names the fault on other surfaces
         _check_output_size(sig, word.letters)
     rep = positivize(word, args.cap, args.engine)
@@ -282,9 +291,8 @@ def _cmd_positivize(args, stdin) -> tuple[dict, int]:
 
 
 def _cmd_double(args, stdin) -> tuple[dict, int]:
-    req = _read_request(stdin)
-    sig = parse_surface(req)
-    word = parse_word(sig, _require(req, "word", list, ""))
+    _, word = _read_word(stdin)
+    sig = word.surface
     palf = Fibration("disk", sig, word)
     if sig.boundary == 1 and is_allowable(palf):  # double_report names any other fault
         # the doubled word is the capped word times its inverse
@@ -303,11 +311,8 @@ def _cmd_double(args, stdin) -> tuple[dict, int]:
 
 
 def _cmd_invariants(args, stdin) -> tuple[dict, int]:
-    req = _read_request(stdin)
-    sig = parse_surface(req)
-    word = parse_word(sig, _require(req, "word", list, ""))
-    base = req.get("base", "disk")
-    f = Fibration(base, sig, word)
+    req, word = _read_word(stdin)
+    f = Fibration(req.get("base", "disk"), word.surface, word)
     allowable = is_allowable(f)
     report = {
         "command": "invariants",
@@ -352,10 +357,8 @@ def _cmd_trefoil(args, stdin) -> tuple[dict, int]:
 
 
 def _cmd_branched_double(args, stdin) -> tuple[dict, int]:
-    req = _read_request(stdin)
-    sig = parse_surface(req)
-    word = parse_word(sig, _require(req, "word", list, ""))
-    fiber, monodromy = branched_double_cover(sig, word)
+    _, word = _read_word(stdin)
+    fiber, monodromy = branched_double_cover(word.surface, word)
     report = {
         "command": "branched-double",
         "fiber": {"genus": fiber.genus, "boundary": fiber.boundary},
@@ -366,13 +369,8 @@ def _cmd_branched_double(args, stdin) -> tuple[dict, int]:
 
 
 def _cmd_fibersum(args, stdin) -> tuple[dict, int]:
-    req = _read_request(stdin)
-    sig = parse_surface(req)
-    words = _require(req, "words", list, "")
-    if len(words) != 2:
-        raise InputError("field 'words' must hold exactly two words")
-    f1 = Fibration("sphere", sig, parse_word(sig, words[0], "words[0]"))
-    f2 = Fibration("sphere", sig, parse_word(sig, words[1], "words[1]"))
+    # each summand is checked before the next word is read
+    f1, f2 = _read_words(stdin, lambda word: Fibration("sphere", word.surface, word))
     f = fiber_sum(f1, f2)
     report = {
         "command": "fibersum",

@@ -80,14 +80,6 @@ class FreeAutomorphism:
         inverses = tuple(invert_word(w) for w in self.images)
         self._signed = (None,) + self.images + inverses[::-1]
 
-    @property
-    def rank(self) -> int:
-        return len(self.images)
-
-    @classmethod
-    def identity(cls, n: int) -> "FreeAutomorphism":
-        return cls(tuple((k,) for k in range(1, n + 1)))
-
     @classmethod
     def from_map(cls, n: int, table: dict[int, Word]) -> "FreeAutomorphism":
         """Identity except on the listed generators."""
@@ -100,9 +92,3 @@ class FreeAutomorphism:
         oversized image is never held twice.
         """
         return tuple(substitute(self._signed, w, cap))
-
-    def compose(self, other: "FreeAutomorphism") -> "FreeAutomorphism":
-        """self o other: apply other first."""
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        return FreeAutomorphism(tuple(self.apply(w) for w in other.images))

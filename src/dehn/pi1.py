@@ -40,15 +40,25 @@ from its last-acting step to its first, on the images of all generators
 at once; each step rewrites only the images of the generators its table
 moves.  The word-length cap is checked on every image built.
 
-The per-curve automorphisms are constructed once per genus:  positive chain
-twists act by the half-twist lift on the chain loops (twist j maps w_{j-1}
-to w_{j-1} w_j and w_{j+1} to w_j^-1 w_{j+1}); d2 conjugates w_1, w_2, w_3
-by (w_1 w_3)^-1 and prefixes w_4 with it; e2 is d2^-1 composed with
-(a1 b1 a2)^4 (``CHAIN_TRADE``'s left side); delta conjugates everything by
-the inverse boundary word.  All tables are checked against
-``RELATOR_CORPUS`` (braid, disjointness and chain relations) by the CLI
-``selftest`` and by the test suite, which both also check that every twist
-fixes the boundary word.
+The per-curve automorphisms are built once per genus by one rule from one
+row per curve (``_twist_rows``): the curve's loop l, a word in the chain
+loops that runs once around it, and the generators whose own loop crosses
+the curve, listed by how it crosses.  A twist inserts its loop where a
+generator crosses its curve (the action of a twist on pi1; Farb-Margalit,
+*A Primer on Mapping Class Groups*), so t^s maps a conjugated generator w_k
+to l^-s w_k l^s, a prefixed one to l^-s w_k and a suffixed one to w_k l^s,
+and fixes every other generator.  The rows are
+
+    chain curve j   l = w_j                   prefixed j+1, suffixed j-1 (within 1..2g)
+    d2              l = w_1 w_3               conjugated 1, 2, 3; prefixed 4
+    e2              l = w_2^-1 w_1 w_2 w_3    prefixed 4
+    delta           l = boundary_word(g)      conjugated 1..2g
+
+and each twist fixes its own loop.  No table is derived from a relation,
+so ``RELATOR_CORPUS`` (braid, disjointness and chain relations, with
+``CHAIN_TRADE`` among them) checks every table; the CLI ``selftest`` and
+the test suite both decide it, and both also check that every twist fixes
+the boundary word.
 """
 
 from __future__ import annotations
@@ -78,7 +88,8 @@ from .surface import (
 
 DEFAULT_CAP = 10**6
 
-# the 3-chain relation (lhs, rhs): the e2 table and Theorem 11's one trade rest on it
+# the 3-chain relation (lhs, rhs): Theorem 11's one trade rests on it, and as a
+# corpus row it checks the e2 table, which is built without it
 CHAIN_TRADE = (" ".join(["a1 b1 a2"] * 4), "d2 e2")
 
 
@@ -92,78 +103,42 @@ def boundary_word(genus: int) -> Word:
 
 
 # ---------------------------------------------------------------------------
-# Table construction, by the formulas of the module docstring.
+# Table construction: one row per curve, and one rule for every row.
 # ---------------------------------------------------------------------------
 
 
-def _chain_table(g: int, j: int, sign: int) -> FreeAutomorphism:
-    """Twist about chain curve j."""
-    n = 2 * g
-    table: dict[int, Word] = {}
-    if sign > 0:
-        if j - 1 >= 1:
-            table[j - 1] = (j - 1, j)
-        if j + 1 <= n:
-            table[j + 1] = (-j, j + 1)
-    else:
-        if j - 1 >= 1:
-            table[j - 1] = (j - 1, -j)
-        if j + 1 <= n:
-            table[j + 1] = (j, j + 1)
-    return FreeAutomorphism.from_map(n, table)
+def _twist_rows(genus: int) -> dict[str, tuple[Word, Word, Word, Word]]:
+    """Every curve's row (loop, conjugated, prefixed, suffixed), in curve order.
+
+    The loop runs once around the curve, and the other three list the
+    generators whose own loop crosses it, by how (module docstring).
+    """
+    n = 2 * genus
+    rows = {chain_name(j): ((j,), (), (j + 1,) if j < n else (), (j - 1,) if j > 1 else ())
+            for j in range(1, n + 1)}
+    if genus >= 2:
+        rows["d2"] = ((1, 3), (1, 2, 3), (4,), ())
+        rows["e2"] = ((-2, 1, 2, 3), (), (4,), ())
+    rows["delta"] = (boundary_word(genus), tuple(range(1, n + 1)), (), ())
+    return rows
 
 
-def _d2_table(g: int, sign: int) -> FreeAutomorphism:
-    n = 2 * g
-    d = (1, 3)
-    di = invert_word(d)
-    table: dict[int, Word] = {}
-    if sign > 0:
-        for k in (1, 2, 3):
-            table[k] = reduce_word(di + (k,) + d)
-        table[4] = reduce_word(di + (4,))
-    else:
-        for k in (1, 2, 3):
-            table[k] = reduce_word(d + (k,) + di)
-        table[4] = reduce_word(d + (4,))
-    return FreeAutomorphism.from_map(n, table)
-
-
-def _conj_table(g: int, u: Word) -> FreeAutomorphism:
-    """z -> u z u^-1 on every generator."""
-    n = 2 * g
-    return FreeAutomorphism(tuple(reduce_word(u + (k,) + invert_word(u)) for k in range(1, n + 1)))
+def _twist_table(genus: int, row, sign: int) -> FreeAutomorphism:
+    """The twist t^sign of a row's curve: insert loop^sign where generators cross it."""
+    loop, conjugated, prefixed, suffixed = row
+    after = loop if sign > 0 else invert_word(loop)
+    before = invert_word(after)
+    table = {k: before + (k,) + after for k in conjugated}
+    table.update({k: before + (k,) for k in prefixed})
+    table.update({k: (k,) + after for k in suffixed})
+    return FreeAutomorphism.from_map(2 * genus, table)
 
 
 @lru_cache(maxsize=None)
 def twist_tables(genus: int) -> dict[tuple[str, int], FreeAutomorphism]:
     """Automorphism of every standard twist, in the chain-loop basis, per genus."""
-    g = genus
-    tables: dict[tuple[str, int], FreeAutomorphism] = {}
-    for j in range(1, 2 * g + 1):
-        for sign in (1, -1):
-            tables[(chain_name(j), sign)] = _chain_table(g, j, sign)
-
-    if g >= 2:
-        d2_pos, d2_neg = _d2_table(g, 1), _d2_table(g, -1)
-        tables[("d2", 1)], tables[("d2", -1)] = d2_pos, d2_neg
-
-        def word_auto(names_signs) -> FreeAutomorphism:
-            # Composition of plain letters; leftmost outermost.
-            auto = FreeAutomorphism.identity(2 * g)
-            for name, sign in names_signs:
-                auto = auto.compose(tables[(name, sign)])
-            return auto
-
-        chain3 = [(name, 1) for name in CHAIN_TRADE[0].split()]
-        chain3_inv = [(n, -s) for n, s in reversed(chain3)]
-        tables[("e2", 1)] = d2_neg.compose(word_auto(chain3))
-        tables[("e2", -1)] = word_auto(chain3_inv).compose(d2_pos)
-
-    bw = boundary_word(g)
-    tables[("delta", 1)] = _conj_table(g, invert_word(bw))
-    tables[("delta", -1)] = _conj_table(g, bw)
-    return tables
+    return {(name, sign): _twist_table(genus, row, sign)
+            for name, row in _twist_rows(genus).items() for sign in (1, -1)}
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,8 @@ class Twist:
         return t
 
     def inverse(self) -> "Twist":
-        return Twist(self.base, -self.sign, self.conj)
+        """The inverse letter; it shares this letter's conjugator tuple."""
+        return Twist._trusted(self.base, -self.sign, self.conj)
 
     def validate(self, sig: SurfaceSig) -> None:
         check_curve(self.base, sig)

@@ -433,6 +433,10 @@ def test_fibersum():
         bad = {"surface": surface(1, 0), "words": words}
         code, rep, _ = run_cli(["fibersum"], bad)
         assert code == 2 and "homology" in rep["error"]
+    # the first summand is checked before the second word is read
+    bad = {"surface": surface(1, 0), "words": [letters("a1"), [{"base": "zz"}]]}
+    code, rep, _ = run_cli(["fibersum"], bad)
+    assert code == 2 and "homology" in rep["error"]
 
 
 def test_gn():

@@ -12,7 +12,8 @@ from dehn import (
     decide_equal,
     dehn_reduce,
 )
-from dehn.freegroup import invert_word, reduce_word
+from dehn.cli import JSON_MAX_GENUS
+from dehn.freegroup import FreeAutomorphism, invert_word, reduce_word
 from dehn.homology import homology_equal, word_matrix
 from dehn.pi1 import (
     BRAID_PAIRS,
@@ -24,8 +25,10 @@ from dehn.pi1 import (
     ENGINE_HOMOLOGY_NECESSARY,
     ENGINE_PI1,
     RELATOR_CORPUS,
+    _twist_rows,
     apply_word,
     boundary_word,
+    twist_tables,
 )
 from dehn.surface import chain_name, chain_word, curve_classes, homology_class, intersection
 
@@ -97,6 +100,63 @@ def test_genus_two_extra_curve_tables():
         (3,),
         (-3, -2, -1, 2, 4),
     )
+
+
+def reference_tables(g):
+    """The twist tables by hand-written formulas, a reference for the loop rule.
+
+    Chain twists by the half-twist lift, d2 by its formula, e2 composed
+    from d2^-1 and (a1 b1 a2)^4 by the chain relation, and delta as
+    conjugation by the inverse boundary word.
+    """
+    n = 2 * g
+
+    def compose(f, h):  # f o h: h acts first
+        return FreeAutomorphism(tuple(f.apply(w) for w in h.images))
+
+    def chain(j, s):
+        table = {}
+        if j > 1:
+            table[j - 1] = (j - 1, j) if s > 0 else (j - 1, -j)
+        if j < n:
+            table[j + 1] = (-j, j + 1) if s > 0 else (j, j + 1)
+        return FreeAutomorphism.from_map(n, table)
+
+    def conj(u, gens):  # z -> u z u^-1
+        return {k: reduce_word(u + (k,) + invert_word(u)) for k in gens}
+
+    tables = {(chain_name(j), s): chain(j, s) for j in range(1, n + 1) for s in (1, -1)}
+    if g >= 2:
+        for s, u in ((1, (-3, -1)), (-1, (1, 3))):
+            tables[("d2", s)] = FreeAutomorphism.from_map(n, {**conj(u, (1, 2, 3)), 4: u + (4,)})
+        chain3 = FreeAutomorphism.from_map(n, {})
+        chain3_inv = chain3
+        for name in ["a1", "b1", "a2"] * 4:
+            chain3 = compose(chain3, tables[(name, 1)])
+            chain3_inv = compose(tables[(name, -1)], chain3_inv)
+        tables[("e2", 1)] = compose(tables[("d2", -1)], chain3)
+        tables[("e2", -1)] = compose(chain3_inv, tables[("d2", 1)])
+    bw = boundary_word(g)
+    for s, u in ((1, invert_word(bw)), (-1, bw)):
+        tables[("delta", s)] = FreeAutomorphism.from_map(n, conj(u, range(1, n + 1)))
+    return tables
+
+
+@pytest.mark.parametrize("genus", range(1, JSON_MAX_GENUS + 1))
+def test_loop_rule_rows_give_the_reference_tables(genus):
+    sig = SurfaceSig(genus, 1)
+    tables, reference = twist_tables(genus), reference_tables(genus)
+    assert list(tables) == list(reference)
+    for key, auto in tables.items():
+        assert auto.images == reference[key].images, key
+    rows = _twist_rows(genus)
+    assert list(rows) == list(curve_classes(sig))
+    for name, (loop, *_) in rows.items():
+        # the twist fixes its own loop, which runs once around its curve
+        assert tables[(name, 1)].apply(loop) == loop, name
+        assert tables[(name, -1)].apply(loop) == loop, name
+        cls = homology_class(name, sig)
+        assert abelianize(loop, genus) in (cls, tuple(-x for x in cls)), name
 
 
 def test_delta_is_boundary_conjugation():

@@ -112,3 +112,22 @@ def test_positivize_shares_one_checked_conjugator_per_negative_letter(monkeypatc
     for t in out:
         again = Twist(t.base, t.sign, t.conj)
         assert t == again and hash(t) == hash(again)
+
+
+def test_inverse_keeps_the_shared_conjugators():
+    # Twist.inverse shares its letter's conjugator tuple, so the inverse of
+    # a positivize output keeps the runs that compile_word and report_text
+    # tell apart with an identity test first
+    out = positivize(TwistWord.from_names(SurfaceSig(2, 0), "a1 b1^-1 a2")).output
+    inverse = out.inverse()
+
+    def shared(word):
+        return sum(s.conj is t.conj for s, t in zip(word.letters, word.letters[1:]))
+
+    assert len(out) == 41 and shared(out) == 38
+    assert shared(inverse) == 38
+    for s, t in zip(reversed(inverse.letters), out.letters):
+        assert s.conj is t.conj
+        again = Twist(t.base, -t.sign, t.conj)
+        assert s == again and hash(s) == hash(again)
+    assert_like_checked(inverse)
