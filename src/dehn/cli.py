@@ -486,3 +486,7 @@ def run(argv=None, stdin=None, stdout=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -11,7 +11,7 @@ trivial by a theorem or by construction, and skip that check.
 Invariants are computed from the handle decomposition: the Euler
 characteristic from the letter count, and first homology of the total
 space as H1(fiber) modulo the letters' homology classes (conjugators
-applied), by integer Smith normal form.
+applied), by the integer cokernel of ``dehn.snf``.
 """
 
 from __future__ import annotations
@@ -101,12 +101,22 @@ def first_homology(f: Fibration) -> AbelianGroup:
     """H1 of the total space: H1(fiber) modulo the vanishing-cycle classes.
 
     Each letter contributes its class with the conjugator applied.  A
-    repeated letter only repeats a column, which leaves the quotient
-    unchanged, so each distinct letter is transported once: gn's word
-    repeats 2n letters thousands of times.
+    letter's class depends only on its base curve and conjugator, so each
+    distinct (base, conjugator) pair is transported once, and only as far
+    as the cokernel reads: it stops once the classes span H1(fiber), which
+    gn(n) does after its first 2n letters.
     """
-    cols = [list(transported_class(t, f.fiber)) for t in dict.fromkeys(f.word.letters)]
-    rank, torsion = abelian_group_from_columns(2 * f.fiber.genus, cols)
+    sig = f.fiber
+
+    def classes():
+        seen = set()
+        for t in f.word.letters:
+            key = (t.base, t.conj)
+            if key not in seen:
+                seen.add(key)
+                yield transported_class(t, sig)
+
+    rank, torsion = abelian_group_from_columns(2 * sig.genus, classes())
     return AbelianGroup(rank, tuple(torsion))
 
 

@@ -2,8 +2,12 @@
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -513,3 +517,23 @@ def test_reports_are_byte_deterministic():
 
     texts = {run_cli(["gn", "--n", "2"])[2] for _ in range(2)}
     assert len(texts) == 1
+
+
+def _module_run(module, argv, stdin_text=""):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", module, *argv], input=stdin_text,
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_python_m_dehn_runs_selftest():
+    proc = _module_run("dehn", ["selftest"])
+    assert proc.returncode == 0, proc.stderr
+    assert '"verdict": "true"' in proc.stdout
+
+
+def test_python_m_dehn_cli_reports_input_errors():
+    proc = _module_run("dehn.cli", ["verify"], "{}")
+    assert proc.returncode == 2, proc.stderr
+    assert '"error"' in proc.stdout
