@@ -129,9 +129,9 @@ def abelian_group_from_columns(nrows: int, columns: Iterable[Sequence[int]]
     Each column is a length-nrows integer vector, checked as it is read.
     Columns are read one at a time into an integer echelon basis
     (``_insert``), which holds at most nrows vectors and spans what has
-    been read.  Once all nrows pivots are 1, the basis is unit upper
-    triangular, so it spans Z^nrows: the cokernel is trivial and no
-    further column is read.  Otherwise the Smith form runs on the basis
+    been read.  Once all nrows pivots are +-1, the basis is triangular
+    with a unit diagonal, so it spans Z^nrows: the cokernel is trivial and
+    no further column is read.  Otherwise the Smith form runs on the basis
     vectors, and the torsion orders are its diagonal entries > 1, in
     divisibility order.
     """
