@@ -56,11 +56,10 @@ from .pi1 import (
     ENGINES,
     RELATOR_CORPUS,
     apply_word,
-    boundary_word,
     decide_equal,
 )
 from .rewriting import inverse_twist_expansion, positivize, transport_pairs
-from .surface import SurfaceSig, Twist, TwistWord, curve_classes, is_sign
+from .surface import SurfaceSig, Twist, TwistWord, boundary_word, curve_classes, is_sign
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1

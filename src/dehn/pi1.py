@@ -6,7 +6,7 @@ in the hyperelliptic picture loop j circles the j-th and (j+1)-st branch
 points, so w_j runs once around the j-th chain curve (a1, b1, a2, b2, ...
 in ``chain_name`` order) and abelianizes to its class.  Words encode w_j as
 the signed int j, negatives for inverses.  The boundary is the relator
-(``boundary_word``)
+(``dehn.surface.boundary_word``)
 
     w_1 w_3 ... w_{2g-1} . w_{2g}^-1 w_{2g-1}^-1 ... w_1^-1 . w_2 w_4 ... w_{2g},
 
@@ -40,25 +40,19 @@ from its last-acting step to its first, on the images of all generators
 at once; each step rewrites only the images of the generators its table
 moves.  The word-length cap is checked on every image built.
 
-The per-curve automorphisms are built once per genus by one rule from one
-row per curve (``_twist_rows``): the curve's loop l, a word in the chain
-loops that runs once around it, and the generators whose own loop crosses
-the curve, listed by how it crosses.  A twist inserts its loop where a
-generator crosses its curve (the action of a twist on pi1; Farb-Margalit,
-*A Primer on Mapping Class Groups*), so t^s maps a conjugated generator w_k
-to l^-s w_k l^s, a prefixed one to l^-s w_k and a suffixed one to w_k l^s,
-and fixes every other generator.  The rows are
-
-    chain curve j   l = w_j                   prefixed j+1, suffixed j-1 (within 1..2g)
-    d2              l = w_1 w_3               conjugated 1, 2, 3; prefixed 4
-    e2              l = w_2^-1 w_1 w_2 w_3    prefixed 4
-    delta           l = boundary_word(g)      conjugated 1..2g
-
-and each twist fixes its own loop.  No table is derived from a relation,
-so ``RELATOR_CORPUS`` (braid, disjointness and chain relations, with
-``CHAIN_TRADE`` among them) checks every table; the CLI ``selftest`` and
-the test suite both decide it, and both also check that every twist fixes
-the boundary word.
+The per-curve automorphisms are built once per genus by one rule from the
+rows of the one-boundary surface (``dehn.surface.curve_rows``, whose
+docstring holds the row table): each row gives the curve's loop l, a word
+in the chain loops that runs once around it, and the generators whose own
+loop crosses the curve, listed by how it crosses.  A twist inserts its
+loop where a generator crosses its curve (the action of a twist on pi1;
+Farb-Margalit, *A Primer on Mapping Class Groups*), so t^s maps a
+conjugated generator w_k to l^-s w_k l^s, a prefixed one to l^-s w_k and a
+suffixed one to w_k l^s, and fixes every other generator; each twist fixes
+its own loop.  No table is derived from a relation, so ``RELATOR_CORPUS``
+(braid, disjointness and chain relations, with ``CHAIN_TRADE`` among
+them) checks every table; the CLI ``selftest`` and the test suite both
+decide it, and both also check that every twist fixes the boundary word.
 """
 
 from __future__ import annotations
@@ -79,9 +73,10 @@ from .surface import (
     SurfaceSig,
     Twist,
     TwistWord,
-    chain_name,
+    boundary_word,
     compile_word,
     curve_classes,
+    curve_rows,
     intersection,
     quotient_stream,
 )
@@ -93,34 +88,9 @@ DEFAULT_CAP = 10**6
 CHAIN_TRADE = (" ".join(["a1 b1 a2"] * 4), "d2 e2")
 
 
-def boundary_word(genus: int) -> Word:
-    """The boundary relator w_1 w_3 ... w_{2g-1} . w_{2g}^-1 ... w_1^-1 . w_2 w_4 ... w_{2g}.
-
-    Its length is 4g, and every chain loop occurs once with each sign.
-    """
-    odd, even = tuple(range(1, 2 * genus, 2)), tuple(range(2, 2 * genus + 1, 2))
-    return odd + tuple(range(-2 * genus, 0)) + even
-
-
 # ---------------------------------------------------------------------------
-# Table construction: one row per curve, and one rule for every row.
+# Table construction: one rule for every curve row.
 # ---------------------------------------------------------------------------
-
-
-def _twist_rows(genus: int) -> dict[str, tuple[Word, Word, Word, Word]]:
-    """Every curve's row (loop, conjugated, prefixed, suffixed), in curve order.
-
-    The loop runs once around the curve, and the other three list the
-    generators whose own loop crosses it, by how (module docstring).
-    """
-    n = 2 * genus
-    rows = {chain_name(j): ((j,), (), (j + 1,) if j < n else (), (j - 1,) if j > 1 else ())
-            for j in range(1, n + 1)}
-    if genus >= 2:
-        rows["d2"] = ((1, 3), (1, 2, 3), (4,), ())
-        rows["e2"] = ((-2, 1, 2, 3), (), (4,), ())
-    rows["delta"] = (boundary_word(genus), tuple(range(1, n + 1)), (), ())
-    return rows
 
 
 def _twist_table(genus: int, row, sign: int) -> FreeAutomorphism:
@@ -138,7 +108,7 @@ def _twist_table(genus: int, row, sign: int) -> FreeAutomorphism:
 def twist_tables(genus: int) -> dict[tuple[str, int], FreeAutomorphism]:
     """Automorphism of every standard twist, in the chain-loop basis, per genus."""
     return {(name, sign): _twist_table(genus, row, sign)
-            for name, row in _twist_rows(genus).items() for sign in (1, -1)}
+            for name, row in curve_rows(SurfaceSig(genus, 1)).items() for sign in (1, -1)}
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +191,6 @@ def apply_word(word: TwistWord, z: Word, cap: int = DEFAULT_CAP) -> Word:
 # ---------------------------------------------------------------------------
 
 
-def _relator_rotations(g: int) -> tuple[Word, ...]:
-    r = boundary_word(g)
-    ri = invert_word(r)
-    rots = []
-    for base in (r, ri):
-        for s in range(len(base)):
-            rots.append(base[s:] + base[:s])
-    return tuple(rots)
-
-
 @lru_cache(maxsize=None)
 def _dehn_rules(genus: int) -> dict[Word, Word]:
     """Every cyclic subword of length 2g+1 of r or r^-1 -> inverse of its complement.
@@ -239,7 +199,9 @@ def _dehn_rules(genus: int) -> dict[Word, Word]:
     among r and r^-1), so the 8g keys are distinct.
     """
     need = 2 * genus + 1
-    return {rot[:need]: invert_word(rot[need:]) for rot in _relator_rotations(genus)}
+    r = boundary_word(genus)
+    rotations = (w[s:] + w[:s] for w in (r, invert_word(r)) for s in range(len(w)))
+    return {rot[:need]: invert_word(rot[need:]) for rot in rotations}
 
 
 def dehn_reduce(z: Word, genus: int) -> Word:

@@ -25,27 +25,44 @@ order they act, the one stream every engine applies; ``quotient_stream``
 builds the stream of w2^-1 . w1 from two compiled words, so that every
 equality test asks whether one stream acts trivially.
 
+The curves are written down once, in ``curve_rows``: every standard
+curve on the surface, in the standard order, with its row (loop,
+conjugated, prefixed, suffixed) in the chain loops w_1, ..., w_2g that
+generate pi1 of the one-boundary surface (``dehn.pi1``).  Loop w_j runs
+once around chain curve j, and words encode w_j as the signed int j,
+negatives for inverses.  A row's loop l runs once around its curve; the
+other three list the generators whose own loop crosses the curve, by how
+it crosses, which is where the twist inserts l (``dehn.pi1``).  The rows
+are
+
+    chain curve j   l = w_j                   prefixed j+1, suffixed j-1 (within 1..2g)
+    d2              l = w_1 w_3               conjugated 1, 2, 3; prefixed 4
+    e2              l = w_2^-1 w_1 w_2 w_3    prefixed 4
+    delta           l = boundary_word(g)      conjugated 1..2g
+
 Homology classes live in a fixed ordered basis ``e1, ..., e_2g`` whose
 intersection form is the standard block form (``<e_{2i-1}, e_{2i}> = +1``,
-all other basis pairings zero).  The curve classes in that basis are
-hard-coded: ``a_i -> e_{2i-1}``; ``b_i -> e_{2i} - e_{2i+2}`` for ``i < g``
-and ``b_g -> e_{2g}`` (consecutive chain curves must pair +1, so the b-classes
-are not bare basis vectors); ``d2 -> e1 + e3``; ``e2 -> -(e1 + e3)``;
-``delta -> 0``.
+all other basis pairings zero).  Chain curve j has the class of w_j:
+``a_i -> e_{2i-1}``; ``b_i -> e_{2i} - e_{2i+2}`` for ``i < g`` and
+``b_g -> e_{2g}`` (consecutive chain curves must pair +1, so the b-classes
+are not bare basis vectors).  Every curve's class is its loop abelianized,
+so ``d2`` and ``e2`` both have class ``e1 + e3`` and ``delta`` has class 0.
 
-The alphabet is one table per surface, ``curve_classes``: every standard
-curve name mapped to its class, in the standard order, stored sparse as
-its at most two nonzero entries.  Validity, the curve list (``tuple(
-curve_classes(sig))``), the chain order (its first 2g names), the classes
-and who meets whom (``intersection``) are all read from it; no other
-module lists the curves or parses their names.  ``chain_name`` is the one
-place where a chain position becomes a name.
+``curve_classes`` maps every curve name to its class, in the same order,
+stored sparse as its at most two nonzero entries.  Validity, the curve
+list (``tuple(curve_classes(sig))``), the chain order (its first 2g
+names), the classes and who meets whom (``intersection``) are all read
+from it; no other module lists the curves or parses their names.
+``chain_name`` is the one place where a chain position becomes a name.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+
+from .freegroup import Word
 
 
 @dataclass(frozen=True)
@@ -56,9 +73,9 @@ class SurfaceSig:
     boundary: int
 
     def __post_init__(self):
-        if not isinstance(self.genus, int) or self.genus < 0:
+        if type(self.genus) is not int or self.genus < 0:
             raise ValueError(f"genus must be a non-negative integer, got {self.genus!r}")
-        if self.boundary not in (0, 1):
+        if type(self.boundary) is not int or self.boundary not in (0, 1):
             raise ValueError(f"boundary must be 0 or 1, got {self.boundary!r}")
 
 
@@ -68,26 +85,54 @@ class SurfaceSig:
 Sparse = tuple[tuple[int, int, int, int], ...]
 
 
+def boundary_word(genus: int) -> Word:
+    """The boundary relator w_1 w_3 ... w_{2g-1} . w_{2g}^-1 ... w_1^-1 . w_2 w_4 ... w_{2g}.
+
+    Its length is 4g, and every chain loop occurs once with each sign.
+    """
+    odd, even = tuple(range(1, 2 * genus, 2)), tuple(range(2, 2 * genus + 1, 2))
+    return odd + tuple(range(-2 * genus, 0)) + even
+
+
+@lru_cache(maxsize=None)
+def curve_rows(sig: SurfaceSig) -> dict[str, tuple[Word, Word, Word, Word]]:
+    """Every standard curve on ``sig`` with its row (loop, conjugated, prefixed, suffixed).
+
+    Chain, then d2/e2, then delta; the rows are those of the module
+    docstring.  The table is cached and shared between callers, which only
+    read it.
+    """
+    n = 2 * sig.genus
+    rows = {chain_name(j): ((j,), (), (j + 1,) if j < n else (), (j - 1,) if j > 1 else ())
+            for j in range(1, n + 1)}
+    if sig.genus >= 2:
+        rows["d2"] = ((1, 3), (1, 2, 3), (4,), ())
+        rows["e2"] = ((-2, 1, 2, 3), (), (4,), ())
+    if sig.boundary == 1:
+        rows["delta"] = (boundary_word(sig.genus), tuple(range(1, n + 1)), (), ())
+    return rows
+
+
 @lru_cache(maxsize=None)
 def curve_classes(sig: SurfaceSig) -> dict[str, Sparse]:
-    """Every standard curve on ``sig`` with its sparse class: chain, then d2/e2, then delta.
+    """Every standard curve on ``sig`` with its sparse class, in ``curve_rows`` order.
 
-    The table is cached and shared between callers, which only read it.
+    A class is its curve's loop abelianized, w_j mapped to the class of
+    chain curve j (module docstring).  The table is cached and shared
+    between callers, which only read it.
     """
     n = 2 * sig.genus
     table = {}
-    for j in range(1, n + 1):
-        entries = [(j - 1, 1)]
-        if j % 2 == 0 and j < n:
-            entries.append((j + 1, -1))
-        table[chain_name(j)] = entries
-    if sig.genus >= 2:
-        table["d2"] = [(0, 1), (2, 1)]
-        table["e2"] = [(0, -1), (2, -1)]
-    if sig.boundary == 1:
-        table["delta"] = []
-    return {name: tuple((i, vi, i ^ 1, vi if i % 2 else -vi) for i, vi in entries)
-            for name, entries in table.items()}
+    for name, (loop, *_) in curve_rows(sig).items():
+        v = Counter()
+        for x in loop:
+            j, s = abs(x), (1 if x > 0 else -1)
+            v[j - 1] += s
+            if j % 2 == 0 and j < n:  # b_i -> e_{2i} - e_{2i+2}
+                v[j + 1] -= s
+        table[name] = tuple((i, vi, i ^ 1, vi if i % 2 else -vi)
+                            for i, vi in sorted(v.items()) if vi)
+    return table
 
 
 def curve_valid(name: str, sig: SurfaceSig) -> bool:

@@ -11,7 +11,8 @@ from dehn import WordGrowthExceeded, dehn_reduce
 from dehn.freegroup import WordGrowthExceeded as FreeGroupWordGrowthExceeded
 from dehn.freegroup import invert_word, reduce_word
 from dehn.cli import JSON_MAX_GENUS
-from dehn.pi1 import _dehn_rules, boundary_word, twist_tables
+from dehn.pi1 import _dehn_rules, twist_tables
+from dehn.surface import boundary_word
 
 
 def reference_dehn_reduce(z, genus):

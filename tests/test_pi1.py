@@ -25,12 +25,18 @@ from dehn.pi1 import (
     ENGINE_HOMOLOGY_NECESSARY,
     ENGINE_PI1,
     RELATOR_CORPUS,
-    _twist_rows,
     apply_word,
-    boundary_word,
     twist_tables,
 )
-from dehn.surface import chain_name, chain_word, curve_classes, homology_class, intersection
+from dehn.surface import (
+    boundary_word,
+    chain_name,
+    chain_word,
+    curve_classes,
+    curve_rows,
+    homology_class,
+    intersection,
+)
 
 T1 = SurfaceSig(1, 1)
 T2 = SurfaceSig(2, 1)
@@ -144,19 +150,17 @@ def reference_tables(g):
 
 @pytest.mark.parametrize("genus", range(1, JSON_MAX_GENUS + 1))
 def test_loop_rule_rows_give_the_reference_tables(genus):
-    sig = SurfaceSig(genus, 1)
     tables, reference = twist_tables(genus), reference_tables(genus)
     assert list(tables) == list(reference)
     for key, auto in tables.items():
         assert auto.images == reference[key].images, key
-    rows = _twist_rows(genus)
-    assert list(rows) == list(curve_classes(sig))
-    for name, (loop, *_) in rows.items():
-        # the twist fixes its own loop, which runs once around its curve
-        assert tables[(name, 1)].apply(loop) == loop, name
-        assert tables[(name, -1)].apply(loop) == loop, name
-        cls = homology_class(name, sig)
-        assert abelianize(loop, genus) in (cls, tuple(-x for x in cls)), name
+    for boundary in (0, 1):
+        sig = SurfaceSig(genus, boundary)
+        for name, (loop, *_) in curve_rows(sig).items():
+            # the twist fixes its own loop, which runs once around its curve
+            assert tables[(name, 1)].apply(loop) == loop, name
+            assert tables[(name, -1)].apply(loop) == loop, name
+            assert abelianize(loop, genus) == homology_class(name, sig), (name, boundary)
 
 
 def test_delta_is_boundary_conjugation():

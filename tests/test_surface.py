@@ -32,6 +32,13 @@ def test_surface_sig_validation():
         SurfaceSig(1, -1)
 
 
+@pytest.mark.parametrize("genus, boundary", [(True, 1), (2, 1.0), (2, True), (2, False)])
+def test_surface_sig_fields_must_be_ints(genus, boundary):
+    # bools and floats compare equal to ints, as Twist signs do
+    with pytest.raises(ValueError, match="must be"):
+        SurfaceSig(genus, boundary)
+
+
 def test_curve_validity():
     g2b1 = SurfaceSig(2, 1)
     for name in ("a1", "b1", "a2", "b2", "d2", "e2", "delta"):
@@ -61,7 +68,7 @@ def test_homology_classes_hardcoded():
     assert homology_class("a2", sig) == (0, 0, 1, 0)
     assert homology_class("b2", sig) == (0, 0, 0, 1)
     assert homology_class("d2", sig) == (1, 0, 1, 0)
-    assert homology_class("e2", sig) == (-1, 0, -1, 0)
+    assert homology_class("e2", sig) == (1, 0, 1, 0)
     assert homology_class("delta", SurfaceSig(2, 1)) == (0, 0, 0, 0)
     # genus-1 special case: b1 is the last chain curve
     t = SurfaceSig(1, 0)
@@ -128,10 +135,8 @@ def ref_homology_class(name, sig):
     v = [0] * (2 * g)
     if name == "delta":
         return tuple(v)
-    if name in ("d2", "e2"):
-        s = 1 if name == "d2" else -1
-        v[0] = s
-        v[2] = s
+    if name in ("d2", "e2"):  # both loops abelianize to e1 + e3
+        v[0] = v[2] = 1
         return tuple(v)
     kind, i = name[0], int(name[1:])
     if kind == "a":
@@ -186,7 +191,7 @@ def test_intersection_table():
         assert intersection(c, "e2", sig) == 0
     assert intersection("d2", "e2", sig) == 0
     assert intersection("d2", "b2", sig) == 1
-    assert intersection("e2", "b2", sig) == -1
+    assert intersection("e2", "b2", sig) == 1
     assert intersection("d2", "d2", sig) == 0
     # ... and from the chain curves past b2
     sig3 = SurfaceSig(3, 1)
