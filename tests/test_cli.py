@@ -178,6 +178,47 @@ def test_sign_must_be_an_integer(sign):
     assert rep["error"] == "word[0].conj[1].sign must be 1 or -1"
 
 
+def test_multi_fault_words_report_the_first_fault_in_read_order():
+    # every letter's shape and sign, then the size bound, then the curves in
+    # letter order (base before conjugator); each word before the next is read
+    from dehn.cli import WORD_MAX_LETTERS
+
+    g2 = surface(2, 0)
+    cases = [
+        (["positivize"], {"surface": g2, "word": [{"base": "zz"}, {"base": "a1", "sign": 2}]},
+         "word[1].sign must be 1 or -1"),
+        (["positivize"], {"surface": g2, "word": [{"base": "zz"}, {"base": "a1", "conj": 3}]},
+         "word[1].conj must be a list"),
+        (["positivize"], {"surface": g2, "word": [{"base": "a1", "conj": [{"base": 5}]}]},
+         "word: curve '5' is not valid on genus 2, boundary 0"),
+        (["positivize"], {"surface": g2, "word": [{"base": "a1", "conj": [{"base": None}]}]},
+         "word: curve 'None' is not valid on genus 2, boundary 0"),
+        (["positivize"], {"surface": g2, "word": [{"base": "q1", "conj": [{"base": "zz"}]}]},
+         "word: curve 'q1' is not valid on genus 2, boundary 0"),
+        (["positivize"], {"surface": g2, "word": [{"base": "a1", "conj": [{"base": "zz"}]},
+                                                   {"base": "q1"}]},
+         "word: curve 'zz' is not valid on genus 2, boundary 0"),
+        (["positivize"], {"surface": g2, "word": [{"base": "delta"}]},
+         "word: curve 'delta' is not valid on genus 2, boundary 0"),
+        (["verify"], {"surface": g2, "words": [[{"base": "zz"}],
+                                               [{"base": "a1", "sign": True}]]},
+         "words[0]: curve 'zz' is not valid on genus 2, boundary 0"),
+        (["verify"], {"surface": g2, "words": [[{"base": "a1"}], [{"base": "a3"}]]},
+         "words[1]: curve 'a3' is not valid on genus 2, boundary 0"),
+        (["verify"], {"surface": g2, "words": [[{"base": "zz"}] * (WORD_MAX_LETTERS + 1),
+                                               [{"base": "a1", "sign": 0}]]},
+         f"field 'words[0]' has {WORD_MAX_LETTERS + 1} letters counting conjugators, "
+         f"more than {WORD_MAX_LETTERS}"),
+        (["invariants"], {"surface": g2, "word": [{"base": "a1"}] * WORD_MAX_LETTERS
+                                                 + [{"base": "zz"}]},
+         f"field 'word' has {WORD_MAX_LETTERS + 1} letters counting conjugators, "
+         f"more than {WORD_MAX_LETTERS}"),
+    ]
+    for argv, payload, error in cases:
+        code, rep, _ = run_cli(argv, payload)
+        assert (code, rep) == (2, {"command": argv[0], "error": error}), payload
+
+
 def test_unknown_command_is_a_usage_error():
     with pytest.raises(SystemExit):
         run_cli(["frobnicate"], {})
