@@ -25,6 +25,21 @@ Word schema::
 ``sign`` defaults to 1 and ``conj`` (a flat list, never nested) to empty.
 Two-word commands (verify, fibersum) take ``"words": [[...], [...]]``
 instead of ``"word"``.
+
+A word is read in one pass (``parse_word``), and the first fault found
+is the one reported, so errors take precedence in this order:
+
+1. the shape and sign of every letter, in order, each letter's base, sign
+   and conjugator entries in that order, named by field path
+   (``word[1].sign must be 1 or -1``);
+2. the size bound, letters plus conjugator letters;
+3. every curve name, base before conjugator, letter by letter, against
+   the surface's curve table, fetched once per word
+   (``word: curve 'x' is not valid on genus g, boundary b``).
+
+Conjugator names may be any JSON value and are read as their ``str``.  Of
+two words, the first is built, and its faults reported, before the
+second is read.
 """
 
 from __future__ import annotations
@@ -59,7 +74,15 @@ from .pi1 import (
     decide_equal,
 )
 from .rewriting import inverse_twist_expansion, positivize, transport_pairs
-from .surface import SurfaceSig, Twist, TwistWord, boundary_word, curve_classes, is_sign
+from .surface import (
+    SurfaceSig,
+    Twist,
+    TwistWord,
+    boundary_word,
+    check_letters,
+    curve_classes,
+    is_sign,
+)
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -121,44 +144,55 @@ def parse_surface(obj: dict) -> SurfaceSig:
         raise InputError(f"surface: {exc}") from exc
 
 
-def _parse_sign(entry: dict, where: str) -> int:
-    # the same rule Twist applies, checked here to name the field
+def _read_letter(entry, where: str, i: int) -> Twist:
+    """Letter i of word ``where``, checked for shape and sign but not for curves.
+
+    Its field path is written only into an error.  Conjugator names go
+    through ``str`` as the public ``Twist`` constructor sends them.
+    """
+    if not isinstance(entry, dict):
+        raise InputError(f"{where}[{i}] must be an object with a 'base' field")
+    base = entry.get("base")
+    if not isinstance(base, str):
+        _require(entry, "base", str, f"{where}[{i}].")  # raises the field's error
     sign = entry.get("sign", 1)
     if not is_sign(sign):
-        raise InputError(f"{where}.sign must be 1 or -1")
-    return sign
-
-
-def _parse_letter(entry, where: str) -> Twist:
-    if not isinstance(entry, dict):
-        raise InputError(f"{where} must be an object with a 'base' field")
-    base = _require(entry, "base", str, where + ".")
-    sign = _parse_sign(entry, where)
+        raise InputError(f"{where}[{i}].sign must be 1 or -1")
     conj_entries = entry.get("conj", [])
     if not isinstance(conj_entries, list):
-        raise InputError(f"{where}.conj must be a list")
+        raise InputError(f"{where}[{i}].conj must be a list")
     conj = []
-    for i, c in enumerate(conj_entries):
+    for j, c in enumerate(conj_entries):
         if not isinstance(c, dict) or "base" not in c:
-            raise InputError(f"{where}.conj[{i}] must be an object with a 'base' field")
+            raise InputError(f"{where}[{i}].conj[{j}] must be an object with a 'base' field")
         if "conj" in c:
-            raise InputError(f"{where}.conj[{i}] must not be nested")
-        conj.append((c["base"], _parse_sign(c, f"{where}.conj[{i}]")))
-    return Twist(base, sign, tuple(conj))
+            raise InputError(f"{where}[{i}].conj[{j}] must not be nested")
+        s = c.get("sign", 1)
+        if not is_sign(s):
+            raise InputError(f"{where}[{i}].conj[{j}].sign must be 1 or -1")
+        conj.append((str(c["base"]), s))
+    return Twist._trusted(base, sign, tuple(conj))
 
 
 def parse_word(sig: SurfaceSig, letters, where: str = "word") -> TwistWord:
+    """Read a word in one pass over its letters; the first fault is an InputError.
+
+    The read order, which is also the order of precedence of the errors:
+    every letter's shape and sign, then the size bound, then every curve
+    name against the surface's one curve table (``surface.check_letters``).
+    """
     if not isinstance(letters, list):
         raise InputError(f"field {where!r} must be a list of letters")
-    twists = tuple(_parse_letter(e, f"{where}[{i}]") for i, e in enumerate(letters))
-    size = sum(1 + len(t.conj) for t in twists)
+    twists = tuple([_read_letter(e, where, i) for i, e in enumerate(letters)])
+    size = len(twists) + sum(len(t.conj) for t in twists)
     if size > WORD_MAX_LETTERS:
         raise InputError(f"field {where!r} has {size} letters counting conjugators, "
                          f"more than {WORD_MAX_LETTERS}")
     try:
-        return TwistWord(sig, twists)
+        check_letters(twists, sig)
     except ValueError as exc:
         raise InputError(f"{where}: {exc}") from exc
+    return TwistWord._trusted(sig, twists)
 
 
 def _output_size(sig: SurfaceSig, letters) -> int:

@@ -135,12 +135,13 @@ def branched_double_cover(page: SurfaceSig, monodromy: TwistWord
 
     closed = SurfaceSig(2 * page.genus, 0)
 
+    # a1, b1 and their mirrors d2, b2 are all curves of the closed double
     def mirror(t: Twist) -> Twist:
-        return Twist(_MIRROR[t.base], -t.sign,
-                     tuple((_MIRROR[n], s) for n, s in t.conj))
+        return Twist._trusted(_MIRROR[t.base], -t.sign,
+                              tuple((_MIRROR[n], s) for n, s in t.conj))
 
     copy2 = tuple(mirror(t) for t in reversed(monodromy.letters))
-    return closed, TwistWord(closed, monodromy.letters + copy2)
+    return closed, TwistWord._trusted(closed, monodromy.letters + copy2)
 
 
 def swap_matrix() -> Matrix:

@@ -153,8 +153,13 @@ def double_report(palf: Fibration, cap: int = DEFAULT_CAP,
         raise ValueError("doubling applies to disk fibrations over a one-boundary fiber")
     if not is_allowable(palf):
         raise ValueError("doubling requires an allowable fibration")
+    if any(name == "delta" for t in palf.word.letters for name, _ in t.conj):
+        raise ValueError("doubling cannot cap delta in a conjugator: delta is the "
+                         "boundary curve of the one-boundary page")
+    # an allowable letter's base is not delta, and every other curve of the
+    # page is a curve of the capped fiber
     closed = SurfaceSig(palf.fiber.genus, 0)
-    capped = TwistWord(closed, palf.word.letters)
+    capped = TwistWord._trusted(closed, palf.word.letters)
     doubled = capped * capped.inverse()
     rep = positivize(doubled, cap, engine)
     return DoubleReport(Fibration("sphere", closed, rep.output), rep.verified, rep.engine)

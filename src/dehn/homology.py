@@ -29,7 +29,7 @@ from .surface import (
     SurfaceSig,
     Twist,
     TwistWord,
-    check_curve,
+    check_letters,
     compile_word,
     curve_classes,
     homology_class,
@@ -63,16 +63,19 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def transported_class(twist: Twist, sig: SurfaceSig) -> Vector:
-    """Homology class of the letter's core curve pushed through its conjugator."""
-    v = homology_class(twist.base, sig)
+    """Homology class of the letter's core curve pushed through its conjugator.
+
+    Either way the curve table is fetched once.
+    """
     if not twist.conj:
-        return v
-    for name, _ in twist.conj:
-        check_curve(name, sig)
+        return homology_class(twist.base, sig)
+    classes = check_letters((twist,), sig)
+    x = [0] * (2 * sig.genus)
+    for i, vi, _, _ in classes[twist.base]:
+        x[i] = vi
     # the conjugator u acts as its letters, last first; u's cancelling
     # pairs need no removal, as they compose to the identity
-    x = list(v)
-    _run_stream(x, _steps(sig, reversed(twist.conj)))
+    _run_stream(x, [(classes[name], sign) for name, sign in reversed(twist.conj)])
     return tuple(x)
 
 

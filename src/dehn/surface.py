@@ -19,7 +19,11 @@ constructor validates every letter on the word's surface; words the package
 builds from letters already valid there (products, inverses, powers, the
 chain word, rewrite outputs) use ``TwistWord._trusted`` and skip the check,
 and ``Twist._trusted`` does the same for a letter built from parts already
-valid.
+valid.  Every check of a letter's curves runs in ``check_letters``, which
+reads the curve table once for a whole sequence of letters: the public
+``TwistWord`` constructor, ``Twist.validate`` and the CLI's word reader
+(``dehn.cli.parse_word``, which builds its letters with ``Twist._trusted``
+and its word with ``TwistWord._trusted`` after that one check) all call it.
 ``compile_word`` expands a word into the plain (curve, sign) steps in the
 order they act, the one stream every engine applies; ``quotient_stream``
 builds the stream of w2^-1 . w1 from two compiled words, so that every
@@ -140,10 +144,44 @@ def curve_valid(name: str, sig: SurfaceSig) -> bool:
     return isinstance(name, str) and name in curve_classes(sig)
 
 
+def _invalid_curve(name, sig: SurfaceSig) -> ValueError:
+    return ValueError(f"curve {name!r} is not valid on genus {sig.genus}, "
+                      f"boundary {sig.boundary}")
+
+
+def _class_of(name, sig: SurfaceSig, classes: dict[str, Sparse]) -> Sparse:
+    """``classes[name]``, where ``classes`` is ``curve_classes(sig)``; raise on any other name."""
+    if isinstance(name, str) and name in classes:
+        return classes[name]
+    raise _invalid_curve(name, sig)
+
+
 def check_curve(name: str, sig: SurfaceSig) -> None:
     if not curve_valid(name, sig):
-        raise ValueError(f"curve {name!r} is not valid on genus {sig.genus}, "
-                         f"boundary {sig.boundary}")
+        raise _invalid_curve(name, sig)
+
+
+def check_letters(letters, sig: SurfaceSig) -> dict[str, Sparse]:
+    """Check that every letter is a Twist whose curves are standard on ``sig``.
+
+    The letters are read in order, each base before its conjugator, and
+    the first fault is raised: a TypeError for a letter that is not a
+    Twist, a ValueError naming the first curve not standard on ``sig``.
+    The curve table is fetched once for the whole sequence and returned,
+    so a caller reads classes from it with no second fetch.  Every check of
+    a letter's curves runs here.
+    """
+    classes = curve_classes(sig)
+    for t in letters:
+        if not isinstance(t, Twist):
+            raise TypeError(f"letters must be Twist instances, got {t!r}")
+        base = t.base
+        if not (isinstance(base, str) and base in classes):
+            raise _invalid_curve(base, sig)
+        for name, _ in t.conj:
+            if name not in classes:
+                raise _invalid_curve(name, sig)
+    return classes
 
 
 def chain_name(j: int) -> str:
@@ -153,9 +191,8 @@ def chain_name(j: int) -> str:
 
 def homology_class(name: str, sig: SurfaceSig) -> tuple[int, ...]:
     """Class of a standard curve in the fixed basis (length 2g)."""
-    check_curve(name, sig)
     v = [0] * (2 * sig.genus)
-    for i, vi, _, _ in curve_classes(sig)[name]:
+    for i, vi, _, _ in _class_of(name, sig, curve_classes(sig)):
         v[i] = vi
     return tuple(v)
 
@@ -168,10 +205,9 @@ def intersection(c1: str, c2: str, sig: SurfaceSig) -> int:
     (or equal) and their twists commute, and +-1 means they meet once and
     their twists braid: t_c t_d t_c = t_d t_c t_d.
     """
-    check_curve(c1, sig)
-    check_curve(c2, sig)
     classes = curve_classes(sig)
-    return sum(p * xi for _, _, j, p in classes[c2] for i, xi, _, _ in classes[c1] if i == j)
+    v1, v2 = _class_of(c1, sig, classes), _class_of(c2, sig, classes)
+    return sum(p * xi for _, _, j, p in v2 for i, xi, _, _ in v1 if i == j)
 
 
 def is_sign(s) -> bool:
@@ -220,9 +256,7 @@ class Twist:
         return Twist._trusted(self.base, -self.sign, self.conj)
 
     def validate(self, sig: SurfaceSig) -> None:
-        check_curve(self.base, sig)
-        for name, _ in self.conj:
-            check_curve(name, sig)
+        check_letters((self,), sig)
 
 
 @dataclass(frozen=True)
@@ -234,10 +268,7 @@ class TwistWord:
 
     def __post_init__(self):
         object.__setattr__(self, "letters", tuple(self.letters))
-        for t in self.letters:
-            if not isinstance(t, Twist):
-                raise TypeError(f"letters must be Twist instances, got {t!r}")
-            t.validate(self.surface)
+        check_letters(self.letters, self.surface)
 
     @classmethod
     def _trusted(cls, surface: SurfaceSig, letters: tuple[Twist, ...]) -> "TwistWord":
@@ -375,5 +406,5 @@ def chain_word(sig: SurfaceSig, copies: int = 1) -> TwistWord:
     """(a1 b1 a2 b2 ... ag bg) repeated ``copies`` times, plain positive."""
     if sig.genus < 1:
         raise ValueError("chain word requires genus >= 1")
-    once = tuple(Twist(chain_name(j)) for j in range(1, 2 * sig.genus + 1))
+    once = tuple(Twist._trusted(chain_name(j), 1, ()) for j in range(1, 2 * sig.genus + 1))
     return TwistWord._trusted(sig, once * copies)

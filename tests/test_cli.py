@@ -267,6 +267,17 @@ def test_double_passes_engine_to_positivize():
     assert auto["word_out"] == rep["word_out"]
 
 
+def test_double_rejects_delta_in_a_conjugator():
+    # the error names the one-boundary page's delta, not the capped surface
+    word = [{"base": "b1"},
+            {"base": "a1", "conj": [{"base": "b1"}, {"base": "delta", "sign": -1}]},
+            {"base": "b1", "conj": [{"base": "b1"}]},
+            {"base": "a1"}]
+    code, rep, _ = run_cli(["double"], {"surface": surface(1, 1), "word": word})
+    assert code == 2
+    assert "delta" in rep["error"] and "boundary 0" not in rep["error"]
+
+
 def test_invariants():
     payload = {"surface": surface(2, 1),
                "word": letters(*["a1", "b1", "a2", "b2"] * 10)}

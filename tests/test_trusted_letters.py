@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 
 from dehn import (
     SurfaceSig,
@@ -17,8 +18,10 @@ from dehn import (
     prop9_factor,
     theorem11_family,
 )
-from dehn.cli import run
+from dehn import cli, homology, surface
+from dehn.cli import parse_word, run
 from dehn.homology import is_identity, word_matrix
+from dehn.surface import curve_classes
 
 
 def checked(word):
@@ -71,15 +74,23 @@ def test_certified_sphere_words_act_trivially_on_homology():
         assert_like_checked(summed.word)
 
 
+def spy_on_check_letters(monkeypatch):
+    """Every letter handed to ``check_letters``, the one check of a letter's curves."""
+    checked_letters = []
+    check_letters = surface.check_letters
+
+    def spy(letters, sig):
+        letters = tuple(letters)
+        checked_letters.extend(letters)
+        return check_letters(letters, sig)
+
+    for module in (surface, cli, homology):
+        monkeypatch.setattr(module, "check_letters", spy)
+    return checked_letters
+
+
 def test_positivize_validates_each_input_letter_once(monkeypatch):
-    calls = []
-    validate = Twist.validate
-
-    def spy(self, sig):
-        calls.append(self)
-        return validate(self, sig)
-
-    monkeypatch.setattr(Twist, "validate", spy)
+    calls = spy_on_check_letters(monkeypatch)
     word = [{"base": "b2", "sign": -1, "conj": [{"base": "a1"}, {"base": "b1", "sign": -1}]},
             {"base": "a2"},
             {"base": "a3", "sign": -1}]
@@ -88,7 +99,55 @@ def test_positivize_validates_each_input_letter_once(monkeypatch):
     code = run(["positivize"], stdin=io.StringIO(json.dumps(payload)), stdout=stdout)
     assert code == 0
     assert len(json.loads(stdout.getvalue())["word_out"]) == 1 + 2 * 83
-    assert 0 < len(calls) <= len(word)
+    assert len(calls) == len(word)
+    assert [t.base for t in calls] == ["b2", "a2", "a3"]
+
+
+def test_verify_validates_each_input_letter_once(monkeypatch):
+    calls = spy_on_check_letters(monkeypatch)
+    words = [[{"base": "a1", "conj": [{"base": "b1"}]}, {"base": "b1", "sign": -1}],
+             [{"base": "b1", "sign": -1}, {"base": "delta"}, {"base": "a1", "conj": [{"base": "b1"}]}]]
+    payload = {"surface": {"genus": 1, "boundary": 1}, "words": words}
+    stdout = io.StringIO()
+    code = run(["verify"], stdin=io.StringIO(json.dumps(payload)), stdout=stdout)
+    assert code == 1
+    assert len(calls) == len(words[0]) + len(words[1])
+    assert [t.base for t in calls] == ["a1", "b1", "b1", "delta", "a1"]
+
+
+def random_letters(rng, sig, size):
+    """Seeded JSON letters on ``sig``, some with a conjugator, some with the sign left out."""
+    names = list(curve_classes(sig))
+    letters = []
+    for _ in range(size):
+        letter = {"base": rng.choice(names)}
+        if rng.random() < 0.7:
+            letter["sign"] = rng.choice((1, -1))
+        if rng.random() < 0.5:
+            letter["conj"] = [{"base": rng.choice(names), "sign": rng.choice((1, -1))}
+                              for _ in range(rng.randint(0, 3))]
+        letters.append(letter)
+    return letters
+
+
+def test_read_words_equal_the_checked_words():
+    rng = random.Random("read-words")
+    for genus in (1, 2, 3):
+        for boundary in (0, 1):
+            sig = SurfaceSig(genus, boundary)
+            for _ in range(20):
+                letters = random_letters(rng, sig, rng.randint(0, 12))
+                word = parse_word(sig, letters)
+                assert_like_checked(word)
+                public = TwistWord(sig, tuple(
+                    Twist(e["base"], e.get("sign", 1),
+                          tuple((c["base"], c["sign"]) for c in e.get("conj", [])))
+                    for e in letters))
+                assert word == public and hash(word) == hash(public)
+                for t, e in zip(word.letters, letters):
+                    assert type(t.conj) is tuple
+                    assert all(type(pair) is tuple for pair in t.conj)
+                    assert t.sign == e.get("sign", 1) and type(t.sign) is int
 
 
 def test_positivize_shares_one_checked_conjugator_per_negative_letter(monkeypatch):
