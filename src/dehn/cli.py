@@ -82,6 +82,7 @@ from .surface import (
     check_letters,
     curve_classes,
     is_sign,
+    plain_letters,
 )
 
 EXIT_TRUE = 0
@@ -144,11 +145,15 @@ def parse_surface(obj: dict) -> SurfaceSig:
         raise InputError(f"surface: {exc}") from exc
 
 
-def _read_letter(entry, where: str, i: int) -> Twist:
+def _read_letter(entry, where: str, i: int, plain: dict) -> Twist:
     """Letter i of word ``where``, checked for shape and sign but not for curves.
 
-    Its field path is written only into an error.  Conjugator names go
-    through ``str`` as the public ``Twist`` constructor sends them.
+    Its field path is written only into an error.  A letter with no
+    conjugator is the shared letter of ``plain`` (``surface.plain_letters``)
+    when its name is there; any other is built, and an unknown name is left
+    for ``check_letters``.  The sign is checked before the lookup, since
+    ``true`` and ``1.0`` hash like 1.  Conjugator names go through ``str``
+    as the public ``Twist`` constructor sends them.
     """
     if not isinstance(entry, dict):
         raise InputError(f"{where}[{i}] must be an object with a 'base' field")
@@ -161,6 +166,10 @@ def _read_letter(entry, where: str, i: int) -> Twist:
     conj_entries = entry.get("conj", [])
     if not isinstance(conj_entries, list):
         raise InputError(f"{where}[{i}].conj must be a list")
+    if not conj_entries:
+        letter = plain.get((base, sign))
+        if letter is not None:
+            return letter
     conj = []
     for j, c in enumerate(conj_entries):
         if not isinstance(c, dict) or "base" not in c:
@@ -183,7 +192,8 @@ def parse_word(sig: SurfaceSig, letters, where: str = "word") -> TwistWord:
     """
     if not isinstance(letters, list):
         raise InputError(f"field {where!r} must be a list of letters")
-    twists = tuple([_read_letter(e, where, i) for i, e in enumerate(letters)])
+    plain = plain_letters(sig)
+    twists = tuple([_read_letter(e, where, i, plain) for i, e in enumerate(letters)])
     size = len(twists) + sum(len(t.conj) for t in twists)
     if size > WORD_MAX_LETTERS:
         raise InputError(f"field {where!r} has {size} letters counting conjugators, "
@@ -252,14 +262,17 @@ def report_text(report: dict) -> str:
     word = report.get("word_out")
     if word is None:
         return json.dumps(report, indent=2)
-    conj, tail = (), _conj_tail(())
+    conj, tail, texts = (), _conj_tail(()), {}
     parts = []
     for t in word.letters:
         if t.conj is not conj and t.conj != conj:
-            conj = t.conj
-            tail = _conj_tail(conj)
-        parts.append(f'{{\n      "base": {encode_basestring_ascii(t.base)},'
-                     f'\n      "sign": {t.sign}{tail}')
+            conj, tail, texts = t.conj, _conj_tail(t.conj), {}
+        key = (t.base, t.sign)
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = (f'{{\n      "base": {encode_basestring_ascii(t.base)},'
+                                 f'\n      "sign": {t.sign}{tail}')
+        parts.append(text)
     letters = "[\n    " + ",\n    ".join(parts) + "\n  ]" if parts else "[]"
     text = json.dumps({**report, "word_out": _WORD_OUT}, indent=2)
     return text.replace(_WORD_OUT_JSON, letters, 1)

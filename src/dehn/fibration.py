@@ -5,8 +5,9 @@ all-positive twist word listing the vanishing cycles (one letter per
 singular fiber).  Sphere fibrations need a closed fiber and a word whose
 homology action is the identity (a necessary condition for the monodromy to
 close up; exact closure is checked by the equality engines where needed).
-``gn_word`` and ``fiber_sum`` build sphere fibrations whose words are
-trivial by a theorem or by construction, and skip that check.
+``gn_word``, ``fiber_sum`` and a verified ``double_report`` build sphere
+fibrations whose words are trivial by a theorem, by construction or by
+the verdict of an exact engine, and skip that check.
 
 Invariants are computed from the handle decomposition: the Euler
 characteristic from the letter count, and first homology of the total
@@ -75,8 +76,9 @@ class Fibration:
         """A sphere fibration whose word is trivial by how it was built; no check runs.
 
         For a positive word on the closed ``fiber`` that is trivial by a
-        theorem (the chain relation) or is a product of words already
-        checked; every other word goes through the public constructor.
+        theorem (the chain relation), is a product of words already
+        checked, or was decided equal to a trivial word; every other word
+        goes through the public constructor.
         """
         f = object.__new__(cls)
         object.__setattr__(f, "base", "sphere")
@@ -147,7 +149,10 @@ def double_report(palf: Fibration, cap: int = DEFAULT_CAP,
     Caps the fiber, appends the reverse-inverse of the word, and
     positivizes, so the letter count becomes k x (1 + expansion length).
     ``engine`` is the tier that verifies the positivization, as in
-    ``positivize``.
+    ``positivize``.  The doubled word is trivial, so a ``"true"`` verdict
+    certifies the positive word as trivial too, and the sphere fibration
+    skips the homology check; any other verdict leaves that check to the
+    public constructor.
     """
     if palf.base != "disk" or palf.fiber.boundary != 1:
         raise ValueError("doubling applies to disk fibrations over a one-boundary fiber")
@@ -162,7 +167,11 @@ def double_report(palf: Fibration, cap: int = DEFAULT_CAP,
     capped = TwistWord._trusted(closed, palf.word.letters)
     doubled = capped * capped.inverse()
     rep = positivize(doubled, cap, engine)
-    return DoubleReport(Fibration("sphere", closed, rep.output), rep.verified, rep.engine)
+    if rep.verified == "true":
+        f = Fibration._certified_sphere(closed, rep.output)
+    else:
+        f = Fibration("sphere", closed, rep.output)
+    return DoubleReport(f, rep.verified, rep.engine)
 
 
 def fiber_sum(f1: Fibration, f2: Fibration) -> Fibration:

@@ -215,13 +215,15 @@ def is_sign(s) -> bool:
     return type(s) is int and s in (1, -1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Twist:
     """A signed Dehn twist about a standard curve, optionally conjugated.
 
     ``conj`` is a flat tuple of (curve name, sign) pairs; the twist denotes
     ``u · t_base^sign · u^-1`` where u is the conjugator word read
-    left-to-right with the same composition convention as TwistWord.
+    left-to-right with the same composition convention as TwistWord.  The
+    fields are slots, so that ``_trusted`` fills them through their
+    descriptors and a letter holds no ``__dict__``.
     """
 
     base: str
@@ -246,9 +248,9 @@ class Twist:
         constructor.
         """
         t = object.__new__(cls)
-        object.__setattr__(t, "base", base)
-        object.__setattr__(t, "sign", sign)
-        object.__setattr__(t, "conj", conj)
+        _set_base(t, base)
+        _set_sign(t, sign)
+        _set_conj(t, conj)
         return t
 
     def inverse(self) -> "Twist":
@@ -257,6 +259,24 @@ class Twist:
 
     def validate(self, sig: SurfaceSig) -> None:
         check_letters((self,), sig)
+
+
+# the slot setters, looked up once: object.__setattr__ finds the descriptor
+# on every call, which made a trusted letter cost nearly a checked one
+_set_base, _set_sign, _set_conj = Twist.base.__set__, Twist.sign.__set__, Twist.conj.__set__
+
+
+@lru_cache(maxsize=None)
+def plain_letters(sig: SurfaceSig) -> dict[tuple[str, int], Twist]:
+    """One shared unconjugated letter for each (curve, sign) on ``sig``.
+
+    Keys are (name, +1 or -1) for every name of ``curve_classes(sig)``.
+    A reader of many plain letters takes them from here, so a word costs
+    one object per distinct letter, not one per letter.  The table is
+    cached and shared between callers, which only read it.
+    """
+    return {(name, sign): Twist._trusted(name, sign, ())
+            for name in curve_classes(sig) for sign in (1, -1)}
 
 
 @dataclass(frozen=True)

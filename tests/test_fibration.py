@@ -183,3 +183,29 @@ def test_sphere_fibration_needs_trivial_monodromy():
     rep = positivize(word(closed3, "d2 e2^-1"))
     with pytest.raises(ValueError):
         Fibration("sphere", closed3, rep.output)
+
+
+def test_double_skips_the_sphere_check_only_when_verified(monkeypatch):
+    # a "true" verdict certifies the positive word as trivial; under the
+    # homology engine at genus 2 the verdict is "unknown", so the doubled
+    # fibration goes through the public constructor's homology check
+    import dehn.fibration
+
+    calls = []
+
+    def spy(w):
+        calls.append(w)
+        return word_matrix(w)
+
+    monkeypatch.setattr(dehn.fibration, "word_matrix", spy)
+    sig = SurfaceSig(2, 1)
+    palf = Fibration("disk", sig, word(sig, "a1 b2"))
+    for engine, verdict, checks in (("auto", "true", 0), ("homology", "unknown", 1)):
+        calls.clear()
+        rep = double_report(palf, engine=engine)
+        assert rep.verified == verdict
+        assert calls == [rep.fibration.word] * checks
+        assert is_identity(word_matrix(rep.fibration.word))
+    calls.clear()
+    assert double_report(Fibration("disk", T1, word(T1, "a1 b1"))).verified == "true"
+    assert calls == []

@@ -3,7 +3,8 @@
 Each command gets ``REQUESTS`` requests, each a valid request with up to
 three mutations: a dropped field, a value swapped for one of another type,
 a huge int, an unknown curve name, a nested or ``delta``-bearing
-conjugator, or an odd ``--n``, ``--cap`` or ``--engine``.  Words hold at
+conjugator, a sign that hashes like 1 or -1 (``true``, ``1.0``), an empty
+or non-list conjugator, or an odd ``--n``, ``--cap`` or ``--engine``.  Words hold at
 most ``MAX_LETTERS`` letters, conjugator letters included, at genus <= 3.
 Every request must end in an exit code 0-3 with one JSON object on stdout
 that has an ``error`` field exactly on exit 2; an argv that argparse
@@ -32,6 +33,9 @@ BAD_NAMES = ("a0", "a9", "b4", "c1", "", "A1", "a1\n", " a1", "a01", "delta", "d
 ODD_N = ("-1", "0", "1", "2", "25", str(HUGE), "x", "1.5", "")
 ODD_CAP = ("0", "-5", "1", "3", str(HUGE), "x", "")
 ODD_ENGINE = ("auto", "homology", "pi1", "", "AUTO")
+# signs equal to 1 or -1 as dict keys, and conjugators that are empty or no list
+LOOKALIKE_SIGNS = (True, False, 1.0, -1.0)
+ODD_CONJ = ([], None, {})
 
 # the JSON each command reads: none, one word, or two words
 NO_INPUT = ("family", "trefoil", "gn", "selftest")
@@ -92,7 +96,7 @@ def containers(obj):
 
 def mutate(rng, req):
     """One hostile edit of the request object, in place."""
-    kind = rng.randrange(6)
+    kind = rng.randrange(8)
     spots = [c for c in containers(req) if c]
     if not spots:
         return
@@ -113,8 +117,12 @@ def mutate(rng, req):
             letter["base"] = rng.choice(BAD_NAMES)
         elif kind == 4:  # a nested conjugator
             letter["conj"] = [{"base": "a1", "conj": [{"base": "b1"}]}]
-        else:  # delta in a conjugator
+        elif kind == 5:  # delta in a conjugator
             letter["conj"] = [{"base": "delta", "sign": rng.choice((1, -1))}]
+        elif kind == 6:  # a sign that hashes like 1 or -1
+            letter["sign"] = rng.choice(LOOKALIKE_SIGNS)
+        else:  # an empty conjugator, or one that is no list
+            letter["conj"] = copy.deepcopy(rng.choice(ODD_CONJ))
 
 
 def hostile_case(rng, command):

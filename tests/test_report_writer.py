@@ -7,7 +7,7 @@ import random
 import pytest
 
 import dehn.cli
-from dehn import SurfaceSig, Twist, TwistWord
+from dehn import SurfaceSig, Twist, TwistWord, gn_word
 from dehn.cli import report_text, run
 from dehn.rewriting import positivize
 from dehn.surface import curve_classes
@@ -162,3 +162,62 @@ def test_error_reports_are_written_by_the_encoder(captured):
         assert code == 2
         assert "error" in captured[-1] and "word_out" not in captured[-1]
         assert text == json.dumps(captured[-1], indent=2) + "\n"
+
+
+def assert_written_like_the_encoder(word):
+    report = {"command": "positivize", "verdict": "true", "word_out": word, "steps": 1}
+    assert report_text(report) == json.dumps({**report, "word_out": old_word_json(word)},
+                                             indent=2)
+
+
+def test_writer_on_one_letter_under_alternating_conjugators():
+    sig = SurfaceSig(2, 0)
+    u, v = (("b1", -1), ("a2", 1)), (("e2", 1),)
+    for conjs in ((u, v, u, (), v, v, ()),
+                  # equal conjugators that are distinct tuples form one run
+                  (u, tuple(list(u)), v, tuple(list(v)), (), u)):
+        letters = []
+        for conj in conjs:
+            letters += [Twist("a1", 1, conj), Twist("a1", -1, conj), Twist("a1", 1, conj)]
+        assert_written_like_the_encoder(TwistWord(sig, tuple(letters)))
+
+
+def test_writer_on_gn_words():
+    for n in range(1, 17):
+        assert_written_like_the_encoder(gn_word(n).word)
+
+
+def test_writer_on_a_positivize_output():
+    sig = SurfaceSig(3, 0)
+    word = TwistWord.from_names(sig, "a1 b2^-1 d2 e2^-1 a3^-1 a3^-1 b1")
+    assert_written_like_the_encoder(positivize(word, engine="homology").output)
+
+
+def writer_calls(monkeypatch, word):
+    """The names report_text encodes while it writes ``word``, in order."""
+    names = []
+
+    def spy(name):
+        names.append(name)
+        return json.encoder.encode_basestring_ascii(name)
+
+    monkeypatch.setattr(dehn.cli, "encode_basestring_ascii", spy)
+    report_text({"command": "gn", "word_out": word})
+    monkeypatch.undo()
+    return names
+
+
+def test_writer_encodes_each_distinct_letter_once_per_run(monkeypatch):
+    # a deterministic cost guard: gn(16) is one run of 2,112 plain letters
+    # over 32 distinct ones
+    word = gn_word(16).word
+    assert len(word) == 2112
+    names = writer_calls(monkeypatch, word)
+    assert len(names) == 32 and sorted(names) == sorted({t.base for t in word.letters})
+    # a run's conjugator is encoded once, and each distinct letter once in it
+    sig = SurfaceSig(2, 0)
+    u = (("b1", -1), ("a2", 1))
+    letters = ((Twist("a1", 1, u), Twist("a1", -1, u)) * 5 + (Twist("a1"),) * 3
+               + (Twist("b1", 1, u), Twist("a1", 1, u)) * 4)
+    assert writer_calls(monkeypatch, TwistWord(sig, letters)) == [
+        "b1", "a2", "a1", "a1", "a1", "b1", "a2", "b1", "a1"]

@@ -4,6 +4,8 @@ import io
 import json
 import random
 
+import pytest
+
 from dehn import (
     SurfaceSig,
     Twist,
@@ -19,9 +21,9 @@ from dehn import (
     theorem11_family,
 )
 from dehn import cli, homology, surface
-from dehn.cli import parse_word, run
+from dehn.cli import InputError, parse_word, run
 from dehn.homology import is_identity, word_matrix
-from dehn.surface import curve_classes
+from dehn.surface import curve_classes, plain_letters
 
 
 def checked(word):
@@ -190,3 +192,47 @@ def test_inverse_keeps_the_shared_conjugators():
         again = Twist(t.base, -t.sign, t.conj)
         assert s == again and hash(s) == hash(again)
     assert_like_checked(inverse)
+
+
+def test_plain_letters_are_the_shared_table_letters():
+    sig = SurfaceSig(2, 1)
+    plain = plain_letters(sig)
+    assert plain_letters(sig) is plain
+    assert set(plain) == {(name, sign) for name in curve_classes(sig) for sign in (1, -1)}
+    for (name, sign), t in plain.items():
+        again = Twist(name, sign)
+        assert t == again and hash(t) == hash(again)
+    letters = [{"base": "a1"}, {"base": "b2", "sign": -1}, {"base": "delta", "sign": 1},
+               {"base": "a1", "conj": []}, {"base": "a1", "conj": [{"base": "b1"}]},
+               {"base": "e2", "sign": -1, "conj": []}]
+    word = parse_word(sig, letters)
+    assert_like_checked(word)
+    shared = [plain[("a1", 1)], plain[("b2", -1)], plain[("delta", 1)], plain[("a1", 1)]]
+    assert all(t is p for t, p in zip(word.letters, shared))
+    assert word.letters[5] is plain[("e2", -1)]
+    assert word.letters[4] == Twist("a1", 1, (("b1", 1),))
+    assert all(word.letters[4] is not t for t in plain.values())
+    # a name that is standard on another surface is not in this table
+    assert parse_word(SurfaceSig(1, 0), [{"base": "a1"}]).letters[0] is not plain[("a1", 1)]
+
+
+@pytest.mark.parametrize("letters, error", [
+    ([{"base": "a1", "sign": True}], "word[0].sign must be 1 or -1"),
+    ([{"base": "a1", "sign": 1.0}], "word[0].sign must be 1 or -1"),
+    ([{"base": "a1", "sign": -1.0}], "word[0].sign must be 1 or -1"),
+    ([{"base": "b1", "sign": False}], "word[0].sign must be 1 or -1"),
+    ([{"base": "a1", "conj": None}], "word[0].conj must be a list"),
+    ([{"base": "a1", "conj": {}}], "word[0].conj must be a list"),
+    ([{"base": "a1"}, {"base": "a1", "conj": ""}], "word[1].conj must be a list"),
+    # an unknown plain name is built and left to the curve check, so a later
+    # letter's sign fault is still the one reported
+    ([{"base": "zz"}, {"base": "a1", "sign": True}], "word[1].sign must be 1 or -1"),
+    ([{"base": "zz"}, {"base": "a1", "conj": None}], "word[1].conj must be a list"),
+    ([{"base": "zz"}, {"base": "a1"}], "word: curve 'zz' is not valid on genus 2, boundary 0"),
+    ([{"base": "a1"}, {"base": "delta", "conj": []}],
+     "word: curve 'delta' is not valid on genus 2, boundary 0"),
+])
+def test_plain_fast_path_keeps_the_errors_and_their_order(letters, error):
+    with pytest.raises(InputError) as exc:
+        parse_word(SurfaceSig(2, 0), letters)
+    assert str(exc.value) == error
