@@ -11,10 +11,12 @@ deterministic.
 Every report is written as ``json.dumps(report, indent=2)`` would write
 it.  Reports that carry a word (``word_out``) hold it as a TwistWord, and
 ``report_text`` formats each conjugator once per run of letters that
-share it, writes each letter as its base and sign plus that text, and
-splices the letters into the rest of the report, so a word of thousands
-of letters does not go through the indented encoder, which runs in pure
-Python; the bytes are unchanged.
+share it, and each distinct letter (base and sign) once per run, as its
+base and sign plus the conjugator's text, and splices the letters into
+the rest of the report, so a word of thousands of letters does not go
+through the indented encoder, which runs in pure Python, and a word of
+a few repeated letters, as gn(n) is, costs a few strings; the bytes are
+unchanged.
 
 Word schema::
 
@@ -39,7 +41,10 @@ is the one reported, so errors take precedence in this order:
 
 Conjugator names may be any JSON value and are read as their ``str``.  Of
 two words, the first is built, and its faults reported, before the
-second is read.
+second is read.  A letter with no conjugator whose name is standard is
+not built: it is the surface's shared letter for its (name, sign)
+(``surface.plain_letters``), so a word costs one object per distinct
+plain letter.
 """
 
 from __future__ import annotations
@@ -254,10 +259,10 @@ def report_text(report: dict) -> str:
     encoded with the word replaced by a sentinel, and the letters, written
     directly, are spliced in its place.  The word is walked in runs of
     letters that share one conjugator: the conjugator's text is formatted
-    once per run, and each letter is its base and sign followed by that
-    text.  The bytes are those of encoding the word as a list of letter
-    objects, which the indented encoder would write in pure Python, one
-    letter at a time.
+    once per run, and each distinct (base, sign) is written once per run,
+    as its base and sign followed by that text.  The bytes are those of
+    encoding the word as a list of letter objects, which the indented
+    encoder would write in pure Python, one letter at a time.
     """
     word = report.get("word_out")
     if word is None:

@@ -24,6 +24,9 @@ reads the curve table once for a whole sequence of letters: the public
 ``TwistWord`` constructor, ``Twist.validate`` and the CLI's word reader
 (``dehn.cli.parse_word``, which builds its letters with ``Twist._trusted``
 and its word with ``TwistWord._trusted`` after that one check) all call it.
+``plain_letters`` holds one shared unconjugated letter per (curve, sign)
+on a surface, so the reader's plain letters are those objects and a word
+pays for each distinct plain letter once.
 ``compile_word`` expands a word into the plain (curve, sign) steps in the
 order they act, the one stream every engine applies; ``quotient_stream``
 builds the stream of w2^-1 . w1 from two compiled words, so that every

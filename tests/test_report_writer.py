@@ -166,8 +166,7 @@ def test_error_reports_are_written_by_the_encoder(captured):
 
 def assert_written_like_the_encoder(word):
     report = {"command": "positivize", "verdict": "true", "word_out": word, "steps": 1}
-    assert report_text(report) == json.dumps({**report, "word_out": old_word_json(word)},
-                                             indent=2)
+    assert report_text(report) == expected_text(report)
 
 
 def test_writer_on_one_letter_under_alternating_conjugators():

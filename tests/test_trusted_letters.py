@@ -212,7 +212,7 @@ def test_plain_letters_are_the_shared_table_letters():
     assert word.letters[5] is plain[("e2", -1)]
     assert word.letters[4] == Twist("a1", 1, (("b1", 1),))
     assert all(word.letters[4] is not t for t in plain.values())
-    # a name that is standard on another surface is not in this table
+    # each surface has its own table
     assert parse_word(SurfaceSig(1, 0), [{"base": "a1"}]).letters[0] is not plain[("a1", 1)]
 
 
