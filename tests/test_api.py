@@ -88,3 +88,27 @@ def test_no_public_name_only_the_tests_use():
                        and name not in dehn.__all__ and name != script
                        and not re.search(rf"\b{name}\b", bench)]
     assert not unused, unused
+
+
+def _readme_blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+
+
+def test_readme_python_blocks_run():
+    blocks = _readme_blocks("python")
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_cli_example_matches_the_cli():
+    from io import StringIO
+
+    from dehn.cli import run
+
+    example = next(b for b in _readme_blocks("sh") if "| dehn verify" in b)
+    request, report = re.fullmatch(r"\$ echo '(.*?)' \| dehn verify\n(.*)", example,
+                                   re.S).groups()
+    stdout = StringIO()
+    assert run(["verify"], stdin=StringIO(request), stdout=stdout) == 0
+    assert stdout.getvalue() == report

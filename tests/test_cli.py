@@ -1,5 +1,6 @@
 """CLI protocol: JSON in, JSON report out, verdict-coded exits."""
 
+import hashlib
 import io
 import json
 import os
@@ -558,6 +559,34 @@ def test_timing_flag_adds_runtime():
     assert isinstance(rep["runtime_ms"], int)
 
 
+# One request per command, then one error report per read phase of a word
+# (shape and sign, size bound, curve name) and per --n and --cap check.
+_GOLDEN_REQUESTS = [
+    (["verify"], {"surface": surface(2, 1),
+                  "words": [letters(*["a1", "b1", "a2", "b2"] * 3),
+                            [{"base": "a1", "conj": [{"base": "b2", "sign": -1}]}]]}),
+    (["positivize"], {"surface": surface(2, 0),
+                      "word": [{"base": "b2", "sign": -1, "conj": [{"base": "a1"}]},
+                               {"base": "d2"}, {"base": "a1", "sign": -1}]}),
+    (["double"], {"surface": surface(1, 1), "word": letters("a1", "b1")}),
+    (["invariants"], {"surface": surface(2, 1), "word": letters("a1", "b1", "a2", "d2")}),
+    (["family", "--n", "2"], None),
+    (["trefoil"], None),
+    (["branched-double"], {"surface": surface(1, 1), "word": letters("a1", "b1")}),
+    (["fibersum"], {"surface": surface(1, 0), "words": [letters(*["a1", "b1"] * 6)] * 2}),
+    (["gn", "--n", "2"], None),
+    (["selftest"], None),
+    (["verify"], {"surface": surface(1, 1), "words": [letters("a1"), [{"base": "a1", "sign": 2}]]}),
+    (["invariants"], {"surface": surface(1, 0), "word": letters("a1") * 10_001}),
+    (["positivize"], {"surface": surface(1, 0), "word": letters("a1", "c1")}),
+    (["family"], None),
+    (["gn", "--n", "25"], None),
+    (["trefoil", "--cap", "0"], None),
+]
+# SHA-256 of the concatenated reports of _GOLDEN_REQUESTS, in order.
+_GOLDEN_SHA256 = "d5cef1145028cd9c13a3d0588abea33fc60761542f1c3ff0033c5fde25585d28"
+
+
 def test_reports_are_byte_deterministic():
     payload = {
         "surface": surface(2, 1),
@@ -569,6 +598,14 @@ def test_reports_are_byte_deterministic():
 
     texts = {run_cli(["gn", "--n", "2"])[2] for _ in range(2)}
     assert len(texts) == 1
+
+    digest, codes = hashlib.sha256(), []
+    for argv, payload in _GOLDEN_REQUESTS:
+        code, _, text = run_cli(argv, payload)
+        digest.update(text.encode())
+        codes.append(code)
+    assert codes == [1] + [0] * 9 + [2] * 6
+    assert digest.hexdigest() == _GOLDEN_SHA256
 
 
 def _module_run(module, argv, stdin_text=""):
