@@ -6,7 +6,11 @@ true, 1 = verified false, 2 = input error, 3 = resource cap (verdict
 unknown).  Reports omit absent fields rather than emitting null, and are
 byte-identical across repeated runs of the same request; ``--timing``
 appends a runtime_ms field for humans, off by default to keep reports
-deterministic.
+deterministic.  Every report opens with a ``"command"`` field, which
+``run`` writes for a command's report and for an error report alike; the
+commands return the rest.  The output of positivize and double is bounded
+by ``OUTPUT_MAX_LETTERS``, counted by ``rewriting.output_length`` before
+any of it is built.
 
 Every report is written as ``json.dumps(report, indent=2)`` would write
 it.  Reports that carry a word (``word_out``) hold it as a TwistWord, and
@@ -78,7 +82,7 @@ from .pi1 import (
     apply_word,
     decide_equal,
 )
-from .rewriting import inverse_twist_expansion, positivize, transport_pairs
+from .rewriting import output_length, positivize
 from .surface import (
     SurfaceSig,
     Twist,
@@ -107,10 +111,10 @@ GN_MAX_N = 24
 JSON_MAX_GENUS = GN_MAX_N
 WORD_MAX_LETTERS = 10_000
 # Largest positivize or double output accepted, counted the same way and
-# worked out before any of it is built: a negative letter u t_c^-1 u^-1
-# becomes the (2g-1) + 2g(4g+1) letters of the expansion of a1^-1, each
-# conjugated by u and the transport of c.  One b24^-1 at genus 24 gives
-# 446,785 letters.
+# worked out before any of it is built (``rewriting.output_length``): a
+# negative letter u t_c^-1 u^-1 becomes the (2g-1) + 2g(4g+1) letters of
+# the expansion of a1^-1, each conjugated by u and the transport of c.  One
+# b24^-1 at genus 24 gives 446,785 letters.
 OUTPUT_MAX_LETTERS = 1_000_000
 
 
@@ -210,25 +214,8 @@ def parse_word(sig: SurfaceSig, letters, where: str = "word") -> TwistWord:
     return TwistWord._trusted(sig, twists)
 
 
-def _output_size(sig: SurfaceSig, letters) -> int:
-    """Letters of ``positivize``'s output on ``letters``, conjugator letters included.
-
-    ``sig`` is the closed surface the letters are positivized on.  A
-    positive letter u t u^-1 passes through as 1 + |u| letters; a negative
-    one becomes len(E) (1 + |u| + |v_c|), E the expansion and v_c the
-    transport of its curve c.
-    """
-    size = sum(1 + len(t.conj) for t in letters if t.sign > 0)
-    negatives = [t for t in letters if t.sign < 0]
-    if negatives:
-        expansion = len(inverse_twist_expansion(sig))
-        transport = {c: len(transport_pairs(c, sig)) for c in {t.base for t in negatives}}
-        size += sum(expansion * (1 + len(t.conj) + transport[t.base]) for t in negatives)
-    return size
-
-
 def _check_output_size(sig: SurfaceSig, letters) -> None:
-    size = _output_size(sig, letters)
+    size = output_length(sig, letters)
     if size > OUTPUT_MAX_LETTERS:
         raise InputError(f"field 'word' would give {size} output letters counting "
                          f"conjugators, more than {OUTPUT_MAX_LETTERS}")
@@ -287,6 +274,11 @@ def group_json(group: AbelianGroup) -> dict:
     return {"rank": group.rank, "torsion": list(group.torsion)}
 
 
+def _chi_h1(f: Fibration) -> dict:
+    """The ``chi`` and ``h1`` fields of a report on ``f``."""
+    return {"chi": euler_characteristic(f), "h1": group_json(first_homology(f))}
+
+
 def _read_request(stdin) -> dict:
     text = stdin.read()
     try:
@@ -318,11 +310,19 @@ def _read_words(stdin, build=lambda word: word) -> tuple:
 # Commands
 # ---------------------------------------------------------------------------
 
+def _read_n(args, most: int) -> int:
+    """--n, which family and gn require, bounded above by ``most``."""
+    if args.n is None:
+        raise InputError(f"{args.command} requires --n")
+    if args.n > most:
+        raise InputError(f"{args.command} --n must be at most {most}")
+    return args.n
+
 
 def _cmd_verify(args, stdin) -> tuple[dict, int]:
     w1, w2 = _read_words(stdin)
     verdict, engine = decide_equal(w1, w2, args.engine, args.cap)
-    return {"command": "verify", "verdict": verdict, "engine": engine}, _VERDICT_EXIT[verdict]
+    return {"verdict": verdict, "engine": engine}, _VERDICT_EXIT[verdict]
 
 
 def _cmd_positivize(args, stdin) -> tuple[dict, int]:
@@ -332,7 +332,6 @@ def _cmd_positivize(args, stdin) -> tuple[dict, int]:
         _check_output_size(sig, word.letters)
     rep = positivize(word, args.cap, args.engine)
     report = {
-        "command": "positivize",
         "verdict": rep.verified,
         "engine": rep.engine,
         "word_out": rep.output,
@@ -350,39 +349,22 @@ def _cmd_double(args, stdin) -> tuple[dict, int]:
         _check_output_size(SurfaceSig(sig.genus, 0), word.letters + word.inverse().letters)
     rep = double_report(palf, args.cap, args.engine)
     f = rep.fibration
-    report = {
-        "command": "double",
-        "verdict": rep.verified,
-        "engine": rep.engine,
-        "chi": euler_characteristic(f),
-        "h1": group_json(first_homology(f)),
-        "word_out": f.word,
-    }
-    return report, _VERDICT_EXIT[rep.verified]
+    return ({"verdict": rep.verified, "engine": rep.engine, **_chi_h1(f), "word_out": f.word},
+            _VERDICT_EXIT[rep.verified])
 
 
 def _cmd_invariants(args, stdin) -> tuple[dict, int]:
     req, word = _read_word(stdin)
     f = Fibration(req.get("base", "disk"), word.surface, word)
     allowable = is_allowable(f)
-    report = {
-        "command": "invariants",
-        "verdict": "true" if allowable else "false",
-        "chi": euler_characteristic(f),
-        "h1": group_json(first_homology(f)),
-    }
-    return report, EXIT_TRUE if allowable else EXIT_FALSE
+    return ({"verdict": "true" if allowable else "false", **_chi_h1(f)},
+            EXIT_TRUE if allowable else EXIT_FALSE)
 
 
 def _cmd_family(args, stdin) -> tuple[dict, int]:
-    if args.n is None:
-        raise InputError("family requires --n")
-    if args.n > FAMILY_MAX_N:
-        raise InputError(f"family --n must be at most {FAMILY_MAX_N}")
-    fam = theorem11_family(args.n, args.cap)
+    fam = theorem11_family(_read_n(args, FAMILY_MAX_N), args.cap)
     verdicts = [{"verdict": v, "engine": e} for v, e in fam.equal_verdicts]
     report = {
-        "command": "family",
         "n": fam.n,
         "chis": list(fam.chis),
         "verdicts": verdicts,
@@ -398,7 +380,6 @@ def _cmd_trefoil(args, stdin) -> tuple[dict, int]:
     big, small = trefoil_completions(args.cap)
     verdict, engine = decide_equal(big.word, small.word, "auto", args.cap)
     report = {
-        "command": "trefoil",
         "verdict": verdict,
         "engine": engine,
         "chis": [euler_characteristic(big), euler_characteristic(small)],
@@ -411,7 +392,6 @@ def _cmd_branched_double(args, stdin) -> tuple[dict, int]:
     _, word = _read_word(stdin)
     fiber, monodromy = branched_double_cover(word.surface, word)
     report = {
-        "command": "branched-double",
         "fiber": {"genus": fiber.genus, "boundary": fiber.boundary},
         "word_out": monodromy,
         "h1": group_json(mapping_torus_homology(fiber, monodromy)),
@@ -423,28 +403,12 @@ def _cmd_fibersum(args, stdin) -> tuple[dict, int]:
     # each summand is checked before the next word is read
     f1, f2 = _read_words(stdin, lambda word: Fibration("sphere", word.surface, word))
     f = fiber_sum(f1, f2)
-    report = {
-        "command": "fibersum",
-        "chi": euler_characteristic(f),
-        "h1": group_json(first_homology(f)),
-        "word_out": f.word,
-    }
-    return report, EXIT_TRUE
+    return {**_chi_h1(f), "word_out": f.word}, EXIT_TRUE
 
 
 def _cmd_gn(args, stdin) -> tuple[dict, int]:
-    if args.n is None:
-        raise InputError("gn requires --n")
-    if args.n > GN_MAX_N:
-        raise InputError(f"gn --n must be at most {GN_MAX_N}")
-    f = gn_word(args.n)
-    report = {
-        "command": "gn",
-        "chi": euler_characteristic(f),
-        "h1": group_json(first_homology(f)),
-        "word_out": f.word,
-    }
-    return report, EXIT_TRUE
+    f = gn_word(_read_n(args, GN_MAX_N))
+    return {**_chi_h1(f), "word_out": f.word}, EXIT_TRUE
 
 
 def _selftest_relator_corpus() -> bool:
@@ -465,10 +429,11 @@ def _selftest_relator_corpus() -> bool:
 
 def _cmd_selftest(args, stdin) -> tuple[dict, int]:
     ok = _selftest_relator_corpus()
-    report = {"command": "selftest", "verdict": "true" if ok else "false"}
-    return report, EXIT_TRUE if ok else EXIT_FALSE
+    return {"verdict": "true" if ok else "false"}, EXIT_TRUE if ok else EXIT_FALSE
 
 
+# Each command returns its report, less the "command" field that ``run``
+# puts first, and its exit code.
 _COMMANDS = {
     "verify": _cmd_verify,
     "positivize": _cmd_positivize,
@@ -515,10 +480,11 @@ def run(argv=None, stdin=None, stdout=None) -> int:
     try:
         if args.cap < 1:
             raise InputError("--cap must be at least 1")
-        report, code = _COMMANDS[args.command](args, stdin)
+        body, code = _COMMANDS[args.command](args, stdin)
     # the library raises ValueError on requests it rejects; both are input errors
     except (InputError, ValueError) as exc:
-        report, code = {"command": args.command, "error": str(exc)}, EXIT_INPUT
+        body, code = {"error": str(exc)}, EXIT_INPUT
+    report = {"command": args.command, **body}
     if args.timing:
         report["runtime_ms"] = int((time.monotonic() - started) * 1000)
     text = report_text(report) + "\n"

@@ -31,8 +31,8 @@ from .fibration import (
     first_homology,
 )
 from .homology import Matrix, word_matrix
-from .pi1 import CHAIN_TRADE, DEFAULT_CAP, decide_equal
-from .rewriting import chain_substitute, commute_pull, positivize
+from .pi1 import DEFAULT_CAP, decide_equal
+from .rewriting import chain_substitute, positivize, pull_trade
 from .snf import abelian_group_from_columns
 from .surface import SurfaceSig, Twist, TwistWord, chain_word
 
@@ -54,7 +54,7 @@ def theorem11_family(n: int, cap: int = DEFAULT_CAP) -> FamilyReport:
     X_0 carries (chain)^(4n+2); step i pulls (a1 b1 a2)^4 to the front of
     the leading (chain)^4 block of the unconsumed power and substitutes
     d2 e2, shortening the word by 10.  Every step trades the same block,
-    so the trade is rewritten and verified once: ``commute_pull`` decides
+    so the trade is rewritten and verified once: ``pull_trade`` decides
     (chain)^4 = pulled and ``chain_substitute`` decides pulled = S.  X_i is
     X_0 with i copies of (chain)^4 replaced by S, so S = (chain)^4 rel
     boundary gives X_i = X_0 by substitution in the group.  Each step's
@@ -65,9 +65,7 @@ def theorem11_family(n: int, cap: int = DEFAULT_CAP) -> FamilyReport:
     if n < 2:
         raise ValueError("the family needs genus n >= 2")
     sig = SurfaceSig(n, 1)
-    pattern = TwistWord.from_names(sig, CHAIN_TRADE[0])
-
-    pulled = commute_pull(chain_word(sig, 4), pattern, cap)
+    pulled = pull_trade(sig, cap)
     substituted = chain_substitute(pulled.output, cap)
     for rep in (pulled, substituted):
         if rep.verified == "false":

@@ -12,11 +12,16 @@ strongest applicable engine:
   surface as a product of conjugated positive twists, using the fact that
   the inverse of a nonseparating twist is a positive word
   (``inverse_twist_expansion``) after transporting the curve to a1.  The
-  transport (``transport_pairs``) is read off the curve table alone.
+  transport (``transport_pairs``) is read off the curve table alone, and
+  worked out once per distinct negative curve of a word; the same map
+  gives ``output_length``, the output's size before any of it is built.
 * ``chain_substitute`` — replace a literal (a1 b1 a2)^4 block by d2 e2,
   shortening the word by ten letters.  Both sides are ``pi1.CHAIN_TRADE``,
   the one spelling of the trade, which is also a row of
   ``pi1.CHAIN_RELATIONS``, checked with the rest of the relator corpus.
+  Its left side is parsed once, into ``_TRADE_LHS``, and ``pull_trade``
+  is the one commutation pull of it out of (chain)^4, for
+  ``prop9_factor`` and ``constructions.theorem11_family``.
 
 Every output letter is a letter of the input or is built from curve names
 standard on its surface, so outputs are built with ``TwistWord._trusted``
@@ -35,7 +40,6 @@ from .surface import (
     Twist,
     TwistWord,
     chain_word,
-    check_curve,
     curve_classes,
     intersection,
 )
@@ -65,10 +69,10 @@ def transport_pairs(curve: str, sig: SurfaceSig) -> tuple[tuple[str, int], ...]:
     it meets (two curves meeting once braid, so t_c t_m carries c onto m).
     A chain curve then rides down the chain one braid hop at a time.  A
     curve that meets no chain curve is separating and has no transport.
-    Validated against the faithful engine and on homology classes in the
-    tests.
+    A name off the chain is looked up by ``intersection``, which raises
+    the surface's error for a name that is not a curve there.  Validated
+    against the faithful engine and on homology classes in the tests.
     """
-    check_curve(curve, sig)
     chain = tuple(curve_classes(sig))[:2 * sig.genus]
     hop, start = (), curve
     if curve not in chain:
@@ -126,6 +130,15 @@ def commute_pull(w: TwistWord, pattern: TwistWord,
     return RewriteReport(w, output, steps, verdict, engine)
 
 
+def pull_trade(sig: SurfaceSig, cap: int = DEFAULT_CAP) -> RewriteReport:
+    """``commute_pull`` of (a1 b1 a2)^4, the left side of ``CHAIN_TRADE``, out of (chain)^4.
+
+    The pattern is ``_TRADE_LHS``; ``sig`` has genus >= 2, where its
+    letters are standard.
+    """
+    return commute_pull(chain_word(sig, 4), TwistWord._trusted(sig, _TRADE_LHS), cap)
+
+
 def prop9_factor(n: int, cap: int = DEFAULT_CAP) -> tuple[TwistWord, TwistWord]:
     """Factor (chain)^4 on (g=n, b=1) as (a1 b1 a2)^4 . psi.
 
@@ -135,9 +148,7 @@ def prop9_factor(n: int, cap: int = DEFAULT_CAP) -> tuple[TwistWord, TwistWord]:
     if n < 2:
         raise ValueError("factorization requires genus >= 2")
     sig = SurfaceSig(n, 1)
-    w = chain_word(sig, 4)
-    pattern = TwistWord.from_names(sig, CHAIN_TRADE[0])
-    report = commute_pull(w, pattern, cap)
+    report = pull_trade(sig, cap)
     if report.verified == "false":
         raise AssertionError("commutation pull failed verification")
     prefix = TwistWord._trusted(sig, report.output.letters[:12])
@@ -159,6 +170,29 @@ def inverse_twist_expansion(sig: SurfaceSig) -> TwistWord:
     return TwistWord._trusted(sig, chain[1:] + chain * (4 * sig.genus + 1))
 
 
+def _inverse_transports(sig: SurfaceSig, letters) -> dict[str, tuple[tuple[str, int], ...]]:
+    """Each distinct negative base of ``letters``, in order, with its transport inverted.
+
+    ``sig`` is closed; ``transport_pairs`` runs once per base.
+    """
+    return {c: _invert_pairs(transport_pairs(c, sig))
+            for c in dict.fromkeys(t.base for t in letters if t.sign < 0)}
+
+
+def output_length(sig: SurfaceSig, letters) -> int:
+    """Letters of ``positivize``'s output on ``letters``, conjugator letters included.
+
+    ``sig`` is the closed surface the letters are positivized on; nothing
+    of the output is built.  A positive letter u t u^-1 passes through as
+    1 + |u| letters; a negative one becomes len(E) (1 + |u| + |v_c|), E
+    the expansion of a1^-1 and v_c the transport of its curve c.
+    """
+    transports = _inverse_transports(sig, letters)
+    expansion = len(inverse_twist_expansion(sig)) if transports else 0
+    return sum(1 + len(t.conj) if t.sign > 0
+               else expansion * (1 + len(t.conj) + len(transports[t.base])) for t in letters)
+
+
 def positivize(w: TwistWord, cap: int = DEFAULT_CAP,
                engine: str = "auto") -> RewriteReport:
     """Rewrite a signed word on a closed surface as all-positive letters.
@@ -167,14 +201,16 @@ def positivize(w: TwistWord, cap: int = DEFAULT_CAP,
     a1^-1 transported back to c: every letter of inverse_twist_expansion,
     conjugated by u . (transport of c)^-1.  Positive letters pass through.
     Output length is P + N * len(expansion) for P positive and N negative
-    input letters.  ``engine`` selects the verification tier ("auto" uses
+    input letters (``output_length`` counts conjugator letters too).
+    ``engine`` selects the verification tier ("auto" uses
     the strongest applicable engine; "homology" is the cheap necessary
     check).
     """
     sig = w.surface
     if sig.boundary != 0:
         raise ValueError("positivization is defined on closed surfaces")
-    expansion = inverse_twist_expansion(sig) if any(t.sign < 0 for t in w.letters) else None
+    transports = _inverse_transports(sig, w.letters)
+    expansion = inverse_twist_expansion(sig) if transports else None
     out: list[Twist] = []
     steps = 0
     for t in w.letters:
@@ -182,7 +218,7 @@ def positivize(w: TwistWord, cap: int = DEFAULT_CAP,
             out.append(t)
             continue
         # one conjugator of valid pairs, shared by every letter of the expansion
-        conj = t.conj + _invert_pairs(transport_pairs(t.base, sig))
+        conj = t.conj + transports[t.base]
         out.extend(Twist._trusted(e.base, 1, conj) for e in expansion.letters)
         steps += 1
     output = TwistWord._trusted(sig, tuple(out))

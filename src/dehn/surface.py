@@ -59,7 +59,11 @@ so ``d2`` and ``e2`` both have class ``e1 + e3`` and ``delta`` has class 0.
 stored sparse as its at most two nonzero entries.  Validity, the curve
 list (``tuple(curve_classes(sig))``), the chain order (its first 2g
 names), the classes and who meets whom (``intersection``) are all read
-from it; no other module lists the curves or parses their names.
+from it; no other module lists the curves or parses their names.  A name
+is a curve exactly when the table holds it: a single name is looked up
+by ``_class_of`` (behind ``homology_class`` and ``intersection``) and a
+sequence of letters by ``check_letters``, and both raise one error text
+for any other name.
 ``chain_name`` is the one place where a chain position becomes a name.
 """
 
@@ -142,11 +146,6 @@ def curve_classes(sig: SurfaceSig) -> dict[str, Sparse]:
     return table
 
 
-def curve_valid(name: str, sig: SurfaceSig) -> bool:
-    """Whether ``name`` denotes a standard curve on the surface ``sig``."""
-    return isinstance(name, str) and name in curve_classes(sig)
-
-
 def _invalid_curve(name, sig: SurfaceSig) -> ValueError:
     return ValueError(f"curve {name!r} is not valid on genus {sig.genus}, "
                       f"boundary {sig.boundary}")
@@ -157,11 +156,6 @@ def _class_of(name, sig: SurfaceSig, classes: dict[str, Sparse]) -> Sparse:
     if isinstance(name, str) and name in classes:
         return classes[name]
     raise _invalid_curve(name, sig)
-
-
-def check_curve(name: str, sig: SurfaceSig) -> None:
-    if not curve_valid(name, sig):
-        raise _invalid_curve(name, sig)
 
 
 def check_letters(letters, sig: SurfaceSig) -> dict[str, Sparse]:

@@ -373,7 +373,8 @@ def output_letters(rep):
 
 
 def test_output_size_is_worked_out_exactly():
-    from dehn.cli import _output_size, parse_word
+    from dehn.cli import parse_word
+    from dehn.rewriting import output_length
     from dehn.surface import SurfaceSig, TwistWord, curve_classes
 
     rng = random.Random("output-size")
@@ -387,15 +388,15 @@ def test_output_size_is_worked_out_exactly():
             code, rep, _ = run_cli(["positivize", "--engine", "homology"],
                                    {"surface": surface(genus, 0), "word": word})
             parsed = parse_word(closed, word)
-            assert code in (0, 3) and output_letters(rep) == _output_size(closed, parsed.letters)
+            assert code in (0, 3) and output_letters(rep) == output_length(closed, parsed.letters)
             positive = [dict(t, sign=1) for t in word]
             code, rep, _ = run_cli(["double"], {"surface": surface(genus, 1), "word": positive})
             doubled = parse_word(bounded, positive)
-            assert code == 0 and output_letters(rep) == _output_size(
+            assert code == 0 and output_letters(rep) == output_length(
                 closed, doubled.letters + doubled.inverse().letters)
     # one b24^-1 at genus 24, the largest plain negative letter, is under the bound
     g24 = SurfaceSig(24, 0)
-    assert _output_size(g24, TwistWord.from_names(g24, "b24^-1").letters) == 446_785
+    assert output_length(g24, TwistWord.from_names(g24, "b24^-1").letters) == 446_785
 
 
 def test_output_letter_upper_bound():

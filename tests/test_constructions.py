@@ -92,13 +92,17 @@ def test_family_members_equal_the_base_by_the_engine(n):
 
 def _family_with_trade_verdict(monkeypatch, rewrite, verdict):
     import dehn.constructions
+    import dehn.rewriting
 
-    real = getattr(dehn.constructions, rewrite)
+    # the family calls chain_substitute itself, and commute_pull through
+    # rewriting.pull_trade
+    owner = dehn.rewriting if rewrite == "commute_pull" else dehn.constructions
+    real = getattr(owner, rewrite)
 
     def patched(*args):
         return dataclasses.replace(real(*args), verified=verdict)
 
-    monkeypatch.setattr(dehn.constructions, rewrite, patched)
+    monkeypatch.setattr(owner, rewrite, patched)
 
 
 @pytest.mark.parametrize("rewrite", ["commute_pull", "chain_substitute"])

@@ -18,7 +18,7 @@ from dehn import (
 )
 from dehn.homology import homology_class, homology_equal, transported_class
 from dehn.pi1 import CHAIN_RELATIONS, ENGINE_CLOSED, ENGINE_HOMOLOGY_FAITHFUL, ENGINE_PI1
-from dehn.rewriting import transport_pairs
+from dehn.rewriting import output_length, transport_pairs
 from dehn.surface import curve_classes
 
 T2 = SurfaceSig(2, 1)
@@ -44,6 +44,17 @@ def test_transport_pairs_examples():
         transport_pairs("delta", T2)
     with pytest.raises(ValueError):
         transport_pairs("d2", SurfaceSig(1, 1))
+
+
+@pytest.mark.parametrize("name, sig", [
+    ("x1", T2), ("c1", SurfaceSig(2, 0)), ("a3", T2), ("delta", SurfaceSig(2, 0)),
+    (5, T2), (None, T2), ("d2", SurfaceSig(1, 1)), ("e2", SurfaceSig(1, 0))])
+def test_transport_pairs_rejects_a_name_that_is_not_a_curve(name, sig):
+    # the text of every other invalid curve: there is no check of its own
+    message = f"curve {name!r} is not valid on genus {sig.genus}, boundary {sig.boundary}"
+    with pytest.raises(ValueError) as info:
+        transport_pairs(name, sig)
+    assert str(info.value) == message
 
 
 def ref_transport_pairs(curve, sig):
@@ -209,6 +220,49 @@ def test_positivize_conjugated_negative_letter():
         (n, -s) for n, s in reversed(transport_pairs("b2", closed2)))
     assert all(u.conj == expected_conj for u in rep.output.letters)
     assert homology_equal(TwistWord(closed2, (t,)), rep.output)
+
+
+def _letter_count(word):
+    return sum(1 + len(t.conj) for t in word.letters)
+
+
+def test_output_length_is_the_length_of_the_output():
+    # one curve negative several times, under different conjugators
+    rng = random.Random("output-length")
+    for g in (1, 2, 3):
+        sig = SurfaceSig(g, 0)
+        curves = list(curve_classes(sig))
+        for _ in range(4):
+            repeated = rng.choice(curves)
+            letters = [Twist(repeated, -1, tuple((rng.choice(curves), rng.choice((1, -1)))
+                                                for _ in range(k))) for k in (0, 1, 2, 1)]
+            letters += [Twist(rng.choice(curves), rng.choice((1, -1)),
+                              ((rng.choice(curves), 1),) * rng.randrange(2)) for _ in range(3)]
+            rng.shuffle(letters)
+            w = TwistWord(sig, tuple(letters))
+            out = positivize(w, engine="homology").output
+            assert output_length(sig, w.letters) == _letter_count(out)
+    assert output_length(SurfaceSig(2, 0), ()) == 0
+
+
+def test_positivize_transports_each_negative_base_once(monkeypatch):
+    import dehn.rewriting
+
+    calls = []
+
+    def spy(curve, sig):
+        calls.append(curve)
+        return transport_pairs(curve, sig)
+
+    monkeypatch.setattr(dehn.rewriting, "transport_pairs", spy)
+    sig = SurfaceSig(2, 0)
+    w = TwistWord(sig, (Twist("b2", -1), Twist("a1", 1), Twist("b2", -1, (("a1", 1),)),
+                        Twist("d2", -1), Twist("b2", -1, (("b1", -1),)), Twist("d2", -1)))
+    positivize(w, engine="homology")
+    assert calls == ["b2", "d2"]
+    calls.clear()
+    output_length(sig, w.letters)
+    assert calls == ["b2", "d2"]
 
 
 def test_positivize_rejections():
