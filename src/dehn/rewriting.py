@@ -202,9 +202,8 @@ def positivize(w: TwistWord, cap: int = DEFAULT_CAP,
     conjugated by u . (transport of c)^-1.  Positive letters pass through.
     Output length is P + N * len(expansion) for P positive and N negative
     input letters (``output_length`` counts conjugator letters too).
-    ``engine`` selects the verification tier ("auto" uses
-    the strongest applicable engine; "homology" is the cheap necessary
-    check).
+    ``engine`` selects the verification tier ("auto" uses the strongest
+    applicable engine; "homology" is the cheap necessary check).
     """
     sig = w.surface
     if sig.boundary != 0:
