@@ -9,8 +9,9 @@ appends a runtime_ms field for humans, off by default to keep reports
 deterministic.  Every report opens with a ``"command"`` field, which
 ``run`` writes for a command's report and for an error report alike; the
 commands return the rest.  The output of positivize and double is bounded
-by ``OUTPUT_MAX_LETTERS``, counted by ``rewriting.output_length`` before
-any of it is built.
+by ``rewriting.OUTPUT_MAX_LETTERS``: ``positivize`` counts it before any
+of it is built and raises ``ValueError``, which ``run`` reports as an
+input error like every library rejection.
 
 Every report is written as ``json.dumps(report, indent=2)`` would write
 it.  Reports that carry a word (``word_out``) hold it as a TwistWord, and
@@ -82,7 +83,7 @@ from .pi1 import (
     apply_word,
     decide_equal,
 )
-from .rewriting import output_length, positivize
+from .rewriting import OUTPUT_MAX_LETTERS, positivize
 from .surface import (
     SurfaceSig,
     Twist,
@@ -110,12 +111,6 @@ GN_MAX_N = 24
 # counts every conjugator letter.  The gn word at GN_MAX_N has 4,704 letters.
 JSON_MAX_GENUS = GN_MAX_N
 WORD_MAX_LETTERS = 10_000
-# Largest positivize or double output accepted, counted the same way and
-# worked out before any of it is built (``rewriting.output_length``): a
-# negative letter u t_c^-1 u^-1 becomes the (2g-1) + 2g(4g+1) letters of
-# the expansion of a1^-1, each conjugated by u and the transport of c.  One
-# b24^-1 at genus 24 gives 446,785 letters.
-OUTPUT_MAX_LETTERS = 1_000_000
 
 
 class InputError(Exception):
@@ -212,13 +207,6 @@ def parse_word(sig: SurfaceSig, letters, where: str = "word") -> TwistWord:
     except ValueError as exc:
         raise InputError(f"{where}: {exc}") from exc
     return TwistWord._trusted(sig, twists)
-
-
-def _check_output_size(sig: SurfaceSig, letters) -> None:
-    size = output_length(sig, letters)
-    if size > OUTPUT_MAX_LETTERS:
-        raise InputError(f"field 'word' would give {size} output letters counting "
-                         f"conjugators, more than {OUTPUT_MAX_LETTERS}")
 
 
 # Stands in for the word_out word while the rest of the report is encoded.
@@ -326,11 +314,7 @@ def _cmd_verify(args, stdin) -> tuple[dict, int]:
 
 
 def _cmd_positivize(args, stdin) -> tuple[dict, int]:
-    _, word = _read_word(stdin)
-    sig = word.surface
-    if sig.boundary == 0:  # positivize names the fault on other surfaces
-        _check_output_size(sig, word.letters)
-    rep = positivize(word, args.cap, args.engine)
+    rep = positivize(_read_word(stdin)[1], args.cap, args.engine)
     report = {
         "verdict": rep.verified,
         "engine": rep.engine,
@@ -342,12 +326,7 @@ def _cmd_positivize(args, stdin) -> tuple[dict, int]:
 
 def _cmd_double(args, stdin) -> tuple[dict, int]:
     _, word = _read_word(stdin)
-    sig = word.surface
-    palf = Fibration("disk", sig, word)
-    if sig.boundary == 1 and is_allowable(palf):  # double_report names any other fault
-        # the doubled word is the capped word times its inverse
-        _check_output_size(SurfaceSig(sig.genus, 0), word.letters + word.inverse().letters)
-    rep = double_report(palf, args.cap, args.engine)
+    rep = double_report(Fibration("disk", word.surface, word), args.cap, args.engine)
     f = rep.fibration
     return ({"verdict": rep.verified, "engine": rep.engine, **_chi_h1(f), "word_out": f.word},
             _VERDICT_EXIT[rep.verified])

@@ -179,7 +179,10 @@ def splitting_words(phi: TwistWord, cap: int = DEFAULT_CAP
     x1 positivizes phi; x2 positivizes the reverse-inverse of x1's word, so
     the concatenation x1.word x2.word acts trivially on homology (and is
     trivial rel nothing by construction).  A positivization verified
-    "false" raises; an "unknown" verdict is not reported.
+    "false" raises; an "unknown" verdict is not reported.  Either
+    positivization raises ``ValueError`` when its output, conjugator
+    letters included, would pass ``rewriting.OUTPUT_MAX_LETTERS``; x2's
+    is counted once x1 is built and verified.
     """
     if phi.surface.boundary != 0:
         raise ValueError("splitting applies to words on a closed fiber")

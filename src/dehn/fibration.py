@@ -149,7 +149,10 @@ def double_report(palf: Fibration, cap: int = DEFAULT_CAP,
     Caps the fiber, appends the reverse-inverse of the word, and
     positivizes, so the letter count becomes k x (1 + expansion length).
     ``engine`` is the tier that verifies the positivization, as in
-    ``positivize``.  The doubled word is trivial, so a ``"true"`` verdict
+    ``positivize``, which raises ``ValueError`` when the doubled word,
+    conjugator letters included, would pass
+    ``rewriting.OUTPUT_MAX_LETTERS``; the fibration's own faults are
+    checked first.  The doubled word is trivial, so a ``"true"`` verdict
     certifies the positive word as trivial too, and the sphere fibration
     skips the homology check; any other verdict leaves that check to the
     public constructor.

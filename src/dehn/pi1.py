@@ -65,7 +65,6 @@ from .freegroup import (
     Word,
     WordGrowthExceeded,
     invert_word,
-    reduce_word,
     substitute,
 )
 from .homology import is_identity, stream_matrix
@@ -181,9 +180,18 @@ def apply_twist(t: Twist, z: Word, sig: SurfaceSig, cap: int = DEFAULT_CAP) -> W
 
 
 def apply_word(word: TwistWord, z: Word, cap: int = DEFAULT_CAP) -> Word:
-    """Image of z under the whole word; the rightmost letter acts first."""
+    """Image of z under the whole word; the rightmost letter acts first.
+
+    z need not be reduced, but its letters must be generators of the
+    surface group, in 1..2g and -2g..-1; any other raises ``ValueError``.
+    """
+    n = 2 * word.surface.genus
+    bad = next((x for x in z if not 0 < abs(x) <= n), None)
+    if bad is not None:
+        raise ValueError(f"letter {bad} is not a generator: letters of genus "
+                         f"{word.surface.genus} lie in 1..{n} and -{n}..-1")
     images = _images(word.surface.genus, compile_word(word), cap)
-    return tuple(substitute(images, reduce_word(z), cap))
+    return tuple(substitute(images, z, cap))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ strongest applicable engine:
   the inverse of a nonseparating twist is a positive word
   (``inverse_twist_expansion``) after transporting the curve to a1.  The
   transport (``transport_pairs``) is read off the curve table alone, and
-  worked out once per distinct negative curve of a word; the same map
-  gives ``output_length``, the output's size before any of it is built.
+  worked out once per distinct negative curve of a word; from the same
+  map positivize counts its output, conjugator letters included, and
+  raises ``ValueError`` past ``OUTPUT_MAX_LETTERS`` before it builds any
+  of it.
 * ``chain_substitute`` — replace a literal (a1 b1 a2)^4 block by d2 e2,
   shortening the word by ten letters.  Both sides are ``pi1.CHAIN_TRADE``,
   the one spelling of the trade, which is also a row of
@@ -43,6 +45,12 @@ from .surface import (
     curve_classes,
     intersection,
 )
+
+# Largest positivize output built, conjugator letters included: a negative
+# letter u t_c^-1 u^-1 becomes the (2g-1) + 2g(4g+1) letters of the
+# expansion of a1^-1, each conjugated by u and the transport of c.  One
+# b24^-1 at genus 24 gives 446,785 letters.
+OUTPUT_MAX_LETTERS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -170,29 +178,6 @@ def inverse_twist_expansion(sig: SurfaceSig) -> TwistWord:
     return TwistWord._trusted(sig, chain[1:] + chain * (4 * sig.genus + 1))
 
 
-def _inverse_transports(sig: SurfaceSig, letters) -> dict[str, tuple[tuple[str, int], ...]]:
-    """Each distinct negative base of ``letters``, in order, with its transport inverted.
-
-    ``sig`` is closed; ``transport_pairs`` runs once per base.
-    """
-    return {c: _invert_pairs(transport_pairs(c, sig))
-            for c in dict.fromkeys(t.base for t in letters if t.sign < 0)}
-
-
-def output_length(sig: SurfaceSig, letters) -> int:
-    """Letters of ``positivize``'s output on ``letters``, conjugator letters included.
-
-    ``sig`` is the closed surface the letters are positivized on; nothing
-    of the output is built.  A positive letter u t u^-1 passes through as
-    1 + |u| letters; a negative one becomes len(E) (1 + |u| + |v_c|), E
-    the expansion of a1^-1 and v_c the transport of its curve c.
-    """
-    transports = _inverse_transports(sig, letters)
-    expansion = len(inverse_twist_expansion(sig)) if transports else 0
-    return sum(1 + len(t.conj) if t.sign > 0
-               else expansion * (1 + len(t.conj) + len(transports[t.base])) for t in letters)
-
-
 def positivize(w: TwistWord, cap: int = DEFAULT_CAP,
                engine: str = "auto") -> RewriteReport:
     """Rewrite a signed word on a closed surface as all-positive letters.
@@ -201,15 +186,25 @@ def positivize(w: TwistWord, cap: int = DEFAULT_CAP,
     a1^-1 transported back to c: every letter of inverse_twist_expansion,
     conjugated by u . (transport of c)^-1.  Positive letters pass through.
     Output length is P + N * len(expansion) for P positive and N negative
-    input letters (``output_length`` counts conjugator letters too).
-    ``engine`` selects the verification tier ("auto" uses the strongest
-    applicable engine; "homology" is the cheap necessary check).
+    input letters.  Counting conjugator letters too, an output of more
+    than ``OUTPUT_MAX_LETTERS`` raises ``ValueError``, naming its size,
+    before any of it is built or verified.  ``engine`` selects the
+    verification tier ("auto" uses the strongest applicable engine;
+    "homology" is the cheap necessary check).
     """
     sig = w.surface
     if sig.boundary != 0:
         raise ValueError("positivization is defined on closed surfaces")
-    transports = _inverse_transports(sig, w.letters)
-    expansion = inverse_twist_expansion(sig) if transports else None
+    # each distinct negative base, in order, with its transport inverted
+    transports = {c: _invert_pairs(transport_pairs(c, sig))
+                  for c in dict.fromkeys(t.base for t in w.letters if t.sign < 0)}
+    expansion = inverse_twist_expansion(sig).letters if transports else ()
+    size = sum(1 + len(t.conj) if t.sign > 0
+               else len(expansion) * (1 + len(t.conj) + len(transports[t.base]))
+               for t in w.letters)
+    if size > OUTPUT_MAX_LETTERS:  # named as the CLI request's field, which it reports
+        raise ValueError(f"field 'word' would give {size} output letters counting "
+                         f"conjugators, more than {OUTPUT_MAX_LETTERS}")
     out: list[Twist] = []
     steps = 0
     for t in w.letters:
@@ -218,7 +213,7 @@ def positivize(w: TwistWord, cap: int = DEFAULT_CAP,
             continue
         # one conjugator of valid pairs, shared by every letter of the expansion
         conj = t.conj + transports[t.base]
-        out.extend(Twist._trusted(e.base, 1, conj) for e in expansion.letters)
+        out.extend(Twist._trusted(e.base, 1, conj) for e in expansion)
         steps += 1
     output = TwistWord._trusted(sig, tuple(out))
     verdict, engine_used = decide_equal(w, output, engine, cap)

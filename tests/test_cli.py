@@ -372,36 +372,47 @@ def output_letters(rep):
     return sum(1 + len(t.get("conj", [])) for t in rep["word_out"])
 
 
-def test_output_size_is_worked_out_exactly():
-    from dehn.cli import parse_word
-    from dehn.rewriting import output_length
-    from dehn.surface import SurfaceSig, TwistWord, curve_classes
+def test_output_size_is_worked_out_exactly(monkeypatch):
+    import dehn.rewriting
+    from dehn.surface import SurfaceSig, curve_classes
+
+    def at_the_bound(argv, payload):
+        # one letter under the output's size, the request is rejected naming
+        # that size; at the size, its report is unchanged
+        code, rep, text = run_cli(argv, payload)
+        size = output_letters(rep)
+        error = (f"field 'word' would give {size} output letters counting conjugators, "
+                 f"more than {size - 1}")
+        with monkeypatch.context() as m:
+            m.setattr(dehn.rewriting, "OUTPUT_MAX_LETTERS", size - 1)
+            assert run_cli(argv, payload)[:2] == (2, {"command": argv[0], "error": error})
+            m.setattr(dehn.rewriting, "OUTPUT_MAX_LETTERS", size)
+            assert run_cli(argv, payload) == (code, rep, text)
+        return code
 
     rng = random.Random("output-size")
     for genus in (1, 2, 3):
-        closed, bounded = SurfaceSig(genus, 0), SurfaceSig(genus, 1)
-        curves = list(curve_classes(closed))
+        curves = list(curve_classes(SurfaceSig(genus, 0)))
         for _ in range(5):
             word = [{"base": rng.choice(curves), "sign": rng.choice((1, -1)),
                      "conj": [{"base": rng.choice(curves), "sign": rng.choice((1, -1))}
                               for _ in range(rng.randrange(3))]} for _ in range(4)]
-            code, rep, _ = run_cli(["positivize", "--engine", "homology"],
-                                   {"surface": surface(genus, 0), "word": word})
-            parsed = parse_word(closed, word)
-            assert code in (0, 3) and output_letters(rep) == output_length(closed, parsed.letters)
+            assert at_the_bound(["positivize", "--engine", "homology"],
+                                {"surface": surface(genus, 0), "word": word}) in (0, 3)
             positive = [dict(t, sign=1) for t in word]
-            code, rep, _ = run_cli(["double"], {"surface": surface(genus, 1), "word": positive})
-            doubled = parse_word(bounded, positive)
-            assert code == 0 and output_letters(rep) == output_length(
-                closed, doubled.letters + doubled.inverse().letters)
-    # one b24^-1 at genus 24, the largest plain negative letter, is under the bound
-    g24 = SurfaceSig(24, 0)
-    assert output_length(g24, TwistWord.from_names(g24, "b24^-1").letters) == 446_785
+            assert at_the_bound(["double"], {"surface": surface(genus, 1), "word": positive}) == 0
+    # one b24^-1 at genus 24, the largest plain negative letter, is under the
+    # bound; its 446,785 letters are counted, not built
+    assert dehn.rewriting.OUTPUT_MAX_LETTERS >= 446_785
+    monkeypatch.setattr(dehn.rewriting, "OUTPUT_MAX_LETTERS", 446_784)
+    code, rep, _ = run_cli(["positivize"], {"surface": surface(24, 0), "word": letters("b24^-1")})
+    assert code == 2 and "446785 output letters" in rep["error"]
 
 
 def test_output_letter_upper_bound():
-    from dehn.cli import OUTPUT_MAX_LETTERS, build_parser
+    from dehn.cli import build_parser
     from dehn.pi1 import twist_tables
+    from dehn.rewriting import OUTPUT_MAX_LETTERS
 
     # three b24^-1 positivize to 3 x 446,785 letters, past the bound
     over = {"surface": surface(24, 0), "word": letters("b24^-1") * 3}
@@ -420,25 +431,59 @@ def test_output_letter_upper_bound():
 
 
 def test_output_at_the_bound_passes(monkeypatch):
-    import dehn.cli
+    import dehn.rewriting
 
     # a1^-1 b1 on the closed genus-2 surface positivizes to 40 letters
     payload = {"surface": surface(2, 0), "word": letters("a1^-1", "b1")}
-    monkeypatch.setattr(dehn.cli, "OUTPUT_MAX_LETTERS", 40)
+    monkeypatch.setattr(dehn.rewriting, "OUTPUT_MAX_LETTERS", 40)
     code, rep, _ = run_cli(["positivize"], payload)
     assert code == 0 and output_letters(rep) == 40
-    monkeypatch.setattr(dehn.cli, "OUTPUT_MAX_LETTERS", 39)
+    monkeypatch.setattr(dehn.rewriting, "OUTPUT_MAX_LETTERS", 39)
     code, rep, _ = run_cli(["positivize"], payload)
     assert code == 2 and "40 output letters" in rep["error"] and "39" in rep["error"]
     # a1 b1 on the genus-1 one-boundary surface doubles to 24 letters, 46
     # counting the two-letter transport of b1 on each letter of its expansion
     payload = {"surface": surface(1, 1), "word": letters("a1", "b1")}
-    monkeypatch.setattr(dehn.cli, "OUTPUT_MAX_LETTERS", 46)
+    monkeypatch.setattr(dehn.rewriting, "OUTPUT_MAX_LETTERS", 46)
     code, rep, _ = run_cli(["double"], payload)
     assert code == 0 and output_letters(rep) == 46
-    monkeypatch.setattr(dehn.cli, "OUTPUT_MAX_LETTERS", 45)
+    monkeypatch.setattr(dehn.rewriting, "OUTPUT_MAX_LETTERS", 45)
     code, rep, _ = run_cli(["double"], payload)
     assert code == 2 and "46 output letters" in rep["error"]
+
+
+def test_double_names_delta_in_a_conjugator_before_the_output_bound():
+    from dehn.pi1 import twist_tables
+
+    # double_report checks the page before positivize counts the doubled
+    # word, so of these two faults the delta in a conjugator is named
+    over = letters("b24") * 3
+    misses = twist_tables.cache_info().misses
+    code, rep, _ = run_cli(["double"], {"surface": surface(24, 1), "word": over})
+    assert code == 2 and "output letters" in rep["error"]
+    over[0] = {"base": "b24", "conj": [{"base": "delta"}]}
+    code, rep, _ = run_cli(["double"], {"surface": surface(24, 1), "word": over})
+    assert code == 2 and rep["error"] == ("doubling cannot cap delta in a conjugator: delta "
+                                          "is the boundary curve of the one-boundary page")
+    assert twist_tables.cache_info().misses == misses
+
+
+def test_each_request_transports_each_negative_curve_once(monkeypatch):
+    import dehn.rewriting
+
+    calls = []
+    transport_pairs = dehn.rewriting.transport_pairs
+    monkeypatch.setattr(dehn.rewriting, "transport_pairs",
+                        lambda curve, sig: calls.append(curve) or transport_pairs(curve, sig))
+    # b2^-1 (a1 b2^-1 a1^-1): b2 is negative twice, and transported once
+    word = [{"base": "b2", "sign": -1}, {"base": "b2", "sign": -1, "conj": [{"base": "a1"}]}]
+    code, _, _ = run_cli(["positivize"], {"surface": surface(2, 0), "word": word})
+    assert code == 0 and calls == ["b2"]
+    # double positivizes a1 b2 d2 b2 . b2^-1 d2^-1 b2^-1 a1^-1
+    calls.clear()
+    code, _, _ = run_cli(["double"], {"surface": surface(2, 1),
+                                      "word": letters("a1", "b2", "d2", "b2")})
+    assert code == 0 and calls == ["b2", "d2", "a1"]
 
 
 def test_trefoil():

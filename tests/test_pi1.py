@@ -205,6 +205,17 @@ def test_outputs_are_reduced():
         for k in range(1, 5):
             z = apply_word(w, (k,))
             assert z == reduce_word(z)
+            # an unreduced input has the image of its reduction
+            assert apply_word(w, (k, 3, -3, -k, k)) == z
+
+
+@pytest.mark.parametrize("letter", [5, 7, 9, -5, -9, 0])
+def test_apply_word_rejects_letters_off_the_generators(letter):
+    # genus 2 has generators 1..4; an index past them must not wrap round
+    # the signed image table onto another generator's inverse
+    a1 = word(T2, "a1")
+    with pytest.raises(ValueError, match=rf"^letter {letter} is not a generator"):
+        apply_word(a1, (1, letter))
 
 
 # A hand-written reference for the corpus pairs: the pairs read off the

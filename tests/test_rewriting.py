@@ -4,7 +4,10 @@ import random
 
 import pytest
 
+import dehn.pi1
+import dehn.rewriting
 from dehn import (
+    Fibration,
     SurfaceSig,
     Twist,
     TwistWord,
@@ -12,13 +15,15 @@ from dehn import (
     chain_word,
     commute_pull,
     decide_equal,
+    double_report,
     inverse_twist_expansion,
     positivize,
     prop9_factor,
+    splitting_words,
 )
 from dehn.homology import homology_class, homology_equal, transported_class
 from dehn.pi1 import CHAIN_RELATIONS, ENGINE_CLOSED, ENGINE_HOMOLOGY_FAITHFUL, ENGINE_PI1
-from dehn.rewriting import output_length, transport_pairs
+from dehn.rewriting import transport_pairs
 from dehn.surface import curve_classes
 
 T2 = SurfaceSig(2, 1)
@@ -226,8 +231,38 @@ def _letter_count(word):
     return sum(1 + len(t.conj) for t in word.letters)
 
 
-def test_output_length_is_the_length_of_the_output():
-    # one curve negative several times, under different conjugators
+def _rejected(monkeypatch, build, count):
+    """What ``build`` reached of the engine before it raised, naming ``count``, at bound ``count`` - 1.
+
+    The engine is seen through ``decide_equal`` and ``twist_tables``.
+    """
+    seen = []
+    real_decide, real_tables = dehn.rewriting.decide_equal, dehn.pi1.twist_tables
+    with monkeypatch.context() as m:
+        m.setattr(dehn.rewriting, "decide_equal",
+                  lambda *args: seen.append("decide_equal") or real_decide(*args))
+        m.setattr(dehn.pi1, "twist_tables",
+                  lambda genus: seen.append("twist_tables") or real_tables(genus))
+        m.setattr(dehn.rewriting, "OUTPUT_MAX_LETTERS", count - 1)
+        with pytest.raises(ValueError) as exc:
+            build()
+    assert str(exc.value) == (f"field 'word' would give {count} output letters "
+                              f"counting conjugators, more than {count - 1}")
+    return seen
+
+
+def _at_the_bound(monkeypatch, build, count):
+    """``_rejected`` below the bound ``count``, and what ``build`` gives at it."""
+    seen = _rejected(monkeypatch, build, count)
+    with monkeypatch.context() as m:
+        m.setattr(dehn.rewriting, "OUTPUT_MAX_LETTERS", count)
+        return seen, build()
+
+
+def test_output_length_is_the_length_of_the_output(monkeypatch):
+    # positivize counts its output, conjugator letters included, before it
+    # builds or verifies any of it; one curve negative several times, under
+    # different conjugators
     rng = random.Random("output-length")
     for g in (1, 2, 3):
         sig = SurfaceSig(g, 0)
@@ -240,14 +275,47 @@ def test_output_length_is_the_length_of_the_output():
                               ((rng.choice(curves), 1),) * rng.randrange(2)) for _ in range(3)]
             rng.shuffle(letters)
             w = TwistWord(sig, tuple(letters))
-            out = positivize(w, engine="homology").output
-            assert output_length(sig, w.letters) == _letter_count(out)
-    assert output_length(SurfaceSig(2, 0), ()) == 0
+            count = _letter_count(positivize(w, engine="homology").output)
+            seen, rep = _at_the_bound(monkeypatch, lambda: positivize(w, engine="homology"), count)
+            assert seen == [] and _letter_count(rep.output) == count
+    empty = TwistWord(SurfaceSig(2, 0), ())
+    seen, rep = _at_the_bound(monkeypatch, lambda: positivize(empty), 0)
+    assert seen == [] and rep.output == empty
+
+
+def _seeded_words(rng, genus):
+    """Five four-letter words on the closed surface of ``genus``, with up to two conjugator letters each."""
+    curves = list(curve_classes(SurfaceSig(genus, 0)))
+    return [[(rng.choice(curves), rng.choice((1, -1)),
+              tuple((rng.choice(curves), rng.choice((1, -1))) for _ in range(rng.randrange(3))))
+             for _ in range(4)] for _ in range(5)]
+
+
+def test_double_and_splitting_count_their_output(monkeypatch):
+    rng = random.Random("output-size")
+    for genus in (1, 2, 3):
+        bounded = SurfaceSig(genus, 1)
+        for word in _seeded_words(rng, genus):
+            palf = Fibration("disk", bounded,
+                             TwistWord(bounded, tuple(Twist(b, 1, c) for b, _, c in word)))
+            count = _letter_count(double_report(palf).fibration.word)
+            seen, rep = _at_the_bound(monkeypatch, lambda: double_report(palf), count)
+            assert seen == [] and _letter_count(rep.fibration.word) == count
+    # splitting positivizes twice; the second output is the larger, and is
+    # counted once the first is built and verified
+    rng = random.Random("splitting-size")
+    for genus in (1, 2):
+        closed = SurfaceSig(genus, 0)
+        for word in _seeded_words(rng, genus)[:2]:
+            phi = TwistWord(closed, tuple(Twist(*t) for t in word))
+            x1, x2 = splitting_words(phi)
+            first, second = _letter_count(x1.word), _letter_count(x2.word)
+            assert _rejected(monkeypatch, lambda: splitting_words(phi), first) == []
+            seen, (y1, y2) = _at_the_bound(monkeypatch, lambda: splitting_words(phi), second)
+            assert seen.count("decide_equal") == 1 and (y1, y2) == (x1, x2)
 
 
 def test_positivize_transports_each_negative_base_once(monkeypatch):
-    import dehn.rewriting
-
     calls = []
 
     def spy(curve, sig):
@@ -260,8 +328,11 @@ def test_positivize_transports_each_negative_base_once(monkeypatch):
                         Twist("d2", -1), Twist("b2", -1, (("b1", -1),)), Twist("d2", -1)))
     positivize(w, engine="homology")
     assert calls == ["b2", "d2"]
+    # the output is counted from the same transports, also when it is rejected
     calls.clear()
-    output_length(sig, w.letters)
+    monkeypatch.setattr(dehn.rewriting, "OUTPUT_MAX_LETTERS", 0)
+    with pytest.raises(ValueError, match="output letters"):
+        positivize(w, engine="homology")
     assert calls == ["b2", "d2"]
 
 
