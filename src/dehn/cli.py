@@ -326,7 +326,7 @@ def _cmd_positivize(args, stdin) -> tuple[dict, int]:
 
 def _cmd_double(args, stdin) -> tuple[dict, int]:
     _, word = _read_word(stdin)
-    rep = double_report(Fibration("disk", word.surface, word), args.cap, args.engine)
+    rep = double_report(Fibration("disk", word), args.cap, args.engine)
     f = rep.fibration
     return ({"verdict": rep.verified, "engine": rep.engine, **_chi_h1(f), "word_out": f.word},
             _VERDICT_EXIT[rep.verified])
@@ -334,7 +334,7 @@ def _cmd_double(args, stdin) -> tuple[dict, int]:
 
 def _cmd_invariants(args, stdin) -> tuple[dict, int]:
     req, word = _read_word(stdin)
-    f = Fibration(req.get("base", "disk"), word.surface, word)
+    f = Fibration(req.get("base", "disk"), word)
     allowable = is_allowable(f)
     return ({"verdict": "true" if allowable else "false", **_chi_h1(f)},
             EXIT_TRUE if allowable else EXIT_FALSE)
@@ -342,22 +342,18 @@ def _cmd_invariants(args, stdin) -> tuple[dict, int]:
 
 def _cmd_family(args, stdin) -> tuple[dict, int]:
     fam = theorem11_family(_read_n(args, FAMILY_MAX_N), args.cap)
-    verdicts = [{"verdict": v, "engine": e} for v, e in fam.equal_verdicts]
+    verdict, engine = fam.trade
     report = {
         "n": fam.n,
         "chis": list(fam.chis),
-        "verdicts": verdicts,
+        "verdicts": [{"verdict": verdict, "engine": engine}] * fam.n,
         "h1s": [group_json(h) for h in fam.h1s],
     }
-    worst = EXIT_TRUE
-    if any(v == "unknown" for v, _ in fam.equal_verdicts):
-        worst = EXIT_UNKNOWN
-    return report, worst
+    return report, _VERDICT_EXIT[verdict]
 
 
 def _cmd_trefoil(args, stdin) -> tuple[dict, int]:
-    big, small = trefoil_completions(args.cap)
-    verdict, engine = decide_equal(big.word, small.word, "auto", args.cap)
+    big, small, (verdict, engine) = trefoil_completions(args.cap)
     report = {
         "verdict": verdict,
         "engine": engine,
@@ -369,18 +365,19 @@ def _cmd_trefoil(args, stdin) -> tuple[dict, int]:
 
 def _cmd_branched_double(args, stdin) -> tuple[dict, int]:
     _, word = _read_word(stdin)
-    fiber, monodromy = branched_double_cover(word.surface, word)
+    monodromy = branched_double_cover(word)
+    fiber = monodromy.surface
     report = {
         "fiber": {"genus": fiber.genus, "boundary": fiber.boundary},
         "word_out": monodromy,
-        "h1": group_json(mapping_torus_homology(fiber, monodromy)),
+        "h1": group_json(mapping_torus_homology(monodromy)),
     }
     return report, EXIT_TRUE
 
 
 def _cmd_fibersum(args, stdin) -> tuple[dict, int]:
     # each summand is checked before the next word is read
-    f1, f2 = _read_words(stdin, lambda word: Fibration("sphere", word.surface, word))
+    f1, f2 = _read_words(stdin, lambda word: Fibration("sphere", word))
     f = fiber_sum(f1, f2)
     return {**_chi_h1(f), "word_out": f.word}, EXIT_TRUE
 

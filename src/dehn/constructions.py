@@ -7,16 +7,20 @@
   verified once; every member then equals X_0 by substituting it.
 * ``trefoil_completions`` — two sphere-fibration completions of the
   two-letter torus fibration: the algorithmic double (24 letters) and the
-  short closure (ab)^6 (12 letters).
+  short closure (ab)^6 (12 letters), with the verdict of deciding that
+  they agree.
 * ``branched_double_cover`` — the closed genus-2 bundle monodromy phi
-  followed by a mirrored inverse copy with disjoint support, for a page of
-  genus 1.
+  followed by a mirrored inverse copy with disjoint support, for a word
+  phi on a one-boundary page of genus 1.
 * ``mapping_torus_homology`` — H1 of a surface bundle over the circle from
   the monodromy's homology action by the standard long-exact-sequence
-  presentation coker(M - I) + Z.
+  presentation coker(M - I) + Z; the fiber is the monodromy's surface.
 * ``splitting_words`` — positive disk fibrations x1, x2 with monodromies
   multiplying to the identity, from an arbitrary signed word on a closed
   fiber.
+
+Every word carries its surface, so no function here takes a surface
+beside a word.
 """
 
 from __future__ import annotations
@@ -39,12 +43,16 @@ from .surface import SurfaceSig, Twist, TwistWord, chain_word
 
 @dataclass(frozen=True)
 class FamilyReport:
-    """A family of fillings of one open book: words, chis, verdicts, homology."""
+    """A family of fillings of one open book: words, chis, verdict, homology.
+
+    ``trade`` is the (verdict, engine) of the one trade, which every step
+    makes.
+    """
 
     n: int
     fillings: tuple[Fibration, ...]
     chis: tuple[int, ...]
-    equal_verdicts: tuple[tuple[str, str], ...]  # (verdict, engine) per step
+    trade: tuple[str, str]
     h1s: tuple[AbelianGroup, ...]
 
 
@@ -57,10 +65,10 @@ def theorem11_family(n: int, cap: int = DEFAULT_CAP) -> FamilyReport:
     so the trade is rewritten and verified once: ``pull_trade`` decides
     (chain)^4 = pulled and ``chain_substitute`` decides pulled = S.  X_i is
     X_0 with i copies of (chain)^4 replaced by S, so S = (chain)^4 rel
-    boundary gives X_i = X_0 by substitution in the group.  Each step's
-    (verdict, engine) is therefore the trade's: "true" when both rewrites
-    verified "true", otherwise the first one's "unknown" (a resource cap)
-    with its engine; a "false" rewrite raises.
+    boundary gives X_i = X_0 by substitution in the group.  Every step's
+    (verdict, engine) is therefore the trade's, kept once: "true" when both
+    rewrites verified "true", otherwise the first one's "unknown" (a
+    resource cap) with its engine; a "false" rewrite raises.
     """
     if n < 2:
         raise ValueError("the family needs genus n >= 2")
@@ -73,56 +81,57 @@ def theorem11_family(n: int, cap: int = DEFAULT_CAP) -> FamilyReport:
     trade = next((rep for rep in (pulled, substituted) if rep.verified != "true"),
                  substituted)
 
-    fillings = [Fibration("disk", sig, chain_word(sig, 4 * n + 2))]
+    fillings = [Fibration("disk", chain_word(sig, 4 * n + 2))]
     for i in range(1, n + 1):
         word = TwistWord._trusted(sig, substituted.output.letters * i
                                   + chain_word(sig, 4 * (n - i) + 2).letters)
-        fillings.append(Fibration("disk", sig, word))
-    verdicts = ((trade.verified, trade.engine),) * n
+        fillings.append(Fibration("disk", word))
 
     chis = tuple(euler_characteristic(f) for f in fillings)
     expected = tuple(8 * n * n + 2 * n + 1 - 10 * i for i in range(n + 1))
     if chis != expected:
         raise AssertionError(f"chi sequence {chis} deviates from {expected}")
     h1s = tuple(first_homology(f) for f in fillings)
-    return FamilyReport(n, tuple(fillings), chis, verdicts, h1s)
+    return FamilyReport(n, tuple(fillings), chis, (trade.verified, trade.engine), h1s)
 
 
-def trefoil_completions(cap: int = DEFAULT_CAP) -> tuple[Fibration, Fibration]:
+def trefoil_completions(cap: int = DEFAULT_CAP
+                        ) -> tuple[Fibration, Fibration, tuple[str, str]]:
     """Both sphere completions of the two-letter torus disk fibration.
 
     The big one doubles the fibration (24 letters); the small one closes it
     with the short relation, giving (a1 b1)^6 (12 letters).  The two words
-    agree as torus mapping classes.
+    agree as torus mapping classes.  The third value is the (verdict,
+    engine) of the one decision that they do: a "false" verdict raises,
+    and an "unknown" one (a resource cap) is passed on.
     """
-    palf = Fibration("disk", SurfaceSig(1, 1),
-                     TwistWord.from_names(SurfaceSig(1, 1), "a1 b1"))
+    palf = Fibration("disk", TwistWord.from_names(SurfaceSig(1, 1), "a1 b1"))
     big = double_report(palf, cap).fibration
-    closed = SurfaceSig(1, 0)
-    small = Fibration("sphere", closed, chain_word(closed, 6))
-    if decide_equal(big.word, small.word, "auto", cap)[0] != "true":
+    small = Fibration("sphere", chain_word(SurfaceSig(1, 0), 6))
+    verdict = decide_equal(big.word, small.word, "auto", cap)
+    if verdict[0] == "false":
         raise AssertionError("the two completions disagree as mapping classes")
-    return big, small
+    return big, small, verdict
 
 
 _MIRROR = {"a1": "d2", "b1": "b2"}
 
 
-def branched_double_cover(page: SurfaceSig, monodromy: TwistWord
-                          ) -> tuple[SurfaceSig, TwistWord]:
+def branched_double_cover(monodromy: TwistWord) -> TwistWord:
     """Monodromy of the double of a one-boundary page: phi then mirrored phi^-1.
 
-    The closed double of a genus-1 page is a genus-2 surface on which the
-    page's a1, b1 re-embed as themselves and the mirrored copy re-embeds as
-    d2, b2 — every mirror curve is disjoint from every original curve, so
-    the two halves commute.  Pages of genus >= 2 would need mirror curves
-    outside the standard alphabet and are rejected, and so is every letter
-    that names delta, as its base or in its conjugator.
+    The page is the surface of ``monodromy``, and the result lives on the
+    closed double.  The closed double of a genus-1 page is a genus-2
+    surface on which the page's a1, b1 re-embed as themselves and the
+    mirrored copy re-embeds as d2, b2 — every mirror curve is disjoint
+    from every original curve, so the two halves commute.  Pages of genus
+    >= 2 would need mirror curves outside the standard alphabet and are
+    rejected, and so is every letter that names delta, as its base or in
+    its conjugator.
     """
+    page = monodromy.surface
     if page.boundary != 1:
         raise ValueError("the page must have one boundary component")
-    if monodromy.surface != page:
-        raise ValueError("monodromy does not live on the page")
     if page.genus != 1:
         raise ValueError("only genus-1 pages are supported: the mirrored copy of a "
                          "higher-genus chain leaves the standard curve alphabet")
@@ -139,7 +148,7 @@ def branched_double_cover(page: SurfaceSig, monodromy: TwistWord
                               tuple((_MIRROR[n], s) for n, s in t.conj))
 
     copy2 = tuple(mirror(t) for t in reversed(monodromy.letters))
-    return closed, TwistWord._trusted(closed, monodromy.letters + copy2)
+    return TwistWord._trusted(closed, monodromy.letters + copy2)
 
 
 def swap_matrix() -> Matrix:
@@ -155,16 +164,16 @@ def swap_matrix() -> Matrix:
             (0, 0, 0, -1))
 
 
-def mapping_torus_homology(sig: SurfaceSig, monodromy: TwistWord) -> AbelianGroup:
+def mapping_torus_homology(monodromy: TwistWord) -> AbelianGroup:
     """H1 of the surface bundle over the circle with the given monodromy.
 
-    Computed as coker(M - I) plus one free rank for the base circle, where
-    M is the monodromy's homology action.
+    The fiber is the monodromy's surface.  Computed as coker(M - I) plus
+    one free rank for the base circle, where M is the monodromy's homology
+    action.
     """
+    sig = monodromy.surface
     if sig.boundary != 0:
         raise ValueError("mapping torus homology is computed for closed fibers")
-    if monodromy.surface != sig:
-        raise ValueError("monodromy does not live on the given surface")
     m = word_matrix(monodromy)
     size = 2 * sig.genus
     cols = [[m[i][j] - (1 if i == j else 0) for i in range(size)] for j in range(size)]
@@ -180,16 +189,15 @@ def splitting_words(phi: TwistWord, cap: int = DEFAULT_CAP
     the concatenation x1.word x2.word acts trivially on homology (and is
     trivial rel nothing by construction).  A positivization verified
     "false" raises; an "unknown" verdict is not reported.  Either
-    positivization raises ``ValueError`` when its output, conjugator
-    letters included, would pass ``rewriting.OUTPUT_MAX_LETTERS``; x2's
-    is counted once x1 is built and verified.
+    positivization raises ``ValueError`` on a bounded fiber, and when its
+    output, conjugator letters included, would pass
+    ``rewriting.OUTPUT_MAX_LETTERS``; x2's is counted once x1 is built and
+    verified.
     """
-    if phi.surface.boundary != 0:
-        raise ValueError("splitting applies to words on a closed fiber")
     rep1 = positivize(phi, cap)
-    x1 = Fibration("disk", phi.surface, rep1.output)
+    x1 = Fibration("disk", rep1.output)
     rep2 = positivize(x1.word.inverse(), cap)
-    x2 = Fibration("disk", phi.surface, rep2.output)
+    x2 = Fibration("disk", rep2.output)
     if "false" in (rep1.verified, rep2.verified):
         raise AssertionError("positivization failed verification")
     return x1, x2

@@ -1,10 +1,11 @@
 """Lefschetz fibrations over the disk and sphere, and their invariants.
 
-A fibration is a fiber signature, a base ("disk" or "sphere"), and an
-all-positive twist word listing the vanishing cycles (one letter per
-singular fiber).  Sphere fibrations need a closed fiber and a word whose
-homology action is the identity (a necessary condition for the monodromy to
-close up; exact closure is checked by the equality engines where needed).
+A fibration is a base ("disk" or "sphere") and an all-positive twist
+word listing the vanishing cycles (one letter per singular fiber); the
+fiber is the surface the word lives on.  Sphere fibrations need a closed
+fiber and a word whose homology action is the identity (a necessary
+condition for the monodromy to close up; exact closure is checked by the
+equality engines where needed).
 ``gn_word``, ``fiber_sum`` and a verified ``double_report`` build sphere
 fibrations whose words are trivial by a theorem, by construction or by
 the verdict of an exact engine, and skip that check.
@@ -39,11 +40,12 @@ class AbelianGroup:
         object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
         if self.rank < 0:
             raise ValueError("rank must be non-negative")
+        # before the chain check, which divides by each order
+        if any(d < 2 for d in self.torsion):
+            raise ValueError("torsion orders must be at least 2")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
                 raise ValueError("torsion orders must form a divisibility chain")
-        if any(d < 2 for d in self.torsion):
-            raise ValueError("torsion orders must be at least 2")
 
     @property
     def trivial(self) -> bool:
@@ -52,17 +54,17 @@ class AbelianGroup:
 
 @dataclass(frozen=True)
 class Fibration:
-    """A positive Lefschetz fibration: base, fiber, vanishing-cycle word."""
+    """A positive Lefschetz fibration: base and vanishing-cycle word.
+
+    The fiber is the word's surface.
+    """
 
     base: str
-    fiber: SurfaceSig
     word: TwistWord
 
     def __post_init__(self):
         if self.base not in BASES:
             raise ValueError(f"base must be one of {BASES}, got {self.base!r}")
-        if self.word.surface != self.fiber:
-            raise ValueError("word surface does not match the fiber signature")
         if not self.word.all_positive():
             raise ValueError("fibration words must be all-positive")
         if self.base == "sphere":
@@ -72,19 +74,22 @@ class Fibration:
                 raise ValueError("sphere fibration word must act trivially on homology")
 
     @classmethod
-    def _certified_sphere(cls, fiber: SurfaceSig, word: TwistWord) -> "Fibration":
+    def _certified_sphere(cls, word: TwistWord) -> "Fibration":
         """A sphere fibration whose word is trivial by how it was built; no check runs.
 
-        For a positive word on the closed ``fiber`` that is trivial by a
+        For a positive word on a closed surface that is trivial by a
         theorem (the chain relation), is a product of words already
         checked, or was decided equal to a trivial word; every other word
         goes through the public constructor.
         """
         f = object.__new__(cls)
         object.__setattr__(f, "base", "sphere")
-        object.__setattr__(f, "fiber", fiber)
         object.__setattr__(f, "word", word)
         return f
+
+    @property
+    def fiber(self) -> SurfaceSig:
+        return self.word.surface
 
     @property
     def letter_count(self) -> int:
@@ -171,20 +176,21 @@ def double_report(palf: Fibration, cap: int = DEFAULT_CAP,
     doubled = capped * capped.inverse()
     rep = positivize(doubled, cap, engine)
     if rep.verified == "true":
-        f = Fibration._certified_sphere(closed, rep.output)
+        f = Fibration._certified_sphere(rep.output)
     else:
-        f = Fibration("sphere", closed, rep.output)
+        f = Fibration("sphere", rep.output)
     return DoubleReport(f, rep.verified, rep.engine)
 
 
 def fiber_sum(f1: Fibration, f2: Fibration) -> Fibration:
-    """Concatenate the words of two sphere fibrations with the same fiber."""
+    """Concatenate the words of two sphere fibrations with the same fiber.
+
+    The concatenation rejects words on different surfaces.
+    """
     if f1.base != "sphere" or f2.base != "sphere":
         raise ValueError("fiber sum is defined for sphere fibrations")
-    if f1.fiber != f2.fiber:
-        raise ValueError("fiber signatures differ")
     # the product of two trivial words is trivial
-    return Fibration._certified_sphere(f1.fiber, f1.word * f2.word)
+    return Fibration._certified_sphere(f1.word * f2.word)
 
 
 def gn_word(n: int) -> Fibration:
@@ -195,5 +201,4 @@ def gn_word(n: int) -> Fibration:
     """
     if n < 1:
         raise ValueError("genus must be at least 1")
-    sig = SurfaceSig(n, 0)
-    return Fibration._certified_sphere(sig, chain_word(sig, 4 * n + 2))
+    return Fibration._certified_sphere(chain_word(SurfaceSig(n, 0), 4 * n + 2))

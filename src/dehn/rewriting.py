@@ -62,7 +62,6 @@ class RewriteReport:
     occurs under a resource cap or a necessary-only engine.
     """
 
-    input: TwistWord
     output: TwistWord
     steps: int
     verified: str
@@ -135,7 +134,7 @@ def commute_pull(w: TwistWord, pattern: TwistWord,
             pos -= 1
     output = TwistWord._trusted(w.surface, tuple(letters))
     verdict, engine = decide_equal(w, output, "auto", cap)
-    return RewriteReport(w, output, steps, verdict, engine)
+    return RewriteReport(output, steps, verdict, engine)
 
 
 def pull_trade(sig: SurfaceSig, cap: int = DEFAULT_CAP) -> RewriteReport:
@@ -217,7 +216,7 @@ def positivize(w: TwistWord, cap: int = DEFAULT_CAP,
         steps += 1
     output = TwistWord._trusted(sig, tuple(out))
     verdict, engine_used = decide_equal(w, output, engine, cap)
-    return RewriteReport(w, output, steps, verdict, engine_used)
+    return RewriteReport(output, steps, verdict, engine_used)
 
 
 # the two sides of CHAIN_TRADE as plain positive letters, built once
@@ -241,4 +240,4 @@ def chain_substitute(w: TwistWord, cap: int = DEFAULT_CAP) -> RewriteReport:
         raise ValueError(f"no contiguous block {CHAIN_TRADE[0]} found")
     output = TwistWord._trusted(w.surface, letters[:start] + _TRADE_RHS + letters[start + n:])
     verdict, engine = decide_equal(w, output, "auto", cap)
-    return RewriteReport(w, output, 1, verdict, engine)
+    return RewriteReport(output, 1, verdict, engine)

@@ -90,6 +90,64 @@ def test_no_public_name_only_the_tests_use():
     assert not unused, unused
 
 
+def _surface_and_word_takers(trees):
+    """Signatures and dataclasses of ``trees`` annotated with both a surface and a word.
+
+    A parameter (return values aside) or a dataclass field counts when its
+    annotation names ``SurfaceSig`` or ``TwistWord``, bare or quoted.
+    """
+    def names(annotation):
+        found = set()
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.update(re.findall(r"\w+", node.value))
+        return found
+
+    def takes_both(annotations):
+        seen = set().union(*(names(a) for a in annotations if a is not None))
+        return {"SurfaceSig", "TwistWord"} <= seen
+
+    def walk(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                params += [a for a in (args.vararg, args.kwarg) if a is not None]
+                if takes_both(a.annotation for a in params):
+                    yield prefix + node.name
+            elif isinstance(node, ast.ClassDef):
+                dataclass = any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+                fields = [n.annotation for n in node.body if isinstance(n, ast.AnnAssign)]
+                if dataclass and takes_both(fields):
+                    yield prefix + node.name
+                yield from walk(node.body, prefix + node.name + ".")
+
+    for module, tree in trees.items():
+        yield from walk(tree.body, module + ".")
+
+
+def test_no_signature_takes_a_surface_beside_a_word():
+    # a word carries its surface; a second copy beside it could disagree
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "dehn").glob("*.py"))}
+    assert list(_surface_and_word_takers(trees)) == []
+
+
+def test_the_surface_and_word_scan_finds_both_kinds():
+    tree = ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class F:\n"
+        "    fiber: SurfaceSig\n"
+        "    word: TwistWord\n"
+        "    @classmethod\n"
+        "    def make(cls, fiber: 'SurfaceSig', word: 'TwistWord') -> 'F': ...\n"
+        "def read(sig: SurfaceSig, letters) -> TwistWord: ...\n"
+        "def cover(page: SurfaceSig, *, word: Optional[TwistWord] = None): ...\n")
+    assert list(_surface_and_word_takers({"m": tree})) == ["m.F", "m.F.make", "m.cover"]
+
+
 def _readme_blocks(lang):
     return re.findall(rf"^```{lang}\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
 

@@ -495,13 +495,34 @@ def test_trefoil():
 
 
 def test_trefoil_reports_the_engine_verdict(monkeypatch):
-    import dehn.cli
+    import dehn.constructions
 
-    monkeypatch.setattr(dehn.cli, "decide_equal",
+    monkeypatch.setattr(dehn.constructions, "decide_equal",
                         lambda w1, w2, engine, cap: ("unknown", "homology(g=1,faithful)"))
     code, rep, _ = run_cli(["trefoil"])
     assert code == 3
     assert rep["verdict"] == "unknown"
+
+
+def test_trefoil_decides_each_pair_once(monkeypatch):
+    # the positivization inside the double, then big against small; the
+    # report writes the second verdict and does not decide it again
+    import dehn.cli
+    import dehn.constructions
+    import dehn.rewriting
+
+    calls = []
+    for module in (dehn.cli, dehn.constructions, dehn.rewriting):
+        real = module.decide_equal
+
+        def spy(w1, w2, *args, real=real):
+            calls.append((len(w1), len(w2)))
+            return real(w1, w2, *args)
+
+        monkeypatch.setattr(module, "decide_equal", spy)
+    code, rep, _ = run_cli(["trefoil"])
+    assert code == 0 and rep["verdict"] == "true"
+    assert calls == [(4, 24), (24, 12)]
 
 
 def test_branched_double():

@@ -56,7 +56,7 @@ def test_family_n2():
     assert rep.chis == (37, 27, 17)
     assert len(rep.fillings) == 3
     assert [len(f.word) for f in rep.fillings] == [40, 30, 20]
-    assert all(v == ("true", ENGINE_PI1) for v in rep.equal_verdicts)
+    assert rep.trade == ("true", ENGINE_PI1)
     assert all(h.trivial for h in rep.h1s)
     assert all(is_allowable(f) for f in rep.fillings)
     assert all(f.base == "disk" and f.fiber == SurfaceSig(2, 1) for f in rep.fillings)
@@ -69,7 +69,7 @@ def test_family_n2():
 def test_family_n3():
     rep = theorem11_family(3)
     assert rep.chis == (79, 69, 59, 49)
-    assert all(v[0] == "true" for v in rep.equal_verdicts)
+    assert rep.trade[0] == "true"
     assert all(h.trivial for h in rep.h1s)
 
 
@@ -111,7 +111,7 @@ def test_family_passes_on_an_unknown_trade(monkeypatch, rewrite):
 
     _family_with_trade_verdict(monkeypatch, rewrite, "unknown")
     rep = theorem11_family(2)
-    assert rep.equal_verdicts == (("unknown", ENGINE_PI1),) * 2
+    assert rep.trade == ("unknown", ENGINE_PI1)
     out = io.StringIO()
     assert run(["family", "--n", "2"], stdin=io.StringIO(""), stdout=out) == EXIT_UNKNOWN
     assert [v["verdict"] for v in json.loads(out.getvalue())["verdicts"]] == ["unknown"] * 2
@@ -155,12 +155,28 @@ def test_family_rejects_small_genus():
 
 
 def test_trefoil_completions():
-    big, small = trefoil_completions()
+    big, small, verdict = trefoil_completions()
+    assert verdict == ("true", "homology(g=1,faithful)")
     assert (big.base, small.base) == ("sphere", "sphere")
     assert big.fiber == small.fiber == TORUS
     assert (big.letter_count, small.letter_count) == (24, 12)
     assert (euler_characteristic(big), euler_characteristic(small)) == (24, 12)
     assert first_homology(big).trivial and first_homology(small).trivial
+
+
+def test_trefoil_completions_pass_an_unknown_verdict_on(monkeypatch):
+    # a resource cap says nothing about whether the completions disagree
+    import dehn.constructions
+
+    unknown = ("unknown", "homology(g=1,faithful)")
+    monkeypatch.setattr(dehn.constructions, "decide_equal", lambda w1, w2, engine, cap: unknown)
+    big, small, verdict = trefoil_completions()
+    assert verdict == unknown
+    assert (big.letter_count, small.letter_count) == (24, 12)
+    monkeypatch.setattr(dehn.constructions, "decide_equal",
+                        lambda w1, w2, engine, cap: ("false", "homology(g=1,faithful)"))
+    with pytest.raises(AssertionError, match="disagree"):
+        trefoil_completions()
 
 
 # ---------------------------------------------------------------------------
@@ -169,22 +185,22 @@ def test_trefoil_completions():
 
 
 def test_branched_double_cover_word():
-    cover, w = branched_double_cover(T1, word(T1, "a1 b1"))
-    assert cover == CLOSED2
+    w = branched_double_cover(word(T1, "a1 b1"))
+    assert w.surface == CLOSED2
     assert w.letters == (
         Twist("a1"), Twist("b1"), Twist("b2", -1), Twist("d2", -1))
 
 
 def test_branched_double_cover_mirrors_conjugators():
     t = Twist("a1", 1, (("b1", -1),))
-    _, w = branched_double_cover(T1, TwistWord(T1, (t,)))
+    w = branched_double_cover(TwistWord(T1, (t,)))
     assert w.letters == (t, Twist("d2", -1, (("b2", -1),)))
 
 
 def test_branched_double_cover_halves_commute():
     for names in (["a1"], ["a1", "b1"], ["a1", "b1"] * 3):
         phi = word(T1, names)
-        _, w = branched_double_cover(T1, phi)
+        w = branched_double_cover(phi)
         k = len(phi)
         first = TwistWord(CLOSED2, w.letters[:k])
         second = TwistWord(CLOSED2, w.letters[k:])
@@ -195,25 +211,23 @@ def test_branched_double_cover_halves_commute():
 def test_branched_double_cover_swap_conjugates_to_inverse():
     s = swap_matrix()
     for names in (["a1"], ["a1", "b1"], ["a1", "b1"] * 3):
-        _, w = branched_double_cover(T1, word(T1, names))
+        w = branched_double_cover(word(T1, names))
         m = word_matrix(w)
         assert mat_mul(mat_mul(s, m), s) == word_matrix(w.inverse())
 
 
 def test_branched_double_cover_rejections():
     with pytest.raises(ValueError, match="boundary"):
-        branched_double_cover(TORUS, word(TORUS, "a1"))
-    with pytest.raises(ValueError, match="page"):
-        branched_double_cover(T1, word(TORUS, "a1"))
+        branched_double_cover(word(TORUS, "a1"))
     sig21 = SurfaceSig(2, 1)
     with pytest.raises(ValueError, match="genus-1"):
-        branched_double_cover(sig21, word(sig21, "a1"))
+        branched_double_cover(word(sig21, "a1"))
     with pytest.raises(ValueError, match="separating"):
-        branched_double_cover(T1, word(T1, "delta"))
+        branched_double_cover(word(T1, "delta"))
     # delta has no mirror in a conjugator either
     t = Twist("a1", 1, (("b1", 1), ("delta", -1)))
     with pytest.raises(ValueError, match="boundary-parallel letters"):
-        branched_double_cover(T1, TwistWord(T1, (t,)))
+        branched_double_cover(TwistWord(T1, (t,)))
 
 
 def test_swap_matrix_properties():
@@ -232,16 +246,14 @@ def test_swap_matrix_properties():
 
 
 def test_mapping_torus_homology():
-    assert mapping_torus_homology(TORUS, word(TORUS, "a1")) == AbelianGroup(2)
+    assert mapping_torus_homology(word(TORUS, "a1")) == AbelianGroup(2)
     # identity monodromy gives the 3-torus
-    assert mapping_torus_homology(TORUS, TwistWord(TORUS, ())) == AbelianGroup(3)
+    assert mapping_torus_homology(TwistWord(TORUS, ())) == AbelianGroup(3)
     # a double twist leaves 2-torsion
-    assert mapping_torus_homology(TORUS, word(TORUS, "a1 a1")) == AbelianGroup(2, (2,))
-    assert mapping_torus_homology(CLOSED2, word(CLOSED2, "a1")) == AbelianGroup(4)
-    with pytest.raises(ValueError):
-        mapping_torus_homology(T1, word(T1, "a1"))
-    with pytest.raises(ValueError):
-        mapping_torus_homology(TORUS, word(T1, "a1"))
+    assert mapping_torus_homology(word(TORUS, "a1 a1")) == AbelianGroup(2, (2,))
+    assert mapping_torus_homology(word(CLOSED2, "a1")) == AbelianGroup(4)
+    with pytest.raises(ValueError, match="closed"):
+        mapping_torus_homology(word(T1, "a1"))
 
 
 # ---------------------------------------------------------------------------
@@ -283,5 +295,5 @@ def test_splitting_words_raises_on_a_false_positivization(monkeypatch, failing_c
 
 
 def test_splitting_words_rejects_bounded_fiber():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="closed"):
         splitting_words(word(T1, "a1"))

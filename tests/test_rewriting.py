@@ -296,7 +296,7 @@ def test_double_and_splitting_count_their_output(monkeypatch):
     for genus in (1, 2, 3):
         bounded = SurfaceSig(genus, 1)
         for word in _seeded_words(rng, genus):
-            palf = Fibration("disk", bounded,
+            palf = Fibration("disk",
                              TwistWord(bounded, tuple(Twist(b, 1, c) for b, _, c in word)))
             count = _letter_count(double_report(palf).fibration.word)
             seen, rep = _at_the_bound(monkeypatch, lambda: double_report(palf), count)

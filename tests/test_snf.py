@@ -263,7 +263,7 @@ def test_first_homology_matches_eager_path_on_seeded_words():
         for boundary in (0, 1):
             sig = SurfaceSig(genus, boundary)
             for _ in range(60):
-                f = Fibration("disk", sig, _random_positive_word(rng, sig))
+                f = Fibration("disk", _random_positive_word(rng, sig))
                 expect = _first_homology_eager(f)
                 assert first_homology(f) == expect, f.word
                 torsion += bool(expect.torsion)
