@@ -2,11 +2,14 @@
 
 Commands read a single JSON document from stdin (where input is needed)
 and write one JSON report to stdout.  Exit codes: 0 = success or verdict
-true, 1 = verified false, 2 = input error, 3 = resource cap (verdict
-unknown).  Reports omit absent fields rather than emitting null, and are
-byte-identical across repeated runs of the same request; ``--timing``
-appends a runtime_ms field for humans, off by default to keep reports
-deterministic.  Every report opens with a ``"command"`` field, which
+true, 1 = verified false, 2 = input error, 3 = verdict unknown (a
+resource cap, or the necessary-only engine that could not separate the
+words).  ``_verdict`` writes a report's ``"verdict"`` and ``"engine"``
+fields and its exit code from the (verdict, engine) pair that the
+library returns.  Reports omit absent fields rather than emitting null,
+and are byte-identical across repeated runs of the same request;
+``--timing`` appends a runtime_ms field for humans, off by default to
+keep reports deterministic.  Every report opens with a ``"command"`` field, which
 ``run`` writes for a command's report and for an error report alike; the
 commands return the rest.  The output of positivize and double is bounded
 by ``rewriting.OUTPUT_MAX_LETTERS``: ``positivize`` counts it before any
@@ -307,29 +310,29 @@ def _read_n(args, most: int) -> int:
     return args.n
 
 
+def _verdict(pair: tuple[str, str]) -> tuple[dict, int]:
+    """The ``verdict`` and ``engine`` fields of a report, and its exit code."""
+    verdict, engine = pair
+    return {"verdict": verdict, "engine": engine}, _VERDICT_EXIT[verdict]
+
+
 def _cmd_verify(args, stdin) -> tuple[dict, int]:
     w1, w2 = _read_words(stdin)
-    verdict, engine = decide_equal(w1, w2, args.engine, args.cap)
-    return {"verdict": verdict, "engine": engine}, _VERDICT_EXIT[verdict]
+    return _verdict(decide_equal(w1, w2, args.engine, args.cap))
 
 
 def _cmd_positivize(args, stdin) -> tuple[dict, int]:
     rep = positivize(_read_word(stdin)[1], args.cap, args.engine)
-    report = {
-        "verdict": rep.verified,
-        "engine": rep.engine,
-        "word_out": rep.output,
-        "steps": rep.steps,
-    }
-    return report, _VERDICT_EXIT[rep.verified]
+    fields, code = _verdict(rep.verdict)
+    return {**fields, "word_out": rep.output, "steps": rep.steps}, code
 
 
 def _cmd_double(args, stdin) -> tuple[dict, int]:
     _, word = _read_word(stdin)
     rep = double_report(Fibration("disk", word), args.cap, args.engine)
     f = rep.fibration
-    return ({"verdict": rep.verified, "engine": rep.engine, **_chi_h1(f), "word_out": f.word},
-            _VERDICT_EXIT[rep.verified])
+    fields, code = _verdict(rep.verdict)
+    return {**fields, **_chi_h1(f), "word_out": f.word}, code
 
 
 def _cmd_invariants(args, stdin) -> tuple[dict, int]:
@@ -342,25 +345,25 @@ def _cmd_invariants(args, stdin) -> tuple[dict, int]:
 
 def _cmd_family(args, stdin) -> tuple[dict, int]:
     fam = theorem11_family(_read_n(args, FAMILY_MAX_N), args.cap)
-    verdict, engine = fam.trade
+    fields, code = _verdict(fam.trade)
     report = {
         "n": fam.n,
         "chis": list(fam.chis),
-        "verdicts": [{"verdict": verdict, "engine": engine}] * fam.n,
+        "verdicts": [fields] * fam.n,
         "h1s": [group_json(h) for h in fam.h1s],
     }
-    return report, _VERDICT_EXIT[verdict]
+    return report, code
 
 
 def _cmd_trefoil(args, stdin) -> tuple[dict, int]:
-    big, small, (verdict, engine) = trefoil_completions(args.cap)
+    big, small, verdict = trefoil_completions(args.cap)
+    fields, code = _verdict(verdict)
     report = {
-        "verdict": verdict,
-        "engine": engine,
+        **fields,
         "chis": [euler_characteristic(big), euler_characteristic(small)],
         "letters": [big.letter_count, small.letter_count],
     }
-    return report, _VERDICT_EXIT[verdict]
+    return report, code
 
 
 def _cmd_branched_double(args, stdin) -> tuple[dict, int]:

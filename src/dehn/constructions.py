@@ -4,11 +4,12 @@
   on a genus-n one-boundary fiber, repeatedly trade a (chain)^4 block for
   d2 e2 (after a commutation pull), producing n+1 fillings of the same
   open book whose Euler characteristics descend by 10.  The one trade is
-  verified once; every member then equals X_0 by substituting it.
+  verified once, and its verdict kept once; every member then equals X_0
+  by substituting it.
 * ``trefoil_completions`` — two sphere-fibration completions of the
   two-letter torus fibration: the algorithmic double (24 letters) and the
-  short closure (ab)^6 (12 letters), with the verdict of deciding that
-  they agree.
+  short closure (ab)^6 (12 letters), with the verdict of the doubling and
+  of deciding that they agree.
 * ``branched_double_cover`` — the closed genus-2 bundle monodromy phi
   followed by a mirrored inverse copy with disjoint support, for a word
   phi on a one-boundary page of genus 1.
@@ -17,10 +18,13 @@
   presentation coker(M - I) + Z; the fiber is the monodromy's surface.
 * ``splitting_words`` — positive disk fibrations x1, x2 with monodromies
   multiplying to the identity, from an arbitrary signed word on a closed
-  fiber.
+  fiber, with the verdict of its two positivizations.
 
 Every word carries its surface, so no function here takes a surface
-beside a word.
+beside a word.  Each verdict is a (verdict, engine) pair of
+``decide_equal``, and a construction with several passes them through
+``pi1.settle``: a "false" one raises, and the first "unknown" one (a
+resource cap or a necessary-only engine) is passed on.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .fibration import (
     first_homology,
 )
 from .homology import Matrix, word_matrix
-from .pi1 import DEFAULT_CAP, decide_equal
+from .pi1 import DEFAULT_CAP, decide_equal, settle
 from .rewriting import chain_substitute, positivize, pull_trade
 from .snf import abelian_group_from_columns
 from .surface import SurfaceSig, Twist, TwistWord, chain_word
@@ -66,20 +70,15 @@ def theorem11_family(n: int, cap: int = DEFAULT_CAP) -> FamilyReport:
     (chain)^4 = pulled and ``chain_substitute`` decides pulled = S.  X_i is
     X_0 with i copies of (chain)^4 replaced by S, so S = (chain)^4 rel
     boundary gives X_i = X_0 by substitution in the group.  Every step's
-    (verdict, engine) is therefore the trade's, kept once: "true" when both
-    rewrites verified "true", otherwise the first one's "unknown" (a
-    resource cap) with its engine; a "false" rewrite raises.
+    (verdict, engine) is therefore the trade's, kept once: the two
+    rewrites' verdicts settled by ``pi1.settle``.
     """
     if n < 2:
         raise ValueError("the family needs genus n >= 2")
     sig = SurfaceSig(n, 1)
     pulled = pull_trade(sig, cap)
     substituted = chain_substitute(pulled.output, cap)
-    for rep in (pulled, substituted):
-        if rep.verified == "false":
-            raise AssertionError("rewriting step failed verification")
-    trade = next((rep for rep in (pulled, substituted) if rep.verified != "true"),
-                 substituted)
+    trade = settle("rewriting step failed verification", pulled.verdict, substituted.verdict)
 
     fillings = [Fibration("disk", chain_word(sig, 4 * n + 2))]
     for i in range(1, n + 1):
@@ -92,7 +91,7 @@ def theorem11_family(n: int, cap: int = DEFAULT_CAP) -> FamilyReport:
     if chis != expected:
         raise AssertionError(f"chi sequence {chis} deviates from {expected}")
     h1s = tuple(first_homology(f) for f in fillings)
-    return FamilyReport(n, tuple(fillings), chis, (trade.verified, trade.engine), h1s)
+    return FamilyReport(n, tuple(fillings), chis, trade, h1s)
 
 
 def trefoil_completions(cap: int = DEFAULT_CAP
@@ -101,16 +100,15 @@ def trefoil_completions(cap: int = DEFAULT_CAP
 
     The big one doubles the fibration (24 letters); the small one closes it
     with the short relation, giving (a1 b1)^6 (12 letters).  The two words
-    agree as torus mapping classes.  The third value is the (verdict,
-    engine) of the one decision that they do: a "false" verdict raises,
-    and an "unknown" one (a resource cap) is passed on.
+    agree as torus mapping classes.  The third value settles the verdict
+    of the doubling and that of the one decision that the two agree.
     """
     palf = Fibration("disk", TwistWord.from_names(SurfaceSig(1, 1), "a1 b1"))
-    big = double_report(palf, cap).fibration
+    doubled = double_report(palf, cap)
+    big = doubled.fibration
     small = Fibration("sphere", chain_word(SurfaceSig(1, 0), 6))
-    verdict = decide_equal(big.word, small.word, "auto", cap)
-    if verdict[0] == "false":
-        raise AssertionError("the two completions disagree as mapping classes")
+    verdict = settle("the two completions disagree as mapping classes",
+                     doubled.verdict, decide_equal(big.word, small.word, "auto", cap))
     return big, small, verdict
 
 
@@ -182,13 +180,14 @@ def mapping_torus_homology(monodromy: TwistWord) -> AbelianGroup:
 
 
 def splitting_words(phi: TwistWord, cap: int = DEFAULT_CAP
-                    ) -> tuple[Fibration, Fibration]:
+                    ) -> tuple[Fibration, Fibration, tuple[str, str]]:
     """Split a signed word on a closed fiber into two positive fillings.
 
     x1 positivizes phi; x2 positivizes the reverse-inverse of x1's word, so
     the concatenation x1.word x2.word acts trivially on homology (and is
-    trivial rel nothing by construction).  A positivization verified
-    "false" raises; an "unknown" verdict is not reported.  Either
+    trivial rel nothing by construction).  The third value settles the two
+    positivizations' verdicts: one verified "false" raises, and an
+    "unknown" one is passed on.  Either
     positivization raises ``ValueError`` on a bounded fiber, and when its
     output, conjugator letters included, would pass
     ``rewriting.OUTPUT_MAX_LETTERS``; x2's is counted once x1 is built and
@@ -198,6 +197,4 @@ def splitting_words(phi: TwistWord, cap: int = DEFAULT_CAP
     x1 = Fibration("disk", rep1.output)
     rep2 = positivize(x1.word.inverse(), cap)
     x2 = Fibration("disk", rep2.output)
-    if "false" in (rep1.verified, rep2.verified):
-        raise AssertionError("positivization failed verification")
-    return x1, x2
+    return x1, x2, settle("positivization failed verification", rep1.verdict, rep2.verdict)

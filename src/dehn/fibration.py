@@ -8,7 +8,9 @@ condition for the monodromy to close up; exact closure is checked by the
 equality engines where needed).
 ``gn_word``, ``fiber_sum`` and a verified ``double_report`` build sphere
 fibrations whose words are trivial by a theorem, by construction or by
-the verdict of an exact engine, and skip that check.
+the verdict of an exact engine, and skip that check.  ``double_report``
+returns a :class:`DoubleReport`, which holds the (verdict, engine) pair of
+``decide_equal`` for its positivization as it came.
 
 Invariants are computed from the handle decomposition: the Euler
 characteristic from the letter count, and first homology of the total
@@ -140,11 +142,10 @@ def is_allowable(f: Fibration) -> bool:
 
 @dataclass(frozen=True)
 class DoubleReport:
-    """Doubled fibration plus the positivization verification verdict."""
+    """Doubled fibration plus the (verdict, engine) that verified its positivization."""
 
     fibration: Fibration
-    verified: str
-    engine: str
+    verdict: tuple[str, str]
 
 
 def double_report(palf: Fibration, cap: int = DEFAULT_CAP,
@@ -175,11 +176,11 @@ def double_report(palf: Fibration, cap: int = DEFAULT_CAP,
     capped = TwistWord._trusted(closed, palf.word.letters)
     doubled = capped * capped.inverse()
     rep = positivize(doubled, cap, engine)
-    if rep.verified == "true":
+    if rep.verdict[0] == "true":
         f = Fibration._certified_sphere(rep.output)
     else:
         f = Fibration("sphere", rep.output)
-    return DoubleReport(f, rep.verified, rep.engine)
+    return DoubleReport(f, rep.verdict)
 
 
 def fiber_sum(f1: Fibration, f2: Fibration) -> Fibration:

@@ -313,3 +313,16 @@ def decide_equal(w1: TwistWord, w2: TwistWord, engine: str = "auto",
         return ("true" if _fixes_generators(sig, psi, cap) else "false", name)
     except WordGrowthExceeded:
         return ("unknown", name)
+
+
+def settle(fault: str, *verdicts: tuple[str, str]) -> tuple[str, str]:
+    """The one (verdict, engine) that a construction passes on for its decisions.
+
+    Each verdict is a pair from ``decide_equal`` on words that the
+    construction built equal, so a "false" one means the construction is
+    wrong, and raises ``AssertionError(fault)``.  Otherwise the first pair
+    that is not "true" (an "unknown") is passed on, or else the last pair.
+    """
+    if any(verdict == "false" for verdict, _ in verdicts):
+        raise AssertionError(fault)
+    return next((pair for pair in verdicts if pair[0] != "true"), verdicts[-1])

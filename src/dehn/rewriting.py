@@ -2,7 +2,8 @@
 
 Three rewriting algorithms on twist words, each returning a
 :class:`RewriteReport` whose output is verified equal to the input by the
-strongest applicable engine:
+strongest applicable engine, holding ``decide_equal``'s (verdict, engine)
+pair as it came:
 
 * ``commute_pull`` — move a pattern's letters to the front one adjacent
   transposition at a time; the hopped-over letter picks up a conjugator
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pi1 import CHAIN_TRADE, DEFAULT_CAP, decide_equal
+from .pi1 import CHAIN_TRADE, DEFAULT_CAP, decide_equal, settle
 from .surface import (
     SurfaceSig,
     Twist,
@@ -57,15 +58,15 @@ OUTPUT_MAX_LETTERS = 1_000_000
 class RewriteReport:
     """Outcome of one rewriting pass.
 
-    ``verified`` is the verdict ("true", "false", "unknown") of comparing
-    input and output with the engine named in ``engine``; "unknown" only
-    occurs under a resource cap or a necessary-only engine.
+    ``verdict`` is the (verdict, engine) pair of ``decide_equal`` comparing
+    input and output: "true", "false" or "unknown", and the engine that
+    decided it; "unknown" only occurs under a resource cap or a
+    necessary-only engine.
     """
 
     output: TwistWord
     steps: int
-    verified: str
-    engine: str
+    verdict: tuple[str, str]
 
 
 def transport_pairs(curve: str, sig: SurfaceSig) -> tuple[tuple[str, int], ...]:
@@ -133,8 +134,7 @@ def commute_pull(w: TwistWord, pattern: TwistWord,
             steps += 1
             pos -= 1
     output = TwistWord._trusted(w.surface, tuple(letters))
-    verdict, engine = decide_equal(w, output, "auto", cap)
-    return RewriteReport(output, steps, verdict, engine)
+    return RewriteReport(output, steps, decide_equal(w, output, "auto", cap))
 
 
 def pull_trade(sig: SurfaceSig, cap: int = DEFAULT_CAP) -> RewriteReport:
@@ -146,21 +146,23 @@ def pull_trade(sig: SurfaceSig, cap: int = DEFAULT_CAP) -> RewriteReport:
     return commute_pull(chain_word(sig, 4), TwistWord._trusted(sig, _TRADE_LHS), cap)
 
 
-def prop9_factor(n: int, cap: int = DEFAULT_CAP) -> tuple[TwistWord, TwistWord]:
+def prop9_factor(n: int, cap: int = DEFAULT_CAP
+                 ) -> tuple[TwistWord, TwistWord, tuple[str, str]]:
     """Factor (chain)^4 on (g=n, b=1) as (a1 b1 a2)^4 . psi.
 
     psi consists of 8n - 12 conjugated positive twists about nonseparating
-    curves; the factorization is verified by the faithful engine.
+    curves; the factorization is verified by the faithful engine, and the
+    third value is that (verdict, engine): a "false" one raises, and an
+    "unknown" one (a resource cap) is passed on.
     """
     if n < 2:
         raise ValueError("factorization requires genus >= 2")
     sig = SurfaceSig(n, 1)
     report = pull_trade(sig, cap)
-    if report.verified == "false":
-        raise AssertionError("commutation pull failed verification")
+    verdict = settle("commutation pull failed verification", report.verdict)
     prefix = TwistWord._trusted(sig, report.output.letters[:12])
     psi = TwistWord._trusted(sig, report.output.letters[12:])
-    return prefix, psi
+    return prefix, psi, verdict
 
 
 def inverse_twist_expansion(sig: SurfaceSig) -> TwistWord:
@@ -215,8 +217,7 @@ def positivize(w: TwistWord, cap: int = DEFAULT_CAP,
         out.extend(Twist._trusted(e.base, 1, conj) for e in expansion)
         steps += 1
     output = TwistWord._trusted(sig, tuple(out))
-    verdict, engine_used = decide_equal(w, output, engine, cap)
-    return RewriteReport(output, steps, verdict, engine_used)
+    return RewriteReport(output, steps, decide_equal(w, output, engine, cap))
 
 
 # the two sides of CHAIN_TRADE as plain positive letters, built once
@@ -239,5 +240,4 @@ def chain_substitute(w: TwistWord, cap: int = DEFAULT_CAP) -> RewriteReport:
     if start is None:
         raise ValueError(f"no contiguous block {CHAIN_TRADE[0]} found")
     output = TwistWord._trusted(w.surface, letters[:start] + _TRADE_RHS + letters[start + n:])
-    verdict, engine = decide_equal(w, output, "auto", cap)
-    return RewriteReport(output, 1, verdict, engine)
+    return RewriteReport(output, 1, decide_equal(w, output, "auto", cap))

@@ -99,7 +99,8 @@ def test_criterion_05_factorization_counts():
     letters; faithful verification at n=2, homology verification n <= 5."""
     for n in (2, 3, 4, 5):
         sig = SurfaceSig(n, 1)
-        prefix, psi = prop9_factor(n)
+        prefix, psi, verdict = prop9_factor(n)
+        assert verdict[0] == "true"
         assert len(psi) == 8 * n - 12
         assert psi.all_positive()
         assert all(t.base != "delta" for t in psi.letters)
@@ -154,7 +155,7 @@ def test_criterion_08_positivization_battery():
         negatives = sum(1 for t in w.letters if t.sign == -1)
         expansion = len(inverse_twist_expansion(sig))
         assert len(rep.output) == (k - negatives) + negatives * expansion
-        assert rep.verified != "false"
+        assert rep.verdict[0] != "false"
 
 
 def test_criterion_09_doubled_monodromy_symmetry():

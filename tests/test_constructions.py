@@ -8,15 +8,21 @@ import sys
 import pytest
 
 from dehn import (
+    Fibration,
     SurfaceSig,
     Twist,
     TwistWord,
     branched_double_cover,
+    chain_substitute,
     chain_word,
+    commute_pull,
+    double_report,
     euler_characteristic,
     first_homology,
     is_allowable,
     mapping_torus_homology,
+    positivize,
+    prop9_factor,
     splitting_words,
     swap_matrix,
     theorem11_family,
@@ -24,11 +30,12 @@ from dehn import (
 )
 from dehn.fibration import AbelianGroup
 from dehn.homology import homology_class, identity_matrix, is_identity, word_matrix
-from dehn.pi1 import ENGINE_PI1, decide_equal
+from dehn.pi1 import ENGINE_PI1, decide_equal, settle
 
 from matrices import mat_mul
 
 T1 = SurfaceSig(1, 1)
+T2 = SurfaceSig(2, 1)
 TORUS = SurfaceSig(1, 0)
 CLOSED2 = SurfaceSig(2, 0)
 
@@ -100,7 +107,8 @@ def _family_with_trade_verdict(monkeypatch, rewrite, verdict):
     real = getattr(owner, rewrite)
 
     def patched(*args):
-        return dataclasses.replace(real(*args), verified=verdict)
+        rep = real(*args)
+        return dataclasses.replace(rep, verdict=(verdict, rep.verdict[1]))
 
     monkeypatch.setattr(owner, rewrite, patched)
 
@@ -262,7 +270,8 @@ def test_mapping_torus_homology():
 
 
 def test_splitting_words_torus():
-    x1, x2 = splitting_words(word(TORUS, "a1^-1"))
+    x1, x2, verdict = splitting_words(word(TORUS, "a1^-1"))
+    assert verdict == ("true", "homology(g=1,faithful)")
     assert (x1.letter_count, x2.letter_count) == (11, 121)
     assert x1.word.all_positive() and x2.word.all_positive()
     assert x1.base == x2.base == "disk"
@@ -270,7 +279,8 @@ def test_splitting_words_torus():
 
 
 def test_splitting_words_mixed():
-    x1, x2 = splitting_words(word(TORUS, "a1 b1^-1"))
+    x1, x2, verdict = splitting_words(word(TORUS, "a1 b1^-1"))
+    assert verdict == ("true", "homology(g=1,faithful)")
     assert (x1.letter_count, x2.letter_count) == (12, 132)
     assert is_identity(word_matrix(x1.word * x2.word))
 
@@ -286,7 +296,7 @@ def test_splitting_words_raises_on_a_false_positivization(monkeypatch, failing_c
         calls.append(word)
         rep = real(word, cap)
         if len(calls) == failing_call:
-            rep = dataclasses.replace(rep, verified="false")
+            rep = dataclasses.replace(rep, verdict=("false", rep.verdict[1]))
         return rep
 
     monkeypatch.setattr(dehn.constructions, "positivize", positivize)
@@ -297,3 +307,57 @@ def test_splitting_words_raises_on_a_false_positivization(monkeypatch, failing_c
 def test_splitting_words_rejects_bounded_fiber():
     with pytest.raises(ValueError, match="closed"):
         splitting_words(word(T1, "a1"))
+
+
+# ---------------------------------------------------------------------------
+# verdicts passed on
+# ---------------------------------------------------------------------------
+
+
+def _rewrites_decide(monkeypatch, verdict):
+    """Make every rewrite's decision answer ``verdict``.
+
+    Every construction below verifies through a rewrite, the trefoil
+    through its doubling; its comparison of the two completions is its
+    own and stays real.
+    """
+    import dehn.rewriting
+
+    monkeypatch.setattr(dehn.rewriting, "decide_equal", lambda *args: verdict)
+
+
+# each rewrite and construction, reduced to the (verdict, engine) it hands back
+_VERDICT_OF = {
+    "commute_pull": lambda: commute_pull(word(T2, "b1 a1"), word(T2, "a1")).verdict,
+    "positivize": lambda: positivize(word(TORUS, "a1^-1")).verdict,
+    "chain_substitute": lambda: chain_substitute(word(T2, "a1 b1 a2").power(4)).verdict,
+    "prop9_factor": lambda: prop9_factor(2)[2],
+    "double_report": lambda: double_report(Fibration("disk", word(T1, "a1 b1"))).verdict,
+    "theorem11_family": lambda: theorem11_family(2).trade,
+    "trefoil_completions": lambda: trefoil_completions()[2],
+    "splitting_words": lambda: splitting_words(word(TORUS, "a1^-1"))[2],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VERDICT_OF))
+def test_every_rewrite_and_construction_passes_an_unknown_verdict_on(monkeypatch, name):
+    spy = ("unknown", "spy")
+    _rewrites_decide(monkeypatch, spy)
+    assert _VERDICT_OF[name]() == spy
+
+
+@pytest.mark.parametrize("name, fault", [("prop9_factor", "commutation pull"),
+                                         ("trefoil_completions", "disagree")])
+def test_a_false_rewrite_raises(monkeypatch, name, fault):
+    _rewrites_decide(monkeypatch, ("false", "spy"))
+    with pytest.raises(AssertionError, match=fault):
+        _VERDICT_OF[name]()
+
+
+def test_settle_raises_on_false_and_passes_on_the_first_unknown():
+    yes, cap, necessary = ("true", "a"), ("unknown", "b"), ("unknown", "c")
+    assert settle("fault", yes) == yes
+    assert settle("fault", yes, ("true", "d")) == ("true", "d")
+    assert settle("fault", yes, cap, necessary) == cap
+    with pytest.raises(AssertionError, match="^fault$"):
+        settle("fault", cap, ("false", "e"))

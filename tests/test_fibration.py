@@ -116,7 +116,7 @@ def test_double_trefoil():
     assert rep.fibration.base == "sphere"
     assert rep.fibration.fiber == TORUS
     assert rep.fibration.letter_count == 24
-    assert rep.verified == "true"
+    assert rep.verdict[0] == "true"
     assert euler_characteristic(rep.fibration) == 24
 
 
@@ -136,7 +136,7 @@ def test_double_random_battery():
         assert rep.fibration.letter_count == 12 * k
         assert rep.fibration.word.all_positive()
         assert is_identity(word_matrix(rep.fibration.word))
-        assert rep.verified == "true"
+        assert rep.verdict[0] == "true"
 
 
 def test_double_rejections():
@@ -204,9 +204,9 @@ def test_double_skips_the_sphere_check_only_when_verified(monkeypatch):
     for engine, verdict, checks in (("auto", "true", 0), ("homology", "unknown", 1)):
         calls.clear()
         rep = double_report(palf, engine=engine)
-        assert rep.verified == verdict
+        assert rep.verdict[0] == verdict
         assert calls == [rep.fibration.word] * checks
         assert is_identity(word_matrix(rep.fibration.word))
     calls.clear()
-    assert double_report(Fibration("disk", word(T1, "a1 b1"))).verified == "true"
+    assert double_report(Fibration("disk", word(T1, "a1 b1"))).verdict[0] == "true"
     assert calls == []

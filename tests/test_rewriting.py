@@ -111,7 +111,7 @@ def test_commute_pull_single_hop():
     rep = commute_pull(word(T2, "b1 a1"), word(T2, "a1"))
     assert rep.output.letters == (Twist("a1"), Twist("b1", 1, (("a1", -1),)))
     assert rep.steps == 1
-    assert (rep.verified, rep.engine) == ("true", ENGINE_PI1)
+    assert rep.verdict == ("true", ENGINE_PI1)
 
 
 def test_commute_pull_prefix_is_free():
@@ -126,11 +126,11 @@ def test_commute_pull_disjoint_and_same_base_skip_conjugators():
     assert rep.output.letters == (Twist("a1"), Twist("a2"))
     rep = commute_pull(word(T2, "a1^-1 a1"), word(T2, "a1"))
     assert rep.output.letters == (Twist("a1"), Twist("a1", -1))
-    assert rep.verified == "true"
+    assert rep.verdict[0] == "true"
     # d2 and a3 have intersection number 0, so d2 stays plain
     rep = commute_pull(word(SurfaceSig(3, 1), "d2 a3"), word(SurfaceSig(3, 1), "a3"))
     assert rep.output.letters == (Twist("a3"), Twist("d2"))
-    assert (rep.verified, rep.engine) == ("true", ENGINE_PI1)
+    assert rep.verdict == ("true", ENGINE_PI1)
 
 
 def test_commute_pull_preserves_letter_count():
@@ -139,7 +139,7 @@ def test_commute_pull_preserves_letter_count():
     rep = commute_pull(w, pattern)
     assert len(rep.output) == len(w) == 16
     assert rep.output.letters[:12] == pattern.letters
-    assert (rep.verified, rep.engine) == ("true", ENGINE_PI1)
+    assert rep.verdict == ("true", ENGINE_PI1)
 
 
 def test_commute_pull_rejections():
@@ -156,7 +156,8 @@ def test_commute_pull_rejections():
 
 def test_prop9_factor_counts():
     for n in (2, 3, 4):
-        prefix, psi = prop9_factor(n)
+        prefix, psi, verdict = prop9_factor(n)
+        assert verdict == ("true", ENGINE_PI1)
         assert prefix == word(SurfaceSig(n, 1), "a1 b1 a2").power(4)
         assert len(psi) == 8 * n - 12
         assert psi.all_positive()
@@ -196,7 +197,7 @@ def test_positivize_trivial_torus_word():
     assert len(rep.output) == 24
     assert rep.output.all_positive()
     assert rep.steps == 2
-    assert (rep.verified, rep.engine) == ("true", ENGINE_HOMOLOGY_FAITHFUL)
+    assert rep.verdict == ("true", ENGINE_HOMOLOGY_FAITHFUL)
     assert decide_equal(rep.output, TwistWord(torus, ())) == ("true", ENGINE_HOMOLOGY_FAITHFUL)
 
 
@@ -213,7 +214,7 @@ def test_positivize_positive_input_unchanged():
     rep = positivize(w)
     assert rep.output == w
     assert rep.steps == 0
-    assert rep.verified == "true"
+    assert rep.verdict[0] == "true"
 
 
 def test_positivize_conjugated_negative_letter():
@@ -308,11 +309,11 @@ def test_double_and_splitting_count_their_output(monkeypatch):
         closed = SurfaceSig(genus, 0)
         for word in _seeded_words(rng, genus)[:2]:
             phi = TwistWord(closed, tuple(Twist(*t) for t in word))
-            x1, x2 = splitting_words(phi)
+            x1, x2, verdict = splitting_words(phi)
             first, second = _letter_count(x1.word), _letter_count(x2.word)
             assert _rejected(monkeypatch, lambda: splitting_words(phi), first) == []
-            seen, (y1, y2) = _at_the_bound(monkeypatch, lambda: splitting_words(phi), second)
-            assert seen.count("decide_equal") == 1 and (y1, y2) == (x1, x2)
+            seen, split = _at_the_bound(monkeypatch, lambda: splitting_words(phi), second)
+            assert seen.count("decide_equal") == 1 and split == (x1, x2, verdict)
 
 
 def test_positivize_transports_each_negative_base_once(monkeypatch):
@@ -360,7 +361,7 @@ def test_positivize_random_battery():
         expansion = (2 * g - 1) + 2 * g * (4 * g + 1)
         assert len(rep.output) == positives + negatives * expansion
         assert homology_equal(w, rep.output)
-        assert rep.verified != "false"
+        assert rep.verdict[0] != "false"
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +375,7 @@ def test_chain_substitute_shortens_by_ten():
     rep = chain_substitute(w)
     assert len(rep.output) == 30
     assert rep.output.letters[:2] == (Twist("d2"), Twist("e2"))
-    assert (rep.verified, rep.engine) == ("true", ENGINE_PI1)
+    assert rep.verdict == ("true", ENGINE_PI1)
     assert homology_equal(w, rep.output)
 
 
