@@ -125,18 +125,16 @@ class InputError(Exception):
 # ---------------------------------------------------------------------------
 
 
+_KIND_NOUN = {int: "an integer", list: "a list", dict: "an object", str: "a string"}
+
+
 def _require(obj: dict, field: str, kind, where: str):
     if field not in obj:
         raise InputError(f"missing field {where}{field!r}")
     value = obj[field]
-    if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
-        raise InputError(f"field {where}{field!r} must be an integer")
-    if kind is list and not isinstance(value, list):
-        raise InputError(f"field {where}{field!r} must be a list")
-    if kind is dict and not isinstance(value, dict):
-        raise InputError(f"field {where}{field!r} must be an object")
-    if kind is str and not isinstance(value, str):
-        raise InputError(f"field {where}{field!r} must be a string")
+    # JSON true and false load as bool, a subclass of int
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise InputError(f"field {where}{field!r} must be {_KIND_NOUN[kind]}")
     return value
 
 
@@ -329,9 +327,8 @@ def _cmd_positivize(args, stdin) -> tuple[dict, int]:
 
 def _cmd_double(args, stdin) -> tuple[dict, int]:
     _, word = _read_word(stdin)
-    rep = double_report(Fibration("disk", word), args.cap, args.engine)
-    f = rep.fibration
-    fields, code = _verdict(rep.verdict)
+    f, verdict = double_report(Fibration("disk", word), args.cap, args.engine)
+    fields, code = _verdict(verdict)
     return {**fields, **_chi_h1(f), "word_out": f.word}, code
 
 
@@ -344,13 +341,14 @@ def _cmd_invariants(args, stdin) -> tuple[dict, int]:
 
 
 def _cmd_family(args, stdin) -> tuple[dict, int]:
-    fam = theorem11_family(_read_n(args, FAMILY_MAX_N), args.cap)
-    fields, code = _verdict(fam.trade)
+    n = _read_n(args, FAMILY_MAX_N)
+    fillings, trade = theorem11_family(n, args.cap)
+    fields, code = _verdict(trade)
     report = {
-        "n": fam.n,
-        "chis": list(fam.chis),
-        "verdicts": [fields] * fam.n,
-        "h1s": [group_json(h) for h in fam.h1s],
+        "n": n,
+        "chis": [euler_characteristic(f) for f in fillings],
+        "verdicts": [fields] * n,
+        "h1s": [group_json(first_homology(f)) for f in fillings],
     }
     return report, code
 

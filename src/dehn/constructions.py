@@ -8,8 +8,8 @@
   by substituting it.
 * ``trefoil_completions`` — two sphere-fibration completions of the
   two-letter torus fibration: the algorithmic double (24 letters) and the
-  short closure (ab)^6 (12 letters), with the verdict of the doubling and
-  of deciding that they agree.
+  short closure gn(1) = (ab)^6 (12 letters), with the verdict of the
+  doubling and of deciding that they agree.
 * ``branched_double_cover`` — the closed genus-2 bundle monodromy phi
   followed by a mirrored inverse copy with disjoint support, for a word
   phi on a one-boundary page of genus 1.
@@ -21,22 +21,21 @@
   fiber, with the verdict of its two positivizations.
 
 Every word carries its surface, so no function here takes a surface
-beside a word.  Each verdict is a (verdict, engine) pair of
-``decide_equal``, and a construction with several passes them through
-``pi1.settle``: a "false" one raises, and the first "unknown" one (a
-resource cap or a necessary-only engine) is passed on.
+beside a word.  A construction that verifies what it builds returns the
+objects, then one (verdict, engine) pair: its ``decide_equal`` verdicts
+settled by ``pi1.settle``, so a "false" one raises, and the first
+"unknown" one (a resource cap or a necessary-only engine) is passed on.
+Invariants of the objects (chi, H1) are left to the functions of
+``dehn.fibration`` that compute them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .fibration import (
     AbelianGroup,
     Fibration,
     double_report,
-    euler_characteristic,
-    first_homology,
+    gn_word,
 )
 from .homology import Matrix, word_matrix
 from .pi1 import DEFAULT_CAP, decide_equal, settle
@@ -45,22 +44,8 @@ from .snf import abelian_group_from_columns
 from .surface import SurfaceSig, Twist, TwistWord, chain_word
 
 
-@dataclass(frozen=True)
-class FamilyReport:
-    """A family of fillings of one open book: words, chis, verdict, homology.
-
-    ``trade`` is the (verdict, engine) of the one trade, which every step
-    makes.
-    """
-
-    n: int
-    fillings: tuple[Fibration, ...]
-    chis: tuple[int, ...]
-    trade: tuple[str, str]
-    h1s: tuple[AbelianGroup, ...]
-
-
-def theorem11_family(n: int, cap: int = DEFAULT_CAP) -> FamilyReport:
+def theorem11_family(n: int, cap: int = DEFAULT_CAP
+                     ) -> tuple[tuple[Fibration, ...], tuple[str, str]]:
     """Build the n+1 fillings X_0 ... X_n on the genus-n one-boundary fiber.
 
     X_0 carries (chain)^(4n+2); step i pulls (a1 b1 a2)^4 to the front of
@@ -69,9 +54,9 @@ def theorem11_family(n: int, cap: int = DEFAULT_CAP) -> FamilyReport:
     so the trade is rewritten and verified once: ``pull_trade`` decides
     (chain)^4 = pulled and ``chain_substitute`` decides pulled = S.  X_i is
     X_0 with i copies of (chain)^4 replaced by S, so S = (chain)^4 rel
-    boundary gives X_i = X_0 by substitution in the group.  Every step's
-    (verdict, engine) is therefore the trade's, kept once: the two
-    rewrites' verdicts settled by ``pi1.settle``.
+    boundary gives X_i = X_0 by substitution in the group.  Returns the
+    fillings and the trade's (verdict, engine), which is every step's: the
+    two rewrites' verdicts settled by ``pi1.settle``.
     """
     if n < 2:
         raise ValueError("the family needs genus n >= 2")
@@ -85,13 +70,7 @@ def theorem11_family(n: int, cap: int = DEFAULT_CAP) -> FamilyReport:
         word = TwistWord._trusted(sig, substituted.output.letters * i
                                   + chain_word(sig, 4 * (n - i) + 2).letters)
         fillings.append(Fibration("disk", word))
-
-    chis = tuple(euler_characteristic(f) for f in fillings)
-    expected = tuple(8 * n * n + 2 * n + 1 - 10 * i for i in range(n + 1))
-    if chis != expected:
-        raise AssertionError(f"chi sequence {chis} deviates from {expected}")
-    h1s = tuple(first_homology(f) for f in fillings)
-    return FamilyReport(n, tuple(fillings), chis, trade, h1s)
+    return tuple(fillings), trade
 
 
 def trefoil_completions(cap: int = DEFAULT_CAP
@@ -99,16 +78,16 @@ def trefoil_completions(cap: int = DEFAULT_CAP
     """Both sphere completions of the two-letter torus disk fibration.
 
     The big one doubles the fibration (24 letters); the small one closes it
-    with the short relation, giving (a1 b1)^6 (12 letters).  The two words
-    agree as torus mapping classes.  The third value settles the verdict
-    of the doubling and that of the one decision that the two agree.
+    with the chain relation, giving gn(1) = (a1 b1)^6 (12 letters).  The two
+    words agree as torus mapping classes.  The third value settles the
+    verdict of the doubling, which ``double_report`` settles first, and
+    that of the one decision that the two agree.
     """
     palf = Fibration("disk", TwistWord.from_names(SurfaceSig(1, 1), "a1 b1"))
-    doubled = double_report(palf, cap)
-    big = doubled.fibration
-    small = Fibration("sphere", chain_word(SurfaceSig(1, 0), 6))
+    big, doubling = double_report(palf, cap)
+    small = gn_word(1)
     verdict = settle("the two completions disagree as mapping classes",
-                     doubled.verdict, decide_equal(big.word, small.word, "auto", cap))
+                     doubling, decide_equal(big.word, small.word, "auto", cap))
     return big, small, verdict
 
 

@@ -6,11 +6,11 @@ fiber is the surface the word lives on.  Sphere fibrations need a closed
 fiber and a word whose homology action is the identity (a necessary
 condition for the monodromy to close up; exact closure is checked by the
 equality engines where needed).
-``gn_word``, ``fiber_sum`` and a verified ``double_report`` build sphere
-fibrations whose words are trivial by a theorem, by construction or by
-the verdict of an exact engine, and skip that check.  ``double_report``
-returns a :class:`DoubleReport`, which holds the (verdict, engine) pair of
-``decide_equal`` for its positivization as it came.
+``gn_word``, ``fiber_sum`` and ``double_report`` build sphere fibrations
+whose words are trivial by a theorem or by construction, and skip that
+check.  ``double_report`` returns the doubled fibration and the
+(verdict, engine) pair of ``decide_equal`` for its positivization, settled
+by ``pi1.settle``.
 
 Invariants are computed from the handle decomposition: the Euler
 characteristic from the letter count, and first homology of the total
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .homology import is_identity, transported_class, word_matrix
-from .pi1 import DEFAULT_CAP
+from .pi1 import DEFAULT_CAP, settle
 from .rewriting import positivize
 from .snf import abelian_group_from_columns
 from .surface import SurfaceSig, TwistWord, chain_word, curve_classes
@@ -81,8 +81,11 @@ class Fibration:
 
         For a positive word on a closed surface that is trivial by a
         theorem (the chain relation), is a product of words already
-        checked, or was decided equal to a trivial word; every other word
-        goes through the public constructor.
+        checked, or is the positivization of a trivial word that was not
+        decided unequal to it: ``decide_equal`` answers "false" on every
+        engine when the two act differently on homology, so an "unknown"
+        positivization acts trivially too.  Every other word goes through
+        the public constructor.
         """
         f = object.__new__(cls)
         object.__setattr__(f, "base", "sphere")
@@ -140,16 +143,8 @@ def is_allowable(f: Fibration) -> bool:
     return all(any(classes[t.base]) for t in f.word.letters)
 
 
-@dataclass(frozen=True)
-class DoubleReport:
-    """Doubled fibration plus the (verdict, engine) that verified its positivization."""
-
-    fibration: Fibration
-    verdict: tuple[str, str]
-
-
 def double_report(palf: Fibration, cap: int = DEFAULT_CAP,
-                  engine: str = "auto") -> DoubleReport:
+                  engine: str = "auto") -> tuple[Fibration, tuple[str, str]]:
     """Double a disk fibration over a one-boundary fiber into a sphere one.
 
     Caps the fiber, appends the reverse-inverse of the word, and
@@ -158,10 +153,11 @@ def double_report(palf: Fibration, cap: int = DEFAULT_CAP,
     ``positivize``, which raises ``ValueError`` when the doubled word,
     conjugator letters included, would pass
     ``rewriting.OUTPUT_MAX_LETTERS``; the fibration's own faults are
-    checked first.  The doubled word is trivial, so a ``"true"`` verdict
-    certifies the positive word as trivial too, and the sphere fibration
-    skips the homology check; any other verdict leaves that check to the
-    public constructor.
+    checked first.  Returns the sphere fibration and the positivization's
+    verdict, settled by ``pi1.settle``: a "false" one raises, and an
+    "unknown" one is passed on.  The doubled word is trivial, and a
+    positivization not decided unequal to it acts trivially on homology,
+    so the sphere fibration skips that check.
     """
     if palf.base != "disk" or palf.fiber.boundary != 1:
         raise ValueError("doubling applies to disk fibrations over a one-boundary fiber")
@@ -176,11 +172,8 @@ def double_report(palf: Fibration, cap: int = DEFAULT_CAP,
     capped = TwistWord._trusted(closed, palf.word.letters)
     doubled = capped * capped.inverse()
     rep = positivize(doubled, cap, engine)
-    if rep.verdict[0] == "true":
-        f = Fibration._certified_sphere(rep.output)
-    else:
-        f = Fibration("sphere", rep.output)
-    return DoubleReport(f, rep.verdict)
+    verdict = settle("the doubling's positivization failed verification", rep.verdict)
+    return Fibration._certified_sphere(rep.output), verdict
 
 
 def fiber_sum(f1: Fibration, f2: Fibration) -> Fibration:

@@ -112,19 +112,19 @@ def test_criterion_05_factorization_counts():
 def test_criterion_06_filling_families():
     """Family chis descend by 10 from 8n^2+2n+1; members verified equal,
     H1 trivial, and allowable (n = 2 and n = 3)."""
-    fam2 = theorem11_family(2)
-    assert fam2.chis == (37, 27, 17)
-    assert fam2.trade[0] == "true"
-    assert all(h.trivial for h in fam2.h1s)
-    assert all(is_allowable(f) for f in fam2.fillings)
+    fam2, trade2 = theorem11_family(2)
+    assert [euler_characteristic(f) for f in fam2] == [37, 27, 17]
+    assert trade2[0] == "true"
+    assert all(first_homology(f).trivial for f in fam2)
+    assert all(is_allowable(f) for f in fam2)
 
-    fam3 = theorem11_family(3)
-    assert fam3.chis == (79, 69, 59, 49)
-    assert fam3.trade[0] == "true"
-    assert all(h.trivial for h in fam3.h1s)
+    fam3, trade3 = theorem11_family(3)
+    assert [euler_characteristic(f) for f in fam3] == [79, 69, 59, 49]
+    assert trade3[0] == "true"
+    assert all(first_homology(f).trivial for f in fam3)
     # explicit homology certification for every member
-    base = fam3.fillings[0].word
-    assert all(homology_equal(f.word, base) for f in fam3.fillings[1:])
+    base = fam3[0].word
+    assert all(homology_equal(f.word, base) for f in fam3[1:])
 
 
 def test_criterion_07_trefoil_completions():

@@ -139,6 +139,22 @@ def test_missing_and_mistyped_fields():
     assert code == 2 and "'word'" in rep["error"]
 
 
+@pytest.mark.parametrize("command, payload, error", [
+    ("verify", {"surface": [], "words": []}, "field 'surface' must be an object"),
+    ("verify", {"surface": surface(1, 1), "words": {}}, "field 'words' must be a list"),
+    ("positivize", {"surface": surface(1, 0), "word": [{"base": 7}]},
+     "field word[0].'base' must be a string"),
+    ("verify", {"surface": {"genus": True, "boundary": 1}, "words": []},
+     "field surface.'genus' must be an integer"),
+    ("verify", {"surface": {"genus": 1.5, "boundary": 1}, "words": []},
+     "field surface.'genus' must be an integer"),
+])
+def test_mistyped_field_names_the_kind(command, payload, error):
+    code, rep, _ = run_cli([command], payload)
+    assert code == 2
+    assert rep["error"] == error
+
+
 def test_letter_validation():
     bad_sign = {"surface": surface(1, 0), "word": [{"base": "a1", "sign": 2}]}
     code, rep, _ = run_cli(["positivize"], bad_sign)

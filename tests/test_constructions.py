@@ -58,37 +58,36 @@ FORM2 = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
 
 
 def test_family_n2():
-    rep = theorem11_family(2)
-    assert rep.n == 2
-    assert rep.chis == (37, 27, 17)
-    assert len(rep.fillings) == 3
-    assert [len(f.word) for f in rep.fillings] == [40, 30, 20]
-    assert rep.trade == ("true", ENGINE_PI1)
-    assert all(h.trivial for h in rep.h1s)
-    assert all(is_allowable(f) for f in rep.fillings)
-    assert all(f.base == "disk" and f.fiber == SurfaceSig(2, 1) for f in rep.fillings)
+    fillings, trade = theorem11_family(2)
+    assert [euler_characteristic(f) for f in fillings] == [37, 27, 17]
+    assert len(fillings) == 3
+    assert [len(f.word) for f in fillings] == [40, 30, 20]
+    assert trade == ("true", ENGINE_PI1)
+    assert all(first_homology(f).trivial for f in fillings)
+    assert all(is_allowable(f) for f in fillings)
+    assert all(f.base == "disk" and f.fiber == SurfaceSig(2, 1) for f in fillings)
     # each step contributes a d2 e2 pair followed by four commuted letters
-    assert rep.fillings[1].word.letters[:2] == (Twist("d2"), Twist("e2"))
-    assert rep.fillings[2].word.letters[:2] == (Twist("d2"), Twist("e2"))
-    assert rep.fillings[2].word.letters[6:8] == (Twist("d2"), Twist("e2"))
+    assert fillings[1].word.letters[:2] == (Twist("d2"), Twist("e2"))
+    assert fillings[2].word.letters[:2] == (Twist("d2"), Twist("e2"))
+    assert fillings[2].word.letters[6:8] == (Twist("d2"), Twist("e2"))
 
 
 def test_family_n3():
-    rep = theorem11_family(3)
-    assert rep.chis == (79, 69, 59, 49)
-    assert rep.trade[0] == "true"
-    assert all(h.trivial for h in rep.h1s)
+    fillings, trade = theorem11_family(3)
+    assert [euler_characteristic(f) for f in fillings] == [79, 69, 59, 49]
+    assert trade[0] == "true"
+    assert all(first_homology(f).trivial for f in fillings)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_family_members_equal_the_base_by_the_engine(n):
     # the family verifies its members by substituting the one trade; this
     # compares every whole member with X_0 directly instead
-    rep = theorem11_family(n)
-    x0 = rep.fillings[0].word
+    fillings, _ = theorem11_family(n)
+    x0 = fillings[0].word
     assert x0 == chain_word(SurfaceSig(n, 1), 4 * n + 2)
     trade = 8 * n - 10  # (chain)^4 is 8n letters; S is ten shorter
-    for i, f in enumerate(rep.fillings):
+    for i, f in enumerate(fillings):
         assert len(f.word) == len(x0) - 10 * i
         for k in range(i):
             assert f.word.letters[k * trade:k * trade + 2] == (Twist("d2"), Twist("e2"))
@@ -118,8 +117,7 @@ def test_family_passes_on_an_unknown_trade(monkeypatch, rewrite):
     from dehn.cli import EXIT_UNKNOWN, run
 
     _family_with_trade_verdict(monkeypatch, rewrite, "unknown")
-    rep = theorem11_family(2)
-    assert rep.trade == ("unknown", ENGINE_PI1)
+    assert theorem11_family(2)[-1] == ("unknown", ENGINE_PI1)
     out = io.StringIO()
     assert run(["family", "--n", "2"], stdin=io.StringIO(""), stdout=out) == EXIT_UNKNOWN
     assert [v["verdict"] for v in json.loads(out.getvalue())["verdicts"]] == ["unknown"] * 2
@@ -331,11 +329,11 @@ _VERDICT_OF = {
     "commute_pull": lambda: commute_pull(word(T2, "b1 a1"), word(T2, "a1")).verdict,
     "positivize": lambda: positivize(word(TORUS, "a1^-1")).verdict,
     "chain_substitute": lambda: chain_substitute(word(T2, "a1 b1 a2").power(4)).verdict,
-    "prop9_factor": lambda: prop9_factor(2)[2],
-    "double_report": lambda: double_report(Fibration("disk", word(T1, "a1 b1"))).verdict,
-    "theorem11_family": lambda: theorem11_family(2).trade,
-    "trefoil_completions": lambda: trefoil_completions()[2],
-    "splitting_words": lambda: splitting_words(word(TORUS, "a1^-1"))[2],
+    "prop9_factor": lambda: prop9_factor(2)[-1],
+    "double_report": lambda: double_report(Fibration("disk", word(T1, "a1 b1")))[-1],
+    "theorem11_family": lambda: theorem11_family(2)[-1],
+    "trefoil_completions": lambda: trefoil_completions()[-1],
+    "splitting_words": lambda: splitting_words(word(TORUS, "a1^-1"))[-1],
 }
 
 
@@ -347,11 +345,35 @@ def test_every_rewrite_and_construction_passes_an_unknown_verdict_on(monkeypatch
 
 
 @pytest.mark.parametrize("name, fault", [("prop9_factor", "commutation pull"),
-                                         ("trefoil_completions", "disagree")])
+                                         ("double_report", "doubling"),
+                                         ("trefoil_completions", "doubling")])
 def test_a_false_rewrite_raises(monkeypatch, name, fault):
     _rewrites_decide(monkeypatch, ("false", "spy"))
     with pytest.raises(AssertionError, match=fault):
         _VERDICT_OF[name]()
+
+
+@pytest.mark.parametrize("doubling, comparison, fault, comparisons", [
+    ("false", "true", "doubling", 0),
+    ("true", "false", "disagree", 1),
+])
+def test_trefoil_names_the_decision_that_failed(monkeypatch, doubling, comparison,
+                                                fault, comparisons):
+    # the doubling settles its own verdict first, so a false doubling is
+    # named as such and the two completions are never compared
+    import dehn.constructions
+
+    calls = []
+
+    def compare(*args):
+        calls.append(args)
+        return (comparison, "spy")
+
+    _rewrites_decide(monkeypatch, (doubling, "spy"))
+    monkeypatch.setattr(dehn.constructions, "decide_equal", compare)
+    with pytest.raises(AssertionError, match=fault):
+        trefoil_completions()
+    assert len(calls) == comparisons
 
 
 def test_settle_raises_on_false_and_passes_on_the_first_unknown():

@@ -299,9 +299,9 @@ def test_double_and_splitting_count_their_output(monkeypatch):
         for word in _seeded_words(rng, genus):
             palf = Fibration("disk",
                              TwistWord(bounded, tuple(Twist(b, 1, c) for b, _, c in word)))
-            count = _letter_count(double_report(palf).fibration.word)
-            seen, rep = _at_the_bound(monkeypatch, lambda: double_report(palf), count)
-            assert seen == [] and _letter_count(rep.fibration.word) == count
+            count = _letter_count(double_report(palf)[0].word)
+            seen, (f, _) = _at_the_bound(monkeypatch, lambda: double_report(palf), count)
+            assert seen == [] and _letter_count(f.word) == count
     # splitting positivizes twice; the second output is the larger, and is
     # counted once the first is built and verified
     rng = random.Random("splitting-size")

@@ -272,7 +272,7 @@ def test_first_homology_matches_eager_path_on_seeded_words():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_first_homology_matches_eager_path_on_family_fillings(n):
-    for f in theorem11_family(n).fillings:
+    for f in theorem11_family(n)[0]:
         assert first_homology(f) == _first_homology_eager(f)
 
 
