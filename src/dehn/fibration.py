@@ -20,60 +20,58 @@ applied), by the integer cokernel of ``dehn.snf``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .homology import is_identity, transported_class, word_matrix
 from .pi1 import DEFAULT_CAP, settle
 from .rewriting import positivize
 from .snf import abelian_group_from_columns
-from .surface import SurfaceSig, TwistWord, chain_word, curve_classes
+from .surface import Record, SurfaceSig, TwistWord, chain_word, curve_classes
 
 BASES = ("disk", "sphere")
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Record):
     """Z^rank plus cyclic torsion factors in a divisibility chain."""
 
-    rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("rank", "torsion")
 
-    def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
-        if self.rank < 0:
+    def __init__(self, rank: int, torsion: tuple[int, ...] = ()):
+        torsion = tuple(int(d) for d in torsion)
+        if rank < 0:
             raise ValueError("rank must be non-negative")
         # before the chain check, which divides by each order
-        if any(d < 2 for d in self.torsion):
+        if any(d < 2 for d in torsion):
             raise ValueError("torsion orders must be at least 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("torsion orders must form a divisibility chain")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "torsion", torsion)
 
     @property
     def trivial(self) -> bool:
         return self.rank == 0 and not self.torsion
 
 
-@dataclass(frozen=True)
-class Fibration:
+class Fibration(Record):
     """A positive Lefschetz fibration: base and vanishing-cycle word.
 
     The fiber is the word's surface.
     """
 
-    base: str
-    word: TwistWord
+    __slots__ = ("base", "word")
 
-    def __post_init__(self):
-        if self.base not in BASES:
-            raise ValueError(f"base must be one of {BASES}, got {self.base!r}")
-        if not self.word.all_positive():
+    def __init__(self, base: str, word: TwistWord):
+        if base not in BASES:
+            raise ValueError(f"base must be one of {BASES}, got {base!r}")
+        if not word.all_positive():
             raise ValueError("fibration words must be all-positive")
-        if self.base == "sphere":
-            if self.fiber.boundary != 0:
+        if base == "sphere":
+            if word.surface.boundary != 0:
                 raise ValueError("a sphere fibration needs a closed fiber")
-            if not is_identity(word_matrix(self.word)):
+            if not is_identity(word_matrix(word)):
                 raise ValueError("sphere fibration word must act trivially on homology")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "word", word)
 
     @classmethod
     def _certified_sphere(cls, word: TwistWord) -> "Fibration":

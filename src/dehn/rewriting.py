@@ -35,10 +35,9 @@ and ``commute_pull`` builds each hopped letter the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .pi1 import CHAIN_TRADE, DEFAULT_CAP, decide_equal, settle
 from .surface import (
+    Record,
     SurfaceSig,
     Twist,
     TwistWord,
@@ -54,8 +53,7 @@ from .surface import (
 OUTPUT_MAX_LETTERS = 1_000_000
 
 
-@dataclass(frozen=True)
-class RewriteReport:
+class RewriteReport(Record):
     """Outcome of one rewriting pass.
 
     ``verdict`` is the (verdict, engine) pair of ``decide_equal`` comparing
@@ -64,9 +62,12 @@ class RewriteReport:
     necessary-only engine.
     """
 
-    output: TwistWord
-    steps: int
-    verdict: tuple[str, str]
+    __slots__ = ("output", "steps", "verdict")
+
+    def __init__(self, output: TwistWord, steps: int, verdict: tuple[str, str]):
+        object.__setattr__(self, "output", output)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "verdict", verdict)
 
 
 def transport_pairs(curve: str, sig: SurfaceSig) -> tuple[tuple[str, int], ...]:

@@ -70,24 +70,70 @@ for any other name.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .freegroup import Word
 
 
-@dataclass(frozen=True)
-class SurfaceSig:
+class Record:
+    """An immutable record whose fields are its ``__slots__``, in order.
+
+    Equality, hash and repr go by field, in field order; assigning or
+    deleting an attribute raises ``AttributeError``.  A record's
+    ``__init__`` checks its arguments and sets its fields with
+    ``object.__setattr__``, and a copy or unpickled record is built again
+    through it.  Records hashed on every request (``SurfaceSig``, ``Twist``)
+    spell out their own ``__eq__`` and ``__hash__``, which run faster than
+    these generic ones.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class SurfaceSig(Record):
     """Genus and boundary count of the model surface."""
 
-    genus: int
-    boundary: int
+    __slots__ = ("genus", "boundary")
 
-    def __post_init__(self):
-        if type(self.genus) is not int or self.genus < 0:
-            raise ValueError(f"genus must be a non-negative integer, got {self.genus!r}")
-        if type(self.boundary) is not int or self.boundary not in (0, 1):
-            raise ValueError(f"boundary must be 0 or 1, got {self.boundary!r}")
+    def __init__(self, genus: int, boundary: int):
+        if type(genus) is not int or genus < 0:
+            raise ValueError(f"genus must be a non-negative integer, got {genus!r}")
+        if type(boundary) is not int or boundary not in (0, 1):
+            raise ValueError(f"boundary must be 0 or 1, got {boundary!r}")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "boundary", boundary)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.genus, self.boundary) == (other.genus, other.boundary)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.genus, self.boundary))
 
 
 # A curve class as its nonzero entries (i, v_i, j, p): <x, v> is the sum of
@@ -212,28 +258,36 @@ def is_sign(s) -> bool:
     return type(s) is int and s in (1, -1)
 
 
-@dataclass(frozen=True, slots=True)
-class Twist:
+class Twist(Record):
     """A signed Dehn twist about a standard curve, optionally conjugated.
 
     ``conj`` is a flat tuple of (curve name, sign) pairs; the twist denotes
     ``u · t_base^sign · u^-1`` where u is the conjugator word read
     left-to-right with the same composition convention as TwistWord.  The
-    fields are slots, so that ``_trusted`` fills them through their
-    descriptors and a letter holds no ``__dict__``.
+    fields are slots, so that a letter is filled through their descriptors
+    and holds no ``__dict__``.
     """
 
-    base: str
-    sign: int = 1
-    conj: tuple[tuple[str, int], ...] = field(default=())
+    __slots__ = ("base", "sign", "conj")
 
-    def __post_init__(self):
-        if not is_sign(self.sign):
-            raise ValueError(f"twist sign must be +1 or -1, got {self.sign!r}")
-        object.__setattr__(self, "conj", tuple((str(n), s) for n, s in self.conj))
-        for _, s in self.conj:
+    def __init__(self, base: str, sign: int = 1, conj: tuple[tuple[str, int], ...] = ()):
+        if not is_sign(sign):
+            raise ValueError(f"twist sign must be +1 or -1, got {sign!r}")
+        conj = tuple((str(n), s) for n, s in conj)
+        for _, s in conj:
             if not is_sign(s):
                 raise ValueError(f"conjugator entries must have sign +1 or -1, got {s!r}")
+        _set_base(self, base)
+        _set_sign(self, sign)
+        _set_conj(self, conj)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.sign, self.conj) == (other.base, other.sign, other.conj)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.base, self.sign, self.conj))
 
     @classmethod
     def _trusted(cls, base: str, sign: int, conj: tuple[tuple[str, int], ...]) -> "Twist":
@@ -276,16 +330,16 @@ def plain_letters(sig: SurfaceSig) -> dict[tuple[str, int], Twist]:
             for name in curve_classes(sig) for sign in (1, -1)}
 
 
-@dataclass(frozen=True)
-class TwistWord:
+class TwistWord(Record):
     """A word of twists on one surface; the rightmost letter acts first."""
 
-    surface: SurfaceSig
-    letters: tuple[Twist, ...] = ()
+    __slots__ = ("surface", "letters")
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        check_letters(self.letters, self.surface)
+    def __init__(self, surface: SurfaceSig, letters: tuple[Twist, ...] = ()):
+        letters = tuple(letters)
+        check_letters(letters, surface)
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def _trusted(cls, surface: SurfaceSig, letters: tuple[Twist, ...]) -> "TwistWord":

@@ -94,7 +94,10 @@ def _surface_and_word_takers(trees):
     """Signatures and dataclasses of ``trees`` annotated with both a surface and a word.
 
     A parameter (return values aside) or a dataclass field counts when its
-    annotation names ``SurfaceSig`` or ``TwistWord``, bare or quoted.
+    annotation names ``SurfaceSig`` or ``TwistWord``, bare or quoted.  The
+    package's records (``surface.Record``) are plain classes whose fields
+    are slots, so a record is seen through the signature of its annotated
+    ``__init__``.
     """
     def names(annotation):
         found = set()
@@ -143,9 +146,13 @@ def test_the_surface_and_word_scan_finds_both_kinds():
         "    word: TwistWord\n"
         "    @classmethod\n"
         "    def make(cls, fiber: 'SurfaceSig', word: 'TwistWord') -> 'F': ...\n"
+        "class R(Record):\n"
+        "    __slots__ = ('fiber', 'word')\n"
+        "    def __init__(self, fiber: SurfaceSig, word: TwistWord): ...\n"
         "def read(sig: SurfaceSig, letters) -> TwistWord: ...\n"
         "def cover(page: SurfaceSig, *, word: Optional[TwistWord] = None): ...\n")
-    assert list(_surface_and_word_takers({"m": tree})) == ["m.F", "m.F.make", "m.cover"]
+    assert list(_surface_and_word_takers({"m": tree})) == [
+        "m.F", "m.F.make", "m.R.__init__", "m.cover"]
 
 
 def _readme_blocks(lang):

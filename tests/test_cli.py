@@ -699,6 +699,17 @@ def _module_run(module, argv, stdin_text=""):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
+def test_importing_the_cli_generates_no_code():
+    # a one-shot CLI process pays for every import; dataclasses, and the
+    # inspect it imports, cost more than a request, so no record is a dataclass
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = "import sys, dehn.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_python_m_dehn_runs_selftest():
     proc = _module_run("dehn", ["selftest"])
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,5 @@
 """Filling families, completions, covers, bundles, splittings."""
 
-import dataclasses
 import io
 import json
 import sys
@@ -31,6 +30,7 @@ from dehn import (
 from dehn.fibration import AbelianGroup
 from dehn.homology import homology_class, identity_matrix, is_identity, word_matrix
 from dehn.pi1 import ENGINE_PI1, decide_equal, settle
+from dehn.rewriting import RewriteReport
 
 from matrices import mat_mul
 
@@ -107,7 +107,7 @@ def _family_with_trade_verdict(monkeypatch, rewrite, verdict):
 
     def patched(*args):
         rep = real(*args)
-        return dataclasses.replace(rep, verdict=(verdict, rep.verdict[1]))
+        return RewriteReport(rep.output, rep.steps, (verdict, rep.verdict[1]))
 
     monkeypatch.setattr(owner, rewrite, patched)
 
@@ -294,7 +294,7 @@ def test_splitting_words_raises_on_a_false_positivization(monkeypatch, failing_c
         calls.append(word)
         rep = real(word, cap)
         if len(calls) == failing_call:
-            rep = dataclasses.replace(rep, verdict=("false", rep.verdict[1]))
+            rep = RewriteReport(rep.output, rep.steps, ("false", rep.verdict[1]))
         return rep
 
     monkeypatch.setattr(dehn.constructions, "positivize", positivize)

@@ -1,9 +1,13 @@
 """Surface signatures, curve tables, and twist-word plumbing."""
 
+import copy
+import pickle
 import re
 
 import pytest
 
+from dehn.fibration import AbelianGroup, Fibration
+from dehn.rewriting import RewriteReport
 from dehn.surface import (
     SurfaceSig,
     Twist,
@@ -284,3 +288,40 @@ def test_chain_word():
     assert w.all_positive()
     with pytest.raises(ValueError):
         chain_word(SurfaceSig(0, 1))
+
+
+def _records():
+    sig = SurfaceSig(1, 1)
+    word = TwistWord.from_names(sig, "a1 b1")
+    return [sig, Twist("b1", -1, (("a1", 1),)), word, AbelianGroup(1, (2, 4)),
+            Fibration("disk", word), RewriteReport(word, 3, ("true", "pi1"))]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_compare_hash_and_print_by_field(record):
+    names = type(record).__slots__
+    values = tuple(getattr(record, name) for name in names)
+    again = type(record)(*values)
+    assert record == again and hash(record) == hash(again)
+    assert record != values and record != object()
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(record) == f"{type(record).__name__}({fields})"
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError, match="cannot assign"):
+        setattr(record, names[0], values[1])
+    with pytest.raises(AttributeError, match="cannot delete"):
+        delattr(record, names[0])
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert getattr(record, names[0]) is values[0]
+    for other in (copy.copy(record), copy.deepcopy(record),
+                  pickle.loads(pickle.dumps(record))):
+        assert type(other) is type(record) and other == record
+
+
+def test_records_differ_by_any_field():
+    assert repr(SurfaceSig(2, 1)) == "SurfaceSig(genus=2, boundary=1)"
+    assert repr(Twist("a1")) == "Twist(base='a1', sign=1, conj=())"
+    assert SurfaceSig(2, 1) != SurfaceSig(2, 0) and SurfaceSig(2, 1) != SurfaceSig(1, 1)
+    assert Twist("a1") != Twist("a1", -1) and Twist("a1") != Twist("a1", 1, (("b1", 1),))
+    assert AbelianGroup(1, (2,)) != AbelianGroup(1, (3,)) != AbelianGroup(0, (3,))

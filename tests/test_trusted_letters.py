@@ -156,13 +156,13 @@ def test_positivize_shares_one_checked_conjugator_per_negative_letter(monkeypatc
     sig = SurfaceSig(2, 0)
     w = TwistWord(sig, (Twist("b2", -1, (("a1", 1),)), Twist("a2"), Twist("e2", -1)))
     built = []
-    post_init = Twist.__post_init__
+    init = Twist.__init__
 
-    def spy(self):
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         built.append(self)
-        post_init(self)
 
-    monkeypatch.setattr(Twist, "__post_init__", spy)
+    monkeypatch.setattr(Twist, "__init__", spy)
     out = positivize(w).output.letters
     # only the chain word's plain letters go through the checks
     assert all(t.conj == () for t in built)
