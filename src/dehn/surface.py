@@ -82,9 +82,9 @@ class Record:
     deleting an attribute raises ``AttributeError``.  A record's
     ``__init__`` checks its arguments and sets its fields with
     ``object.__setattr__``, and a copy or unpickled record is built again
-    through it.  Records hashed on every request (``SurfaceSig``, ``Twist``)
-    spell out their own ``__eq__`` and ``__hash__``, which run faster than
-    these generic ones.
+    through it.  ``SurfaceSig``, hashed on every cache lookup, and ``Twist``,
+    of which a word holds thousands, spell out their own ``__eq__`` and
+    ``__hash__``, which run faster than these generic ones.
     """
 
     __slots__ = ()
