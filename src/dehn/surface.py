@@ -82,9 +82,7 @@ class Record:
     deleting an attribute raises ``AttributeError``.  A record's
     ``__init__`` checks its arguments and sets its fields with
     ``object.__setattr__``, and a copy or unpickled record is built again
-    through it.  ``SurfaceSig``, hashed on every cache lookup, and ``Twist``,
-    of which a word holds thousands, spell out their own ``__eq__`` and
-    ``__hash__``, which run faster than these generic ones.
+    through it.
     """
 
     __slots__ = ()
@@ -127,6 +125,8 @@ class SurfaceSig(Record):
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "boundary", boundary)
 
+    # hashed on every curve-table lookup: spelled out, these run several
+    # times faster than Record's generic pair
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.genus, self.boundary) == (other.genus, other.boundary)
@@ -280,14 +280,6 @@ class Twist(Record):
         _set_base(self, base)
         _set_sign(self, sign)
         _set_conj(self, conj)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.base, self.sign, self.conj) == (other.base, other.sign, other.conj)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.base, self.sign, self.conj))
 
     @classmethod
     def _trusted(cls, base: str, sign: int, conj: tuple[tuple[str, int], ...]) -> "Twist":
