@@ -22,9 +22,10 @@ it.  Reports that carry a word (``word_out``) hold it as a TwistWord, and
 share it, and each distinct letter (base and sign) once per run, as its
 base and sign plus the conjugator's text, and splices the letters into
 the rest of the report, so a word of thousands of letters does not go
-through the indented encoder, which runs in pure Python, and a word of
-a few repeated letters, as gn(n) is, costs a few strings; the bytes are
-unchanged.
+through the indented encoder, which runs in pure Python.  A word that is
+k copies of one block of shared letter objects, as gn(n) is, has only
+its block formatted, and the block's text is joined k times; the bytes
+are unchanged.
 
 Word schema::
 
@@ -36,7 +37,9 @@ Word schema::
 Two-word commands (verify, fibersum) take ``"words": [[...], [...]]``
 instead of ``"word"``.
 
-A word is read in one pass (``parse_word``), and the first fault found
+Stdin is read up to ``REQUEST_MAX_CHARS`` characters, and a longer
+request is an input error before any of it is parsed.  A word is read
+in one pass (``parse_word``), and the first fault found
 is the one reported, so errors take precedence in this order:
 
 1. the shape and sign of every letter, in order, each letter's base, sign
@@ -61,7 +64,9 @@ import argparse
 import json
 import sys
 import time
+from itertools import islice
 from json.encoder import encode_basestring_ascii
+from operator import indexOf
 
 from .constructions import (
     branched_double_cover,
@@ -105,7 +110,9 @@ EXIT_UNKNOWN = 3
 
 _VERDICT_EXIT = {"true": EXIT_TRUE, "false": EXIT_FALSE, "unknown": EXIT_UNKNOWN}
 
-# Largest --n each command accepts; both finish in seconds at the bound.
+# Largest --n each command accepts.  At the bound, the first request of a
+# fresh process takes about 8 ms for family and 4 ms for gn (medians of 7,
+# Python 3.11 on a 2-core machine).
 FAMILY_MAX_N = 10
 GN_MAX_N = 24
 
@@ -114,6 +121,11 @@ GN_MAX_N = 24
 # counts every conjugator letter.  The gn word at GN_MAX_N has 4,704 letters.
 JSON_MAX_GENUS = GN_MAX_N
 WORD_MAX_LETTERS = 10_000
+# Longest stdin read, in characters, checked before the JSON is parsed.
+# Two words at WORD_MAX_LETTERS are about 0.5 MB compact and 2.4 MB at
+# indent 4; parsing 8 MB of the densest JSON (empty objects) peaks near
+# 0.2 GB, where an unbounded read held any stdin whole.
+REQUEST_MAX_CHARS = 8_000_000
 
 
 class InputError(Exception):
@@ -228,24 +240,48 @@ def _conj_tail(conj) -> str:
     return f',\n      "conj": [\n{entries}\n      ]\n    }}'
 
 
+def _period(letters: tuple) -> int:
+    """The length of a block whose copies make up ``letters``, else ``len(letters)``.
+
+    The block ends where ``letters[0]`` recurs first, as the same object,
+    within the first half; one tuple comparison confirms the copies.  On
+    a power of shared letters, as ``chain_word`` builds, every pair it
+    compares is one object, so no ``Twist.__eq__`` runs, and on any other
+    word the search is one C-level pass over half the letters' ids.  A
+    block found is a true one: equal letters write equal text.
+    """
+    n = len(letters)
+    if n < 2:
+        return n
+    try:
+        p = indexOf(map(id, islice(letters, 1, n // 2 + 1)), id(letters[0])) + 1
+    except ValueError:  # letters[0] does not recur
+        return n
+    return p if n % p == 0 and letters[p:] == letters[:-p] else n
+
+
 def report_text(report: dict) -> str:
     """The report as ``json.dumps(report, indent=2)``, with word_out written fast.
 
     A top-level ``word_out`` holds a TwistWord.  The rest of the report is
     encoded with the word replaced by a sentinel, and the letters, written
-    directly, are spliced in its place.  The word is walked in runs of
-    letters that share one conjugator: the conjugator's text is formatted
-    once per run, and each distinct (base, sign) is written once per run,
-    as its base and sign followed by that text.  The bytes are those of
-    encoding the word as a list of letter objects, which the indented
-    encoder would write in pure Python, one letter at a time.
+    directly, are spliced in its place.  Only one block of the word, of
+    ``_period`` letters, is formatted, and its text is joined once per
+    copy.  The block is walked in runs of letters that share one
+    conjugator: the conjugator's text is formatted once per run, and each
+    distinct (base, sign) is written once per run, as its base and sign
+    followed by that text.  The bytes are those of encoding the word as a
+    list of letter objects, which the indented encoder would write in pure
+    Python, one letter at a time.
     """
     word = report.get("word_out")
     if word is None:
         return json.dumps(report, indent=2)
+    letters = word.letters
+    period = _period(letters)
     conj, tail, texts = (), _conj_tail(()), {}
     parts = []
-    for t in word.letters:
+    for t in islice(letters, period):
         if t.conj is not conj and t.conj != conj:
             conj, tail, texts = t.conj, _conj_tail(t.conj), {}
         key = (t.base, t.sign)
@@ -254,9 +290,11 @@ def report_text(report: dict) -> str:
             text = texts[key] = (f'{{\n      "base": {encode_basestring_ascii(t.base)},'
                                  f'\n      "sign": {t.sign}{tail}')
         parts.append(text)
-    letters = "[\n    " + ",\n    ".join(parts) + "\n  ]" if parts else "[]"
+    block = ",\n    ".join(parts)
+    body = ("[\n    " + ",\n    ".join([block] * (len(letters) // period)) + "\n  ]"
+            if parts else "[]")
     text = json.dumps({**report, "word_out": _WORD_OUT}, indent=2)
-    return text.replace(_WORD_OUT_JSON, letters, 1)
+    return text.replace(_WORD_OUT_JSON, body, 1)
 
 
 def group_json(group: AbelianGroup) -> dict:
@@ -269,7 +307,9 @@ def _chi_h1(f: Fibration) -> dict:
 
 
 def _read_request(stdin) -> dict:
-    text = stdin.read()
+    text = stdin.read(REQUEST_MAX_CHARS + 1)
+    if len(text) > REQUEST_MAX_CHARS:
+        raise InputError(f"request on stdin is longer than {REQUEST_MAX_CHARS} characters")
     try:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -430,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dehn",
         description="Exact Dehn-twist word verification, rewriting, and "
                     "Lefschetz-fibration invariants (JSON in, JSON out).",
-        epilog=f"JSON requests are limited to surface genus {JSON_MAX_GENUS} and "
+        epilog=f"JSON requests are limited to {REQUEST_MAX_CHARS} characters on stdin, "
+               f"surface genus {JSON_MAX_GENUS} and "
                f"{WORD_MAX_LETTERS} letters per word, conjugator letters included, "
                f"and positivize and double to {OUTPUT_MAX_LETTERS} output letters, "
                f"counted the same way; larger requests are input errors (exit 2).")

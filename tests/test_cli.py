@@ -384,6 +384,42 @@ def test_word_letter_upper_bound():
         build_parser().format_help().split())
 
 
+def test_stdin_length_is_bounded_before_the_json_is_parsed(monkeypatch):
+    import dehn.cli
+
+    request = json.dumps({"surface": surface(1, 0), "word": letters("a1", "b1")})
+    loads, real_loads = [], json.loads
+
+    def spy(text):
+        loads.append(len(text))
+        return real_loads(text)
+
+    def send(text):
+        stdout = io.StringIO()
+        code = run(["invariants"], stdin=io.StringIO(text), stdout=stdout)
+        return code, real_loads(stdout.getvalue())
+
+    monkeypatch.setattr(dehn.cli, "REQUEST_MAX_CHARS", len(request))
+    monkeypatch.setattr(dehn.cli.json, "loads", spy)
+    # exactly at the bound: read whole and parsed
+    code, rep = send(request)
+    assert code == 0 and rep["verdict"] == "true" and loads == [len(request)]
+    # one character over: an input error, and the JSON is never parsed
+    code, rep = send(request + " ")
+    assert code == 2 and loads == [len(request)]
+    assert rep == {"command": "invariants",
+                   "error": f"request on stdin is longer than {len(request)} characters"}
+    monkeypatch.undo()
+    from dehn.cli import REQUEST_MAX_CHARS, WORD_MAX_LETTERS, build_parser
+    # two words at the letter bound, at indent 4, fit well inside the bound
+    word = [{"base": "a1", "sign": -1, "conj": [{"base": "b1", "sign": -1}]}] * (
+        WORD_MAX_LETTERS // 2)
+    widest = json.dumps({"surface": surface(1, 0), "words": [word, word]}, indent=4)
+    assert 3 * len(widest) < REQUEST_MAX_CHARS
+    assert f"{REQUEST_MAX_CHARS} characters on stdin" in " ".join(
+        build_parser().format_help().split())
+
+
 def output_letters(rep):
     return sum(1 + len(t.get("conj", [])) for t in rep["word_out"])
 

@@ -8,9 +8,9 @@ import pytest
 
 import dehn.cli
 from dehn import SurfaceSig, Twist, TwistWord, gn_word
-from dehn.cli import report_text, run
+from dehn.cli import _period, report_text, run
 from dehn.rewriting import positivize
-from dehn.surface import curve_classes
+from dehn.surface import curve_classes, plain_letters
 from run_words import run_shaped_word
 
 
@@ -220,3 +220,126 @@ def test_writer_encodes_each_distinct_letter_once_per_run(monkeypatch):
                + (Twist("b1", 1, u), Twist("a1", 1, u)) * 4)
     assert writer_calls(monkeypatch, TwistWord(sig, letters)) == [
         "b1", "a2", "a1", "a1", "a1", "b1", "a2", "b1", "a1"]
+
+
+# -- the period path: a word that is k copies of one block of shared letters
+
+
+def shared(sig, *names):
+    """The surface's shared plain letters for ``names`` ("b1^-1" for an inverse)."""
+    plain = plain_letters(sig)
+    return tuple(plain[(n[:-3], -1)] if n.endswith("^-1") else plain[(n, 1)] for n in names)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_writer_on_identity_powers_of_plain_and_conjugated_blocks(genus):
+    sig = SurfaceSig(genus, genus % 2)
+    rng = random.Random(f"writer-powers/{genus}")
+    blocks = [TwistWord.from_names(sig, [c for c in curve_classes(sig) if c != "delta"])]
+    # runs of shared conjugators, equal ones and alternating ones inside the block
+    blocks += [run_shaped_word(rng, sig, rng.randint(2, 6)) for _ in range(12)]
+    assert _period(blocks[0].power(5).letters) == len(blocks[0])
+    powers = 0
+    for block in blocks:
+        for k in (2, 3, 7):
+            word = block.power(k)
+            period = _period(word.letters)
+            assert word.letters == word.letters[:period] * (len(word) // period)
+            powers += period < len(word)
+            assert_written_like_the_encoder(word)
+    # most blocks open with a letter that does not recur inside them
+    assert powers >= len(blocks)
+
+
+def test_period_is_the_shortest_block_of_an_identity_power():
+    sig = SurfaceSig(2, 0)
+    u = (("b1", -1), ("a2", 1))
+    block = (Twist._trusted("a1", 1, u), Twist._trusted("b1", -1, u),
+             Twist._trusted("a2", 1, ()), Twist._trusted("a1", 1, u))
+    assert _period(block * 5) == 4
+    assert _period(shared(sig, "a1", "b1", "a2", "b2") * 10) == 4
+    assert _period(shared(sig, "b1^-1") * 2 + shared(sig, "b1^-1")) == 1
+
+
+def test_writer_falls_back_where_the_first_recurrence_is_no_period():
+    sig = SurfaceSig(2, 0)
+    a1, b1, a2 = shared(sig, "a1", "b1", "a2")
+    words = {
+        # a1 recurs at 2, off the period of 4
+        "off period": (a1, b1, a1, a2) * 5,
+        # a1 recurs every 2 letters, but 7 is no multiple of 2
+        "not a multiple": (a1, b1) * 3 + (a1,),
+        # a1 recurs at 2 and 2 divides 8, yet the copies differ
+        "unequal copies": (a1, b1, a1, a2, a1, b1, a1, b1),
+        "no recurrence": (a1, b1, a2),
+        # a1 recurs at once, inside the block (a1 a1 b1)
+        "recurs inside the block": (a1, a1, b1) * 2,
+    }
+    for name, letters in words.items():
+        assert _period(letters) == len(letters), name
+        assert_written_like_the_encoder(TwistWord(sig, letters))
+
+
+def test_writer_on_equal_but_distinct_letters():
+    sig = SurfaceSig(2, 1)
+    conj = (("a1", 1), ("b2", -1))
+    fresh = [Twist("a1"), Twist("b1", -1, conj), Twist("delta", -1, conj), Twist("a2")]
+    # every letter its own object: no recurrence of letters[0] by identity
+    distinct = tuple(Twist(t.base, t.sign, t.conj) for _ in range(6) for t in fresh)
+    assert _period(distinct) == len(distinct)
+    assert_written_like_the_encoder(TwistWord(sig, distinct))
+    # letters[0] shared, the rest equal but distinct: the copies compare equal
+    head = fresh[0]
+    mixed = tuple(t for _ in range(6) for t in
+                  (head,) + tuple(Twist(t.base, t.sign, t.conj) for t in fresh[1:]))
+    assert _period(mixed) == len(fresh)
+    assert_written_like_the_encoder(TwistWord(sig, mixed))
+
+
+def test_writer_on_single_letter_powers_and_the_empty_word():
+    sig = SurfaceSig(1, 1)
+    conj = Twist._trusted("a1", -1, (("b1", 1),))
+    for letters in ((), shared(sig, "a1"), shared(sig, "b1^-1") * 2, shared(sig, "a1") * 9,
+                    (conj,) * 5, (conj,), (Twist("delta"),) * 3):
+        assert _period(letters) == min(len(letters), 1)
+        assert_written_like_the_encoder(TwistWord(sig, letters))
+
+
+def test_every_gn_report_matches_the_indented_encoder(captured):
+    for n in range(1, 25):
+        code, text = run_text(["gn", "--n", str(n)])
+        assert code == 0
+        report = captured[-1]
+        assert len(report["word_out"]) == 2 * n * (4 * n + 2)
+        assert text == expected_text(report) + "\n"
+
+
+class CountingField:
+    """A slot descriptor that counts the reads that go through it."""
+
+    def __init__(self, slot):
+        self.slot, self.reads = slot, 0
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        self.reads += 1
+        return self.slot.__get__(obj, owner)
+
+    def __set__(self, obj, value):
+        self.slot.__set__(obj, value)
+
+
+def test_writer_reads_one_period_of_a_power(monkeypatch):
+    # a deterministic cost guard: gn(24) is 98 copies of a 48-letter chain
+    # of distinct letters, and the writer reads the base of each letter of
+    # one copy twice (its key, then its text), where walking every letter
+    # read 4,752 bases
+    word = gn_word(24).word
+    assert len(word) == 4704
+    counter = CountingField(Twist.base)
+    monkeypatch.setattr(Twist, "base", counter)
+    text = report_text({"command": "gn", "word_out": word})
+    monkeypatch.undo()
+    assert counter.reads == 2 * 48
+    assert text == expected_text({"command": "gn", "word_out": word})
