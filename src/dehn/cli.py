@@ -111,7 +111,7 @@ EXIT_UNKNOWN = 3
 _VERDICT_EXIT = {"true": EXIT_TRUE, "false": EXIT_FALSE, "unknown": EXIT_UNKNOWN}
 
 # Largest --n each command accepts.  At the bound, the first request of a
-# fresh process takes about 8 ms for family and 4 ms for gn (medians of 7,
+# fresh process takes about 7 ms for family and 3 ms for gn (medians of 11,
 # Python 3.11 on a 2-core machine).
 FAMILY_MAX_N = 10
 GN_MAX_N = 24
@@ -122,9 +122,9 @@ GN_MAX_N = 24
 JSON_MAX_GENUS = GN_MAX_N
 WORD_MAX_LETTERS = 10_000
 # Longest stdin read, in characters, checked before the JSON is parsed.
-# Two words at WORD_MAX_LETTERS are about 0.5 MB compact and 2.4 MB at
+# Two words at WORD_MAX_LETTERS are 0.5-0.7 MB compact and 1.7-2.5 MB at
 # indent 4; parsing 8 MB of the densest JSON (empty objects) peaks near
-# 0.2 GB, where an unbounded read held any stdin whole.
+# 0.2 GB.
 REQUEST_MAX_CHARS = 8_000_000
 
 

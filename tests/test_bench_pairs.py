@@ -89,17 +89,27 @@ def test_pairs_alternate_and_the_summary_is_pinned(tmp_path, capsys):
     assert '"pairs_won_by_change": "2 of 3"' in capsys.readouterr().out
 
 
-def test_a_second_workload_is_added_to_the_same_file(tmp_path):
-    sides = checkouts(tmp_path, [canned(0.7, 1600)] * 2, [canned(0.5, 1700)] * 2)
+def test_an_existing_file_is_extended(tmp_path):
+    sides = checkouts(tmp_path, [canned(0.7, 1600)] * 3, [canned(0.5, 1700)] * 3)
     assert run_tool(tmp_path, sides, 1) == 0
     argv = sides + ["--workload", "verify", "--seed", "20011", "--pairs", "1",
                     "--seconds", "1", "--out", str(tmp_path / "BENCH_x.json")]
     assert bench_pairs.main(argv) == 0
+    # more pairs of a workload and seed follow the earlier ones, alternating on
+    assert run_tool(tmp_path, sides, 1) == 0
     record = json.loads((tmp_path / "BENCH_x.json").read_text())
     assert sorted(record["summary"]) == ["invariants.seed1", "verify.seed20011"]
+    pairs = record["runs"]["invariants.seed1"]["pairs"]
+    assert [p["first"] for p in pairs] == ["parent", "change"]
+    assert record["summary"]["invariants.seed1"]["latency_p90_ms"]["pairs_won_by_change"] == (
+        "2 of 2")
     # a single pair has its value as median and both quartiles
     assert record["summary"]["verify.seed20011"]["latency_p90_ms"]["change"] == {
         "median": 0.5, "q1": 0.5, "q3": 0.5}
+    # runs of another length are not mixed in
+    argv = sides + ["--workload", "invariants", "--pairs", "1", "--seconds", "30",
+                    "--out", str(tmp_path / "BENCH_x.json")]
+    assert bench_pairs.main(argv) == 2
 
 
 @pytest.mark.parametrize("change_output", [

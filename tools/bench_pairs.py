@@ -18,13 +18,15 @@ summary gives each side's median and quartiles
 (``statistics.quantiles(..., method="inclusive")``), the pairs the change
 won in the metric's direction (ties count for neither), the median change
 relative to the parent's median, and the parent's interquartile range, and
-then each side's report digests.  Entries for other workloads and seeds in
-an existing file are kept, so one file can hold several; the file is
-rewritten after every pair.
+then each side's report digests.  An existing file is extended: its other
+workloads and seeds are kept, so one file can hold several, and new pairs
+of the same workload and seed follow its earlier ones, alternating on.
+The summary covers every pair of its entry, and the file is rewritten
+after every pair.
 
 Exit status: 0 when every run reads ``"correct": true`` and all runs share
 one report digest, 1 otherwise, 2 when ``--out`` holds runs of other
-commits.  Standard library only.
+commits or of another ``--seconds``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -177,9 +179,13 @@ def main(argv=None) -> int:
         **{side: {"commit": commits[side]} for side in SIDES},
     })
     key = f"{args.workload}.seed{args.seed}"
-    pairs = []
-    record.setdefault("runs", {})[key] = {"seconds": args.seconds, "pairs": pairs}
-    for i in range(args.pairs):
+    entry = record.setdefault("runs", {}).setdefault(key, {"seconds": args.seconds, "pairs": []})
+    if entry["seconds"] != args.seconds:
+        print(f"error: {args.out} holds {key} runs of {entry['seconds']} s", file=sys.stderr)
+        return 2
+    pairs = entry["pairs"]
+    for _ in range(args.pairs):
+        i = len(pairs)
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {"first": order[0]}
         for side in order:
