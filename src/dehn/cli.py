@@ -88,7 +88,7 @@ from .pi1 import (
     DEFAULT_CAP,
     ENGINES,
     RELATOR_CORPUS,
-    apply_word,
+    apply_twist,
     decide_equal,
 )
 from .rewriting import OUTPUT_MAX_LETTERS, positivize
@@ -439,7 +439,7 @@ def _selftest_relator_corpus() -> bool:
     sig = SurfaceSig(2, 1)
     bw = boundary_word(2)
     for name in curve_classes(sig):
-        if apply_word(TwistWord(sig, (Twist(name),)), bw) != bw:
+        if apply_twist(Twist(name), bw, sig) != bw:
             return False
     return True
 

@@ -44,8 +44,7 @@ class AbelianGroup(Record):
         for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("torsion orders must form a divisibility chain")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "torsion", torsion)
+        super().__init__(rank, torsion)
 
     @property
     def trivial(self) -> bool:
@@ -70,8 +69,7 @@ class Fibration(Record):
                 raise ValueError("a sphere fibration needs a closed fiber")
             if not is_identity(word_matrix(word)):
                 raise ValueError("sphere fibration word must act trivially on homology")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "word", word)
+        super().__init__(base, word)
 
     @classmethod
     def _certified_sphere(cls, word: TwistWord) -> "Fibration":
@@ -85,10 +83,7 @@ class Fibration(Record):
         positivization acts trivially too.  Every other word goes through
         the public constructor.
         """
-        f = object.__new__(cls)
-        object.__setattr__(f, "base", "sphere")
-        object.__setattr__(f, "word", word)
-        return f
+        return cls._trusted("sphere", word)
 
     @property
     def fiber(self) -> SurfaceSig:

@@ -65,17 +65,18 @@ def identity_matrix(n: int) -> Matrix:
 def transported_class(twist: Twist, sig: SurfaceSig) -> Vector:
     """Homology class of the letter's core curve pushed through its conjugator.
 
-    Either way the curve table is fetched once.
+    A plain letter's class is ``homology_class`` of its base.  A conjugated
+    letter's curves are checked by ``check_letters``, and that class runs
+    through the conjugator's steps; both read the cached curve table.
     """
+    v = homology_class(twist.base, sig)
     if not twist.conj:
-        return homology_class(twist.base, sig)
-    classes = check_letters((twist,), sig)
-    x = [0] * (2 * sig.genus)
-    for i, vi, _, _ in classes[twist.base]:
-        x[i] = vi
+        return v
+    check_letters((twist,), sig)
+    x = list(v)
     # the conjugator u acts as its letters, last first; u's cancelling
     # pairs need no removal, as they compose to the identity
-    _run_stream(x, [(classes[name], sign) for name, sign in reversed(twist.conj)])
+    _run_stream(x, _steps(sig, reversed(twist.conj)))
     return tuple(x)
 
 

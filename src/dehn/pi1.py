@@ -174,6 +174,15 @@ def _images(genus: int, stream, cap: int) -> list:
     return images
 
 
+def _check_generators(z: Word, genus: int) -> None:
+    """Raise ``ValueError`` naming the first letter of z outside 1..2g and -2g..-1."""
+    n = 2 * genus
+    if z and (min(z) < -n or max(z) > n or 0 in z):
+        bad = next(x for x in z if not 0 < abs(x) <= n)
+        raise ValueError(f"letter {bad} is not a generator: letters of genus "
+                         f"{genus} lie in 1..{n} and -{n}..-1")
+
+
 def apply_twist(t: Twist, z: Word, sig: SurfaceSig, cap: int = DEFAULT_CAP) -> Word:
     """Image of the reduced word z under one (possibly conjugated) twist."""
     return apply_word(TwistWord(sig, (t,)), z, cap)
@@ -183,13 +192,9 @@ def apply_word(word: TwistWord, z: Word, cap: int = DEFAULT_CAP) -> Word:
     """Image of z under the whole word; the rightmost letter acts first.
 
     z need not be reduced, but its letters must be generators of the
-    surface group, in 1..2g and -2g..-1; any other raises ``ValueError``.
+    surface group (``_check_generators``).
     """
-    n = 2 * word.surface.genus
-    bad = next((x for x in z if not 0 < abs(x) <= n), None)
-    if bad is not None:
-        raise ValueError(f"letter {bad} is not a generator: letters of genus "
-                         f"{word.surface.genus} lie in 1..{n} and -{n}..-1")
+    _check_generators(z, word.surface.genus)
     images = _images(word.surface.genus, compile_word(word), cap)
     return tuple(substitute(images, z, cap))
 
@@ -215,7 +220,10 @@ def _dehn_rules(genus: int) -> dict[Word, Word]:
 def dehn_reduce(z: Word, genus: int) -> Word:
     """Dehn's algorithm for the surface group, in time linear in len(z).
 
-    z is a word in the chain loops, and r is ``boundary_word(genus)``.
+    z is a word in the chain loops, and r is ``boundary_word(genus)``.  A
+    letter of z that is not a generator raises ``ValueError``
+    (``_check_generators``, one scan before the loop); the letters pushed
+    back come from r, so the loop needs no check of its own.
     Letters of z are pushed one at a time onto an output stack with free
     cancellation.  After each push the top 2g+1 letters are looked up among
     the cyclic subwords of the relator r and of r^-1 that are longer than
@@ -230,14 +238,13 @@ def dehn_reduce(z: Word, genus: int) -> Word:
     """
     if genus < 2:
         raise ValueError("Dehn reduction applies to genus >= 2")
+    _check_generators(z, genus)
     rules = _dehn_rules(genus)
     need = 2 * genus + 1
     pending = list(reversed(z))
     out: list[int] = []
     while pending:
         x = pending.pop()
-        if x == 0:
-            raise ValueError("0 is not a generator index")
         if out and out[-1] == -x:
             out.pop()
             continue

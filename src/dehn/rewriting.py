@@ -44,6 +44,7 @@ from .surface import (
     chain_word,
     curve_classes,
     intersection,
+    invert_steps,
 )
 
 # Largest positivize output built, conjugator letters included: a negative
@@ -63,11 +64,6 @@ class RewriteReport(Record):
     """
 
     __slots__ = ("output", "steps", "verdict")
-
-    def __init__(self, output: TwistWord, steps: int, verdict: tuple[str, str]):
-        object.__setattr__(self, "output", output)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "verdict", verdict)
 
 
 def transport_pairs(curve: str, sig: SurfaceSig) -> tuple[tuple[str, int], ...]:
@@ -93,10 +89,6 @@ def transport_pairs(curve: str, sig: SurfaceSig) -> tuple[tuple[str, int], ...]:
     for j in range(1, chain.index(start) + 1):
         down += [(chain[j], -1), (chain[j - 1], -1)]
     return tuple(down) + hop
-
-
-def _invert_pairs(pairs) -> tuple[tuple[str, int], ...]:
-    return tuple((n, -s) for n, s in reversed(pairs))
 
 
 def commute_pull(w: TwistWord, pattern: TwistWord,
@@ -198,7 +190,7 @@ def positivize(w: TwistWord, cap: int = DEFAULT_CAP,
     if sig.boundary != 0:
         raise ValueError("positivization is defined on closed surfaces")
     # each distinct negative base, in order, with its transport inverted
-    transports = {c: _invert_pairs(transport_pairs(c, sig))
+    transports = {c: invert_steps(transport_pairs(c, sig))
                   for c in dict.fromkeys(t.base for t in w.letters if t.sign < 0)}
     expansion = inverse_twist_expansion(sig).letters if transports else ()
     size = sum(1 + len(t.conj) if t.sign > 0

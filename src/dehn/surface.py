@@ -79,13 +79,28 @@ class Record:
     """An immutable record whose fields are its ``__slots__``, in order.
 
     Equality, hash and repr go by field, in field order; assigning or
-    deleting an attribute raises ``AttributeError``.  A record's
-    ``__init__`` checks its arguments and sets its fields with
-    ``object.__setattr__``, and a copy or unpickled record is built again
-    through it.
+    deleting an attribute raises ``AttributeError``.  The fields are set
+    here and nowhere else: ``Record.__init__`` fills them in order from its
+    arguments, and a subclass's ``__init__`` checks its arguments and ends
+    in ``super().__init__(...)``.  ``_trusted`` builds a record from values
+    already known to be valid, with none of its class's checks.  A copy or
+    unpickled record is built again through its class's ``__init__``.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self.__slots__)} "
+                            f"fields, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, *values):
+        record = object.__new__(cls)
+        Record.__init__(record, *values)
+        return record
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -122,8 +137,7 @@ class SurfaceSig(Record):
             raise ValueError(f"genus must be a non-negative integer, got {genus!r}")
         if type(boundary) is not int or boundary not in (0, 1):
             raise ValueError(f"boundary must be 0 or 1, got {boundary!r}")
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "boundary", boundary)
+        super().__init__(genus, boundary)
 
     # hashed on every curve-table lookup: spelled out, these run several
     # times faster than Record's generic pair
@@ -263,9 +277,9 @@ class Twist(Record):
 
     ``conj`` is a flat tuple of (curve name, sign) pairs; the twist denotes
     ``u · t_base^sign · u^-1`` where u is the conjugator word read
-    left-to-right with the same composition convention as TwistWord.  The
-    fields are slots, so that a letter is filled through their descriptors
-    and holds no ``__dict__``.
+    left-to-right with the same composition convention as TwistWord.
+    ``_trusted`` fills the slots through their descriptors rather than
+    through ``Record``, since it runs once per letter of a rewrite output.
     """
 
     __slots__ = ("base", "sign", "conj")
@@ -277,9 +291,7 @@ class Twist(Record):
         for _, s in conj:
             if not is_sign(s):
                 raise ValueError(f"conjugator entries must have sign +1 or -1, got {s!r}")
-        _set_base(self, base)
-        _set_sign(self, sign)
-        _set_conj(self, conj)
+        super().__init__(base, sign, conj)
 
     @classmethod
     def _trusted(cls, base: str, sign: int, conj: tuple[tuple[str, int], ...]) -> "Twist":
@@ -304,8 +316,8 @@ class Twist(Record):
         check_letters((self,), sig)
 
 
-# the slot setters, looked up once: object.__setattr__ finds the descriptor
-# on every call, which made a trusted letter cost nearly a checked one
+# the slot setters, looked up once: Record's generic loop finds each
+# descriptor by name on every call, about 3x the cost per letter
 _set_base, _set_sign, _set_conj = Twist.base.__set__, Twist.sign.__set__, Twist.conj.__set__
 
 
@@ -330,21 +342,7 @@ class TwistWord(Record):
     def __init__(self, surface: SurfaceSig, letters: tuple[Twist, ...] = ()):
         letters = tuple(letters)
         check_letters(letters, surface)
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "letters", letters)
-
-    @classmethod
-    def _trusted(cls, surface: SurfaceSig, letters: tuple[Twist, ...]) -> "TwistWord":
-        """A word of letters already valid on ``surface``, built with no check.
-
-        For letters taken from words validated on the same surface, or
-        built from names that are standard there by construction; every
-        other word goes through the public constructor.
-        """
-        word = object.__new__(cls)
-        object.__setattr__(word, "surface", surface)
-        object.__setattr__(word, "letters", letters)
-        return word
+        super().__init__(surface, letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -461,8 +459,12 @@ def quotient_stream(w1: TwistWord, w2: TwistWord) -> tuple[Step, ...]:
     tail = 0
     while tail < n - head and s1[-1 - tail] == s2[-1 - tail]:
         tail += 1
-    rest2 = s2[head:len(s2) - tail]
-    return s1[head:len(s1) - tail] + tuple((name, -sign) for name, sign in reversed(rest2))
+    return s1[head:len(s1) - tail] + invert_steps(s2[head:len(s2) - tail])
+
+
+def invert_steps(steps) -> tuple[Step, ...]:
+    """The inverse of a sequence of (curve, sign) steps: reversed, each sign flipped."""
+    return tuple((name, -sign) for name, sign in reversed(steps))
 
 
 def chain_word(sig: SurfaceSig, copies: int = 1) -> TwistWord:

@@ -57,6 +57,35 @@ def test_benchmark_bindings_resolve():
             assert callable(getattr(owner, attr, None)), f"{module}.{attr}"
 
 
+def _object_calls(tree, scope):
+    """(scope, attribute) of each ``object.__setattr__`` and ``object.__new__`` in ``tree``.
+
+    The scope is the module name and the names of the classes and
+    functions around the call, dotted.
+    """
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _object_calls(node, f"{scope}.{node.name}")
+            continue
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "object" and node.attr in ("__setattr__", "__new__")):
+            yield scope, node.attr
+        yield from _object_calls(node, scope)
+
+
+def test_record_fields_are_set_only_by_record():
+    # one home for a record's fields: surface.Record sets them, and only
+    # Twist._trusted, which runs once per letter of a rewrite output, fills
+    # its slots through their own descriptors
+    found = [hit for path in sorted((ROOT / "src" / "dehn").glob("*.py"))
+             for hit in _object_calls(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+    assert ("surface.Record.__init__", "__setattr__") in found
+    outside = [(scope, attr) for scope, attr in found
+               if scope.split(".")[:2] != ["surface", "Record"]
+               and (scope, attr) != ("surface.Twist._trusted", "__new__")]
+    assert outside == []
+
+
 def test_no_public_name_only_the_tests_use():
     # every public module-level function, class or constant of src/dehn is
     # used elsewhere in the package, bound by the bench, exported, or the

@@ -73,13 +73,16 @@ def test_pairs_alternate_and_the_summary_is_pinned(tmp_path, capsys):
         "pairs_won_by_change": "2 of 3",
         "median_change": -0.2429,
         "parent_iqr": 0.01,
+        "bound": 0.25,
+        "reading": "within bound",
     }
     assert summary["requests_per_s"]["pairs_won_by_change"] == "3 of 3"
     assert summary["requests_per_s"]["median_change"] == 0.0625
     # equal values are ties, which count for neither side
     assert summary["decided_ratio"]["pairs_won_by_change"] == "0 of 3"
-    assert set(summary) == set(bench_pairs.end_to_end_directions()) | {
+    assert set(summary) == set(bench_pairs.end_to_end_metrics()) | {
         "digests", "digests_equal", "correct"}
+    assert record["no_regression"] is True
     assert summary["digests"] == {"parent": [DIGEST], "change": [DIGEST]}
     assert summary["digests_equal"] is True and summary["correct"] is True
     runs = record["runs"]["invariants.seed1"]["pairs"]
@@ -110,6 +113,42 @@ def test_an_existing_file_is_extended(tmp_path):
     argv = sides + ["--workload", "invariants", "--pairs", "1", "--seconds", "30",
                     "--out", str(tmp_path / "BENCH_x.json")]
     assert bench_pairs.main(argv) == 2
+
+
+@pytest.mark.parametrize("parent_p90, change_p90, reading", [
+    ((0.70, 0.69, 0.71), (0.52, 0.53, 0.72), "within bound"),
+    # a 24% worse median stays inside the 0.25 bound, a 27% worse one passes it
+    ((0.70, 0.69, 0.71), (0.86, 0.87, 0.88), "within bound"),
+    ((0.70, 0.69, 0.71), (0.88, 0.89, 0.90), "worse than bound"),
+    # the parent's runs spread by 0.3 / 0.7 of its median, wider than the bound
+    ((0.40, 0.70, 1.00), (0.75, 0.70, 0.80), "unresolved"),
+    ((0.40, 0.70, 1.00), (0.60, 0.35, 0.38), "unresolved"),
+    # ... unless every run of the change reads better than every parent run
+    ((0.40, 0.70, 1.00), (0.30, 0.35, 0.38), "within bound"),
+])
+def test_each_metric_reads_against_its_bound(parent_p90, change_p90, reading):
+    pairs = [{"parent": bench_pairs.parse_run(canned(p, 1600)),
+              "change": bench_pairs.parse_run(canned(c, 1600))}
+             for p, c in zip(parent_p90, change_p90)]
+    summary = bench_pairs.summarize(pairs, bench_pairs.end_to_end_metrics())
+    assert summary["latency_p90_ms"]["bound"] == 0.25
+    assert summary["latency_p90_ms"]["reading"] == reading
+    # every other metric reads the same on both sides
+    others = set(bench_pairs.end_to_end_metrics()) - {"latency_p90_ms"}
+    assert {summary[m]["reading"] for m in others} == {"within bound"}
+    verdict = {"within bound": True, "worse than bound": False, "unresolved": "unresolved"}
+    assert bench_pairs.no_regression({"invariants.seed1": summary}) == verdict[reading]
+
+
+def test_no_regression_reads_every_summary():
+    def summary(*readings):
+        return {f"m{i}": {"reading": r} for i, r in enumerate(readings)} | {"correct": True}
+
+    ok, wide = summary("within bound"), summary("unresolved")
+    worse = summary("within bound", "worse than bound")
+    assert bench_pairs.no_regression({"a": ok, "b": ok}) is True
+    assert bench_pairs.no_regression({"a": ok, "b": wide}) == "unresolved"
+    assert bench_pairs.no_regression({"a": wide, "b": worse}) is False
 
 
 @pytest.mark.parametrize("change_output", [

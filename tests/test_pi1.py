@@ -1,5 +1,6 @@
 """Free-group action: generator tables, relator corpus, equality engines."""
 
+import hashlib
 import random
 
 import pytest
@@ -216,6 +217,9 @@ def test_apply_word_rejects_letters_off_the_generators(letter):
     a1 = word(T2, "a1")
     with pytest.raises(ValueError, match=rf"^letter {letter} is not a generator"):
         apply_word(a1, (1, letter))
+    # Dehn reduction runs the same check, so it returns no word for such a letter
+    with pytest.raises(ValueError, match=rf"^letter {letter} is not a generator"):
+        dehn_reduce((1, letter), 2)
 
 
 # A hand-written reference for the corpus pairs: the pairs read off the
@@ -378,6 +382,18 @@ def test_dehn_reduce():
     for _ in range(20):
         z = reduce_word(tuple(rng.choice((1, -1)) * rng.randrange(1, 5) for _ in range(4)))
         assert dehn_reduce(z, 2) == z
+    # a long word of partial relator rotations and stray letters over +-1..+-4,
+    # which fires many replacements: its output is pinned by length and digest
+    rng = random.Random(31)
+    z = ()
+    while len(z) < 4000:
+        s = rng.randrange(len(r))
+        rot = r[s:] + r[:s] if rng.random() < 0.5 else invert_word(r[s:] + r[:s])
+        z += rot[:rng.randint(3, 7)] + tuple(rng.choice((1, -1)) * rng.randint(1, 4)
+                                             for _ in range(rng.randint(0, 2)))
+    out = dehn_reduce(z, 2)
+    assert (len(z), len(reduce_word(z)), len(out)) == (4006, 3524, 1826)
+    assert hashlib.sha256(repr(out).encode()).hexdigest()[:16] == "7a3cfaacc744ad08"
 
 
 def test_closed_equal():

@@ -24,7 +24,7 @@ from dehn.pi1 import (
     twist_tables,
 )
 from dehn.rewriting import positivize
-from dehn.surface import compile_word, curve_classes, quotient_stream
+from dehn.surface import compile_word, curve_classes, invert_steps, quotient_stream
 from run_words import run_shaped_word
 
 
@@ -262,6 +262,25 @@ def test_quotient_stream():
     assert quotient_stream(w * a1, w) == (("a1", 1),)
     with pytest.raises(ValueError, match="different surfaces"):
         quotient_stream(a1, TwistWord.from_names(SurfaceSig(2, 0), "a1"))
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+@pytest.mark.parametrize("boundary", [0, 1])
+def test_invert_steps_inverts_compiled_streams(genus, boundary):
+    sig = SurfaceSig(genus, boundary)
+    empty = TwistWord(sig, ())
+    rng = random.Random(f"invert/{genus}/{boundary}")
+    for _ in range(200):
+        w = run_shaped_word(rng, sig, rng.randint(1, 6))
+        stream = compile_word(w)
+        assert invert_steps(invert_steps(stream)) == stream
+        # compile_word puts delta^e last, so the delta steps are compared apart
+        body = tuple(step for step in stream if step[0] != "delta")
+        delta = stream[len(body):]
+        assert body + delta == stream
+        assert compile_word(w.inverse()) == invert_steps(body) + invert_steps(delta)
+        assert quotient_stream(w, empty) == stream
+        assert quotient_stream(empty, w) == invert_steps(stream)
 
 
 def test_compiled_path_respects_cap():

@@ -323,3 +323,6 @@ def test_records_differ_by_any_field():
     assert SurfaceSig(2, 1) != SurfaceSig(2, 0) and SurfaceSig(2, 1) != SurfaceSig(1, 1)
     assert Twist("a1") != Twist("a1", -1) and Twist("a1") != Twist("a1", 1, (("b1", 1),))
     assert AbelianGroup(1, (2,)) != AbelianGroup(1, (3,)) != AbelianGroup(0, (3,))
+    # Record.__init__ fills the fields of a record with no __init__ of its own
+    with pytest.raises(TypeError, match="^RewriteReport takes 3 fields, got 2$"):
+        RewriteReport(TwistWord(SurfaceSig(1, 1)), 3)

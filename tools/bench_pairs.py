@@ -17,12 +17,20 @@ The file ``--out`` holds every run's output lines and, under
 summary gives each side's median and quartiles
 (``statistics.quantiles(..., method="inclusive")``), the pairs the change
 won in the metric's direction (ties count for neither), the median change
-relative to the parent's median, and the parent's interquartile range, and
-then each side's report digests.  An existing file is extended: its other
-workloads and seeds are kept, so one file can hold several, and new pairs
-of the same workload and seed follow its earlier ones, alternating on.
-The summary covers every pair of its entry, and the file is rewritten
-after every pair.
+relative to the parent's median, the parent's interquartile range, the
+metric's bound and a reading against it, and then each side's report
+digests.  The reading is ``"worse than bound"`` when the median change in
+the worse direction passes the bound, ``"unresolved"`` when the parent's
+interquartile range relative to its median passes the bound and not every
+change run reads better than every parent run, and ``"within bound"``
+otherwise.  The file's top-level ``"no_regression"`` is false when any
+metric of any summary reads worse than its bound, ``"unresolved"`` when
+none does but some metric is unresolved, and true otherwise.
+
+An existing file is extended: its other workloads and seeds are kept, so
+one file can hold several, and new pairs of the same workload and seed
+follow its earlier ones, alternating on.  The summary covers every pair
+of its entry, and the file is rewritten after every pair.
 
 Exit status: 0 when every run reads ``"correct": true`` and all runs share
 one report digest, 1 otherwise, 2 when ``--out`` holds runs of other
@@ -45,10 +53,10 @@ SIDES = ("parent", "change")
 RUN_TIMEOUT_S = 600  # bench/run.py ends its own runs within 180 s
 
 
-def end_to_end_directions(benchmark: Path = ROOT / "BENCHMARK.json") -> dict[str, str]:
-    """Each end-to-end metric's name and the direction that reads better."""
+def end_to_end_metrics(benchmark: Path = ROOT / "BENCHMARK.json") -> dict[str, dict]:
+    """Each end-to-end metric's name and its entry: the direction that reads better and the bound."""
     spec = json.loads(benchmark.read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m for m in spec["end_to_end"]}
 
 
 def parse_run(text: str) -> dict:
@@ -84,14 +92,37 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
 
 
-def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
+def _reading(parent: list[float], change: list[float], better: str, bound: float,
+             iqr: float) -> str:
+    """One metric's reading against its bound (module docstring); ``iqr`` is the parent's."""
+    worse = 1 if better == "lower" else -1  # the sign of a change for the worse
+    base = statistics.median(parent)
+    if worse * (statistics.median(change) - base) > bound * abs(base):
+        return "worse than bound"
+    all_better = max(worse * c for c in change) < min(worse * p for p in parent)
+    if iqr > bound * abs(base) and not all_better:
+        return "unresolved"
+    return "within bound"
+
+
+def no_regression(summaries: dict):
+    """The file's verdict over every metric of ``summaries`` (module docstring)."""
+    readings = {entry["reading"] for summary in summaries.values()
+                for entry in summary.values() if isinstance(entry, dict) and "reading" in entry}
+    if "worse than bound" in readings:
+        return False
+    return "unresolved" if "unresolved" in readings else True
+
+
+def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
     """The summary of ``pairs``, each {"parent": run, "change": run} of ``parse_run``.
 
-    A metric missing from a run that is not correct leaves that pair out
-    of the metric's figures.
+    ``metrics`` is ``end_to_end_metrics()``.  A metric missing from a run
+    that is not correct leaves that pair out of the metric's figures.
     """
     summary = {}
-    for name, better in directions.items():
+    for name, metric in metrics.items():
+        better, bound = metric["better"], metric["bound"]
         values = [(p["parent"]["result"]["metrics"][name]["value"],
                    p["change"]["result"]["metrics"][name]["value"])
                   for p in pairs if _correct(p["parent"]) and _correct(p["change"])]
@@ -101,11 +132,14 @@ def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
         won = sum((c < p) if better == "lower" else (c > p) for p, c in values)
         base = statistics.median(parent)
         side = {"parent": _quartiles(parent), "change": _quartiles(change)}
+        iqr = side["parent"]["q3"] - side["parent"]["q1"]
         summary[name] = {
             **side,
             "pairs_won_by_change": f"{won} of {len(values)}",
             "median_change": round(statistics.median(change) / base - 1, 4) if base else None,
-            "parent_iqr": round(side["parent"]["q3"] - side["parent"]["q1"], 6),
+            "parent_iqr": round(iqr, 6),
+            "bound": bound,
+            "reading": _reading(parent, change, better, bound, iqr),
         }
     digests = {s: sorted({d for p in pairs for d in p[s]["digests"]}) for s in SIDES}
     summary["digests"] = digests
@@ -158,7 +192,7 @@ def parse_args(argv):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    directions = end_to_end_directions()
+    metrics = end_to_end_metrics()
     checkouts = {"parent": args.parent, "change": args.change}
     commits = {side: commit_of(path) for side, path in checkouts.items()}
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
@@ -173,7 +207,9 @@ def main(argv=None) -> int:
                   "the parent first in even pairs; quartiles are statistics.quantiles("
                   "method='inclusive'); pairs_won_by_change counts pairs where the change "
                   "reads better, ties for neither; median_change is change / parent - 1 "
-                  "of the medians.",
+                  "of the medians; reading compares the median change and the parent's "
+                  "interquartile range, each relative to the parent's median, with the "
+                  "metric's BENCHMARK.json bound.",
         "machine": f"{os.cpu_count()}-core {platform.system()}, "
                    f"Python {platform.python_version()}",
         **{side: {"commit": commits[side]} for side in SIDES},
@@ -191,8 +227,9 @@ def main(argv=None) -> int:
         for side in order:
             pair[side] = run_bench(checkouts[side], args.workload, args.seed, args.seconds)
         pairs.append(pair)
-        summary = summarize(pairs, directions)
+        summary = summarize(pairs, metrics)
         record.setdefault("summary", {})[key] = summary
+        record["no_regression"] = no_regression(record["summary"])
         args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
         print(json.dumps({"pair": i, **{s: pair[s]["result"] for s in SIDES}}), flush=True)
     print(json.dumps({key: summary}, indent=1))
