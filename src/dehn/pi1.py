@@ -34,11 +34,17 @@ for the cheap necessary test only.
 A word is applied through its stream (``dehn.surface.compile_word``): the
 flat sequence of plain (curve, sign) steps in the order they act, with
 conjugators expanded and adjacent x^s x^-s pairs cancelled, each step
-looked up here as one table.  A comparison of w1 with w2 composes the one
-stream of psi = w2^-1 . w1 (``dehn.surface.quotient_stream``) backwards,
-from its last-acting step to its first, on the images of all generators
-at once; each step rewrites only the images of the generators its table
-moves.  The word-length cap is checked on every image built.
+looked up here as one table.  A comparison of w1 with w2 builds the one
+stream of psi = w2^-1 . w1 (``dehn.surface.quotient_stream``) and first
+cancels every pair of its steps that commutation brings together
+(``dehn.surface.reduce_stream``): twists about disjoint curves commute
+(Farb-Margalit, Fact 3.9), so a pair x^s, x^-s with only steps about
+curves disjoint from x between them acts trivially.  The reduced stream
+keeps psi's mapping class, and the twist tables are never read for what
+this relation settles.  It is then composed backwards, from its
+last-acting step to its first, on the images of all generators at once;
+each step rewrites only the images of the generators its table moves.
+The word-length cap is checked on every image built.
 
 The per-curve automorphisms are built once per genus by one rule from the
 rows of the one-boundary surface (``dehn.surface.curve_rows``, whose
@@ -51,8 +57,11 @@ conjugated generator w_k to l^-s w_k l^s, a prefixed one to l^-s w_k and a
 suffixed one to w_k l^s, and fixes every other generator; each twist fixes
 its own loop.  No table is derived from a relation, so ``RELATOR_CORPUS``
 (braid, disjointness and chain relations, with ``CHAIN_TRADE`` among
-them) checks every table; the CLI ``selftest`` and the test suite both
-decide it, and both also check that every twist fixes the boundary word.
+them) checks every table.  The CLI ``selftest`` and the test suite both
+compare each row's two sides on every generator, each side through its
+own stream (``decide_equal`` would cancel a disjointness row before any
+table is read), and both also check that every twist fixes the boundary
+word.
 """
 
 from __future__ import annotations
@@ -78,6 +87,7 @@ from .surface import (
     curve_rows,
     intersection,
     quotient_stream,
+    reduce_stream,
 )
 
 DEFAULT_CAP = 10**6
@@ -299,15 +309,19 @@ def decide_equal(w1: TwistWord, w2: TwistWord, engine: str = "auto",
     separate the words).  With ``engine="auto"`` the surface picks the
     exact engine: ENGINE_PI1 with one boundary component, otherwise
     ENGINE_HOMOLOGY_FAITHFUL at genus <= 1 and ENGINE_CLOSED above.  Every
-    engine tests whether the stream of psi = w2^-1 . w1 acts trivially,
-    rejecting on its homology matrix before any free-group work; ``cap``
-    bounds the generator images built while psi is composed from its
-    last-acting step, and one that passes it gives "unknown".
+    engine tests whether the stream of psi = w2^-1 . w1 acts trivially.
+    The stream is first reduced by ``reduce_stream``, which cancels the
+    steps that the commutation of twists about disjoint curves brings
+    together (Farb-Margalit, Fact 3.9) and keeps psi's mapping class, so
+    a pair of words that differ by such moves gives an empty stream.  The
+    engine then rejects on its homology matrix before any free-group
+    work; ``cap`` bounds the generator images built while psi is composed
+    from its last-acting step, and one that passes it gives "unknown".
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
-    psi = quotient_stream(w1, w2)
     sig = w1.surface
+    psi = reduce_stream(sig, quotient_stream(w1, w2))
     acts_on_h1 = not is_identity(stream_matrix(sig, psi))
     if sig.boundary == 0 and sig.genus <= 1:
         return ("false" if acts_on_h1 else "true", ENGINE_HOMOLOGY_FAITHFUL)

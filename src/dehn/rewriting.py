@@ -42,6 +42,7 @@ from .surface import (
     Twist,
     TwistWord,
     chain_word,
+    crossing_table,
     curve_classes,
     intersection,
     invert_steps,
@@ -106,6 +107,7 @@ def commute_pull(w: TwistWord, pattern: TwistWord,
         raise ValueError("word and pattern live on different surfaces")
     if any(t.conj for t in pattern.letters):
         raise ValueError("pattern letters must be plain twists")
+    crossing = crossing_table(w.surface)
     letters = list(w.letters)
     steps = 0
     for i, pat in enumerate(pattern.letters):
@@ -119,7 +121,7 @@ def commute_pull(w: TwistWord, pattern: TwistWord,
                 f"{pat.base}^{pat.sign} at or after position {i}")
         while pos > i:
             x, t = letters[pos - 1], letters[pos]
-            if not x.conj and intersection(x.base, t.base, w.surface) == 0:
+            if not x.conj and x.base not in crossing[t.base]:
                 x2 = x  # exact commutation, no bookkeeping needed
             else:
                 x2 = Twist._trusted(x.base, x.sign, ((t.base, -t.sign),) + x.conj)

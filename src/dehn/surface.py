@@ -30,7 +30,9 @@ pays for each distinct plain letter once.
 ``compile_word`` expands a word into the plain (curve, sign) steps in the
 order they act, the one stream every engine applies; ``quotient_stream``
 builds the stream of w2^-1 . w1 from two compiled words, so that every
-equality test asks whether one stream acts trivially.
+equality test asks whether one stream acts trivially; ``reduce_stream``
+cancels the steps of a stream that twists about disjoint curves, which
+commute, let meet.
 
 The curves are written down once, in ``curve_rows``: every standard
 curve on the surface, in the standard order, with its row (loop,
@@ -59,7 +61,11 @@ so ``d2`` and ``e2`` both have class ``e1 + e3`` and ``delta`` has class 0.
 stored sparse as its at most two nonzero entries.  Validity, the curve
 list (``tuple(curve_classes(sig))``), the chain order (its first 2g
 names), the classes and who meets whom (``intersection``) are all read
-from it; no other module lists the curves or parses their names.  A name
+from it; no other module lists the curves or parses their names.
+``crossing_table`` maps every curve name to the names of the curves it
+meets, read off ``intersection`` and cached like ``curve_classes``;
+``reduce_stream`` and ``dehn.rewriting.commute_pull`` read who commutes
+with whom from it.  A name
 is a curve exactly when the table holds it: a single name is looked up
 by ``_class_of`` (behind ``homology_class`` and ``intersection``) and a
 sequence of letters by ``check_letters``, and both raise one error text
@@ -267,6 +273,20 @@ def intersection(c1: str, c2: str, sig: SurfaceSig) -> int:
     return sum(p * xi for _, _, j, p in v2 for i, xi, _, _ in v1 if i == j)
 
 
+@lru_cache(maxsize=None)
+def crossing_table(sig: SurfaceSig) -> dict[str, tuple[str, ...]]:
+    """Every standard curve on ``sig`` with the curves it meets, in ``curve_classes`` order.
+
+    Read off ``intersection``: c meets d when <c, d> is +-1, and is
+    disjoint from (or equal to) every other curve, so their twists commute
+    with t_c.  No curve meets more than four others (b2 meets a2, a3, d2
+    and e2), and delta meets none.  The table is cached and shared between
+    callers, which only read it.
+    """
+    names = tuple(curve_classes(sig))
+    return {c: tuple(d for d in names if intersection(c, d, sig)) for c in names}
+
+
 def is_sign(s) -> bool:
     """Whether s is the int +1 or -1 (not a bool, float or string)."""
     return type(s) is int and s in (1, -1)
@@ -460,6 +480,44 @@ def quotient_stream(w1: TwistWord, w2: TwistWord) -> tuple[Step, ...]:
     while tail < n - head and s1[-1 - tail] == s2[-1 - tail]:
         tail += 1
     return s1[head:len(s1) - tail] + invert_steps(s2[head:len(s2) - tail])
+
+
+def reduce_stream(sig: SurfaceSig, stream: tuple[Step, ...]) -> tuple[Step, ...]:
+    """The stream with every pair of steps cancelled that commuting twists let meet.
+
+    Twists about disjoint curves commute (Farb-Margalit, *A Primer on
+    Mapping Class Groups*, Fact 3.9), so x^s . m . x^-s acts as m whenever
+    every step of m is about a curve that does not meet x.  The steps are
+    read in order, keeping the positions of the live ones on a stack per
+    curve.  A step cancels the last live step of its curve when that step
+    has the opposite sign and no live step after it is about a curve that
+    meets it (``crossing_table``), which the last positions of those few
+    curves tell; otherwise it is pushed.  Each step costs at most one
+    table lookup and four stack tops, so the pass is linear in
+    len(stream).  The live steps are returned in their order: they act as
+    the whole stream does, and no two of them are left that commutation
+    could bring together to cancel.
+    """
+    crossing = crossing_table(sig)
+    live: dict[str, list[int]] = {}
+    kept = list(stream)
+    for i, (name, sign) in enumerate(stream):
+        mine = live.get(name)
+        if mine is None:
+            live[name] = [i]
+            continue
+        if mine and stream[mine[-1]][1] != sign:
+            p = mine[-1]
+            for d in crossing[name]:
+                theirs = live.get(d)
+                if theirs and theirs[-1] > p:
+                    break
+            else:
+                mine.pop()
+                kept[p] = kept[i] = None
+                continue
+        mine.append(i)
+    return tuple(filter(None, kept))
 
 
 def invert_steps(steps) -> tuple[Step, ...]:

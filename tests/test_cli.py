@@ -643,6 +643,25 @@ def test_selftest_decides_the_relator_corpus(monkeypatch):
     assert rep == {"command": "selftest", "verdict": "false"}
 
 
+def test_selftest_reads_the_tables_of_a_commuting_row(monkeypatch):
+    import dehn.cli
+    import dehn.pi1
+    from dehn.pi1 import twist_tables
+
+    # a1 and d2 are disjoint, so decide_equal cancels "a1 d2" against
+    # "d2 a1" unread; the selftest runs both sides through the tables
+    monkeypatch.setattr(dehn.cli, "RELATOR_CORPUS", ((2, "a1 d2", "d2 a1"),))
+    assert run_cli(["selftest"])[1]["verdict"] == "true"
+    # d2 given b1's tables, which do not commute with a1's
+    tables = dict(twist_tables(2))
+    for sign in (1, -1):
+        tables["d2", sign] = tables["b1", sign]
+    monkeypatch.setattr(dehn.pi1, "twist_tables", lambda genus: tables)
+    code, rep, _ = run_cli(["selftest"])
+    assert code == 1
+    assert rep == {"command": "selftest", "verdict": "false"}
+
+
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------

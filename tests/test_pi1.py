@@ -20,7 +20,6 @@ from dehn.pi1 import (
     BRAID_PAIRS,
     CHAIN_RELATIONS,
     COMMUTING_PAIRS,
-    DEFAULT_CAP,
     ENGINE_CLOSED,
     ENGINE_HOMOLOGY_FAITHFUL,
     ENGINE_HOMOLOGY_NECESSARY,
@@ -33,11 +32,13 @@ from dehn.surface import (
     boundary_word,
     chain_name,
     chain_word,
+    crossing_table,
     curve_classes,
     curve_rows,
     homology_class,
     intersection,
 )
+from two_streams import two_stream_verdict
 
 T1 = SurfaceSig(1, 1)
 T2 = SurfaceSig(2, 1)
@@ -250,9 +251,13 @@ def test_commuting_relations():
     assert not unordered(BRAID_PAIRS) & unordered(COMMUTING_PAIRS)
     for c, d in COMMUTING_PAIRS:
         assert verdict(T2, f"{c} {d}", f"{d} {c}") == ("true", ENGINE_PI1)
+        # decide_equal cancels the pair's steps unread; each word's own
+        # stream runs them through the twist tables
+        assert two_stream_verdict(word(T2, f"{c} {d}"), word(T2, f"{d} {c}")) == "true"
     # intersecting pairs do not commute
-    assert verdict(T2, "a1 b1", "b1 a1") == ("false", ENGINE_PI1)
-    assert verdict(T2, "d2 b2", "b2 d2") == ("false", ENGINE_PI1)
+    for lhs, rhs in (("a1 b1", "b1 a1"), ("d2 b2", "b2 d2")):
+        assert verdict(T2, lhs, rhs) == ("false", ENGINE_PI1)
+        assert two_stream_verdict(word(T2, lhs), word(T2, rhs)) == "false"
 
 
 @pytest.mark.parametrize("genus", [2, 3, 4])
@@ -265,10 +270,15 @@ def test_intersection_decides_commute_or_braid(genus):
             n = intersection(c, d, sig)
             assert n in (-1, 0, 1), (c, d)
             commute = verdict(sig, f"{c} {d}", f"{d} {c}")
+            # each word's own stream reads the twist tables that
+            # decide_equal's reduction of psi leaves unread
+            tables = two_stream_verdict(word(sig, f"{c} {d}"), word(sig, f"{d} {c}"))
             if n == 0:
                 assert commute == ("true", ENGINE_PI1), (c, d)
+                assert tables == "true", (c, d)
             else:
                 assert commute == ("false", ENGINE_PI1), (c, d)
+                assert tables == "false", (c, d)
                 assert verdict(sig, f"{c} {d} {c}", f"{d} {c} {d}") == (
                     "true", ENGINE_PI1), (c, d)
 
@@ -449,35 +459,18 @@ def test_decide_equal_dispatch():
         decide_equal(a, word(T1, "a1"))
 
 
-def two_stream_verdict(w1, w2, cap=DEFAULT_CAP):
-    """Reference: run each word's own stream on every generator and compare.
-
-    Rel boundary the images must be equal, on a closed surface of genus >= 2
-    equal modulo the relator, and at closed genus <= 1 the two homology
-    matrices decide.  Returns "true" or "false", or None when an image
-    passes the cap.
-    """
-    sig = w1.surface
-    if sig.boundary == 0 and sig.genus <= 1:
-        return "true" if word_matrix(w1) == word_matrix(w2) else "false"
-    try:
-        for k in range(1, 2 * sig.genus + 1):
-            u, v = apply_word(w1, (k,), cap), apply_word(w2, (k,), cap)
-            if sig.boundary:
-                if u != v:
-                    return "false"
-            elif dehn_reduce(u + invert_word(v), sig.genus):
-                return "false"
-    except WordGrowthExceeded:
-        return None
-    return "true"
-
-
 def relators(sig):
-    """Words equal to the identity on ``sig``: braid, commutation and chain relations."""
+    """Words equal to the identity on ``sig``: braid, commutation and chain relations.
+
+    The commutators are those of every pair of distinct curves that
+    ``crossing_table`` calls disjoint, d2, e2 and delta included.
+    """
     chain = [t.base for t in chain_word(sig).letters]
     pairs = [(f"{c} {d} {c}", f"{d} {c} {d}") for c, d in zip(chain, chain[1:])]
-    pairs += [(f"{c} {d}", f"{d} {c}") for c, d in zip(chain, chain[2:])]
+    crossing = crossing_table(sig)
+    curves = tuple(crossing)
+    pairs += [(f"{c} {d}", f"{d} {c}") for i, c in enumerate(curves) for d in curves[i + 1:]
+              if d not in crossing[c]]
     if sig.genus >= 2:
         pairs.append((" ".join(["a1 b1 a2"] * 4), "d2 e2"))
     # the 2g-chain relation: its power 4g + 2 is the boundary twist

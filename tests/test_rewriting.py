@@ -25,6 +25,7 @@ from dehn.homology import homology_class, homology_equal, transported_class
 from dehn.pi1 import CHAIN_RELATIONS, ENGINE_CLOSED, ENGINE_HOMOLOGY_FAITHFUL, ENGINE_PI1
 from dehn.rewriting import transport_pairs
 from dehn.surface import curve_classes
+from two_streams import two_stream_verdict
 
 T2 = SurfaceSig(2, 1)
 
@@ -122,15 +123,23 @@ def test_commute_pull_prefix_is_free():
 
 
 def test_commute_pull_disjoint_and_same_base_skip_conjugators():
-    rep = commute_pull(word(T2, "a2 a1"), word(T2, "a1"))
+    # decide_equal cancels a plain swap's steps before any twist table is
+    # read, so each output is also checked through its own stream
+    w = word(T2, "a2 a1")
+    rep = commute_pull(w, word(T2, "a1"))
     assert rep.output.letters == (Twist("a1"), Twist("a2"))
-    rep = commute_pull(word(T2, "a1^-1 a1"), word(T2, "a1"))
+    assert two_stream_verdict(w, rep.output) == "true"
+    w = word(T2, "a1^-1 a1")
+    rep = commute_pull(w, word(T2, "a1"))
     assert rep.output.letters == (Twist("a1"), Twist("a1", -1))
     assert rep.verdict[0] == "true"
+    assert two_stream_verdict(w, rep.output) == "true"
     # d2 and a3 have intersection number 0, so d2 stays plain
-    rep = commute_pull(word(SurfaceSig(3, 1), "d2 a3"), word(SurfaceSig(3, 1), "a3"))
+    w = word(SurfaceSig(3, 1), "d2 a3")
+    rep = commute_pull(w, word(SurfaceSig(3, 1), "a3"))
     assert rep.output.letters == (Twist("a3"), Twist("d2"))
     assert rep.verdict == ("true", ENGINE_PI1)
+    assert two_stream_verdict(w, rep.output) == "true"
 
 
 def test_commute_pull_preserves_letter_count():

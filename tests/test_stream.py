@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import dehn.surface
 from dehn import (
     SurfaceSig,
     Twist,
@@ -24,7 +25,15 @@ from dehn.pi1 import (
     twist_tables,
 )
 from dehn.rewriting import positivize
-from dehn.surface import compile_word, curve_classes, invert_steps, quotient_stream
+from dehn.surface import (
+    compile_word,
+    crossing_table,
+    curve_classes,
+    intersection,
+    invert_steps,
+    quotient_stream,
+    reduce_stream,
+)
 from run_words import run_shaped_word
 
 
@@ -361,3 +370,95 @@ def test_decide_equal_matches_forward_reference(sig):
             assert decide_equal(w, other)[0] == expected, (w, other)
             seen.add(expected)
     assert seen == {"true", "false"}
+
+
+def brute_force_reduce(sig, stream):
+    """Reference: cancel any x^s ... x^-s whose steps between are all disjoint from x, until none is left.
+
+    Disjointness is read from ``intersection`` pair by pair, and the first
+    such pair found anywhere is cancelled, so the order of cancellations is
+    not the reducer's.  Reduced words of one element of a group presented
+    by commutations of generators all have one length, so every order of
+    cancelling ends at that length.
+    """
+    steps = list(stream)
+    while True:
+        pair = next(((i, j) for j, (y, t) in enumerate(steps) for i in range(j)
+                     if steps[i] == (y, -t)
+                     and all(intersection(x, y, sig) == 0 for x, _ in steps[i + 1:j])),
+                    None)
+        if pair is None:
+            return steps
+        i, j = pair
+        del steps[j], steps[i]
+
+
+def commuting_stream(rng, sig, length):
+    """Steps over a few curves of ``sig``, so that inverse pairs often meet across disjoint steps."""
+    curves = rng.sample(tuple(curve_classes(sig)), min(4, len(curve_classes(sig))))
+    return tuple((rng.choice(curves), rng.choice((1, -1))) for _ in range(length))
+
+
+@pytest.mark.parametrize("boundary", [0, 1])
+@pytest.mark.parametrize("genus", [1, 2, 3, 4])
+def test_reduce_stream_matches_brute_force_and_keeps_the_action(genus, boundary):
+    sig = SurfaceSig(genus, boundary)
+    rng = random.Random(f"reduce/{genus}/{boundary}")
+    n = 2 * genus
+    cancelled = 0
+    for _ in range(60):
+        if rng.random() < 0.5:
+            stream = commuting_stream(rng, sig, rng.randint(0, 16))
+        else:
+            stream = compile_word(random_word(rng, sig, rng.randint(1, 6)))
+        reduced = reduce_stream(sig, stream)
+        assert len(reduced) == len(brute_force_reduce(sig, stream)), stream
+        # the live steps, in their order, act as the whole stream does
+        steps = iter(stream)
+        assert all(step in steps for step in reduced)
+        images, before = _images(genus, reduced, DEFAULT_CAP), _images(genus, stream, DEFAULT_CAP)
+        assert [images[k] for k in range(1, n + 1)] == [before[k] for k in range(1, n + 1)]
+        cancelled += len(stream) - len(reduced)
+    assert cancelled > 0
+
+
+class CountingNames:
+    """The names of one crossing-table entry; every name read or tested is counted on its table."""
+
+    def __init__(self, table, names):
+        self.table, self.names = table, names
+
+    def __iter__(self):
+        for name in self.names:
+            self.table.reads += 1
+            yield name
+
+    def __contains__(self, name):
+        self.table.reads += len(self.names)
+        return name in self.names
+
+
+class CountingTable(dict):
+    """A crossing table that counts its lookups and the names read from them."""
+
+    reads = 0
+
+    def __getitem__(self, name):
+        self.reads += 1
+        return CountingNames(self, super().__getitem__(name))
+
+
+def test_reduce_stream_work_is_linear_in_a_scan_back_loops_worst_case(monkeypatch):
+    # a scan-back loop walks over all 5,000 a2 steps for every a1 and a3
+    # that has no live step of its curve before it: about 12.5 M reads
+    sig = SurfaceSig(3, 1)
+    psi = (("a2", 1),) * 5000 + (("a1", 1), ("a3", 1), ("a1", -1), ("a3", -1)) * 1250
+    table = CountingTable(crossing_table(sig))
+    monkeypatch.setattr(dehn.surface, "crossing_table", lambda _: table)
+    assert reduce_stream(sig, psi) == (("a2", 1),) * 5000
+    # at most one lookup and four names per step
+    assert 0 < table.reads <= 5 * len(psi)
+    w = TwistWord.from_names(sig, [name if sign > 0 else f"{name}^-1"
+                                   for name, sign in reversed(psi)])
+    assert compile_word(w) == psi
+    assert decide_equal(w, TwistWord(sig, ())) == ("false", ENGINE_PI1)
