@@ -98,8 +98,8 @@ def commute_pull(w: TwistWord, pattern: TwistWord,
 
     Each elementary move swaps an adjacent pair X T into T X', where X' is
     X conjugated by T^-1 (recorded on the conjugator field), except that a
-    plain X passes unchanged when its base has intersection number 0 with
-    T's (equal or disjoint curves, whose twists commute).  Pattern letters
+    plain X passes unchanged when its base does not meet T's
+    (``crossing_table``: equal or disjoint curves, whose twists commute).  Pattern letters
     are matched leftmost-first against plain letters of w and pulled
     leftward; the letter count is preserved exactly.
     """

@@ -61,15 +61,15 @@ so ``d2`` and ``e2`` both have class ``e1 + e3`` and ``delta`` has class 0.
 stored sparse as its at most two nonzero entries.  Validity, the curve
 list (``tuple(curve_classes(sig))``), the chain order (its first 2g
 names), the classes and who meets whom (``intersection``) are all read
-from it; no other module lists the curves or parses their names.
-``crossing_table`` maps every curve name to the names of the curves it
-meets, read off ``intersection`` and cached like ``curve_classes``;
-``reduce_stream`` and ``dehn.rewriting.commute_pull`` read who commutes
-with whom from it.  A name
+from it; no other module lists the curves or parses their names.  A name
 is a curve exactly when the table holds it: a single name is looked up
 by ``_class_of`` (behind ``homology_class`` and ``intersection``) and a
 sequence of letters by ``check_letters``, and both raise one error text
 for any other name.
+``crossing_table`` maps every curve name to the names of the curves it
+meets, read off ``intersection`` and cached like ``curve_classes``;
+``reduce_stream`` and ``dehn.rewriting.commute_pull`` read from it which
+twists commute.
 ``chain_name`` is the one place where a chain position becomes a name.
 """
 

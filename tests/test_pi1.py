@@ -293,6 +293,7 @@ def test_every_corpus_relation_is_decided_true():
         sig = SurfaceSig(genus, 1)
         assert homology_equal(word(sig, lhs), word(sig, rhs)), lhs
         assert verdict(sig, lhs, rhs) == ("true", ENGINE_PI1), lhs
+        assert two_stream_verdict(word(sig, lhs), word(sig, rhs)) == "true", lhs
 
 
 def test_relator_battery_on_random_words():

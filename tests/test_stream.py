@@ -373,7 +373,7 @@ def test_decide_equal_matches_forward_reference(sig):
 
 
 def brute_force_reduce(sig, stream):
-    """Reference: cancel any x^s ... x^-s whose steps between are all disjoint from x, until none is left.
+    """Reference: cancel any x^s ... x^-s with only steps disjoint from x between, until none is left.
 
     Disjointness is read from ``intersection`` pair by pair, and the first
     such pair found anywhere is cancelled, so the order of cancellations is
@@ -394,7 +394,7 @@ def brute_force_reduce(sig, stream):
 
 
 def commuting_stream(rng, sig, length):
-    """Steps over a few curves of ``sig``, so that inverse pairs often meet across disjoint steps."""
+    """Steps over a few curves of ``sig``, so that inverse pairs often meet across others."""
     curves = rng.sample(tuple(curve_classes(sig)), min(4, len(curve_classes(sig))))
     return tuple((rng.choice(curves), rng.choice((1, -1))) for _ in range(length))
 
@@ -417,7 +417,7 @@ def test_reduce_stream_matches_brute_force_and_keeps_the_action(genus, boundary)
         steps = iter(stream)
         assert all(step in steps for step in reduced)
         images, before = _images(genus, reduced, DEFAULT_CAP), _images(genus, stream, DEFAULT_CAP)
-        assert [images[k] for k in range(1, n + 1)] == [before[k] for k in range(1, n + 1)]
+        assert images[1:n + 1] == before[1:n + 1]
         cancelled += len(stream) - len(reduced)
     assert cancelled > 0
 
@@ -458,7 +458,6 @@ def test_reduce_stream_work_is_linear_in_a_scan_back_loops_worst_case(monkeypatc
     assert reduce_stream(sig, psi) == (("a2", 1),) * 5000
     # at most one lookup and four names per step
     assert 0 < table.reads <= 5 * len(psi)
-    w = TwistWord.from_names(sig, [name if sign > 0 else f"{name}^-1"
-                                   for name, sign in reversed(psi)])
+    w = TwistWord.from_names(sig, reversed(psi))
     assert compile_word(w) == psi
     assert decide_equal(w, TwistWord(sig, ())) == ("false", ENGINE_PI1)
