@@ -41,7 +41,7 @@ from .homology import Matrix, word_matrix
 from .pi1 import DEFAULT_CAP, decide_equal, settle
 from .rewriting import chain_substitute, positivize, pull_trade
 from .snf import abelian_group_from_columns
-from .surface import SurfaceSig, Twist, TwistWord, chain_word
+from .surface import SurfaceSig, Twist, TwistWord, chain_relator, chain_word
 
 
 def theorem11_family(n: int, cap: int = DEFAULT_CAP
@@ -65,7 +65,7 @@ def theorem11_family(n: int, cap: int = DEFAULT_CAP
     substituted = chain_substitute(pulled.output, cap)
     trade = settle("rewriting step failed verification", pulled.verdict, substituted.verdict)
 
-    fillings = [Fibration("disk", chain_word(sig, 4 * n + 2))]
+    fillings = [Fibration("disk", chain_relator(sig))]
     for i in range(1, n + 1):
         word = TwistWord._trusted(sig, substituted.output.letters * i
                                   + chain_word(sig, 4 * (n - i) + 2).letters)

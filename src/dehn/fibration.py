@@ -24,7 +24,7 @@ from .homology import is_identity, transported_class, word_matrix
 from .pi1 import DEFAULT_CAP, settle
 from .rewriting import positivize
 from .snf import abelian_group_from_columns
-from .surface import Record, SurfaceSig, TwistWord, chain_word, curve_classes
+from .surface import Record, SurfaceSig, TwistWord, chain_relator, curve_classes
 
 BASES = ("disk", "sphere")
 
@@ -183,9 +183,10 @@ def fiber_sum(f1: Fibration, f2: Fibration) -> Fibration:
 def gn_word(n: int) -> Fibration:
     """The genus-n sphere fibration with word (a1 b1 ... an bn)^(4n+2).
 
-    The word is trivial by the chain relation (c1 ... c2n)^(4n+2) = 1 on the
-    closed genus-n surface, so it is not checked again.
+    The word is ``chain_relator``, trivial by the chain relation
+    (c1 ... c2n)^(4n+2) = 1 on the closed genus-n surface, so it is not
+    checked again.
     """
     if n < 1:
         raise ValueError("genus must be at least 1")
-    return Fibration._certified_sphere(chain_word(SurfaceSig(n, 0), 4 * n + 2))
+    return Fibration._certified_sphere(chain_relator(SurfaceSig(n, 0)))

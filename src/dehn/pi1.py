@@ -85,6 +85,7 @@ from .surface import (
     compile_word,
     curve_classes,
     curve_rows,
+    drop_chain_relators,
     intersection,
     quotient_stream,
     reduce_stream,
@@ -133,14 +134,16 @@ _CORPUS_SIG = SurfaceSig(2, 1)
 _CORPUS_PAIRS = tuple(combinations(curve_classes(_CORPUS_SIG), 2))
 BRAID_PAIRS = tuple(p for p in _CORPUS_PAIRS if abs(intersection(*p, _CORPUS_SIG)) == 1)
 COMMUTING_PAIRS = tuple(p for p in _CORPUS_PAIRS if intersection(*p, _CORPUS_SIG) == 0)
-# chain relations as (genus, lhs, rhs) on SurfaceSig(genus, 1): (a1 b1)^6 and
-# (a1 b1 a2 b2)^10 are the boundary twist; (d2 b2 e2)^4 twists about both
-# boundary curves of its neighbourhood, the outer boundary and the curve
-# bounding a1, b1, whose twist is (a1 b1)^6; (a1 b1 a2)^4 twists about the
-# two boundary curves of its neighbourhood, d2 and e2
+# chain relations as (genus, lhs, rhs) on SurfaceSig(genus, 1): (a1 b1)^6,
+# (a1 b1 a2 b2)^10 and (a1 b1 a2 b2 a3 b3)^14 are the boundary twist;
+# (d2 b2 e2)^4 twists about both boundary curves of its neighbourhood, the
+# outer boundary and the curve bounding a1, b1, whose twist is (a1 b1)^6;
+# (a1 b1 a2)^4 twists about the two boundary curves of its neighbourhood,
+# d2 and e2
 CHAIN_RELATIONS = (
     (1, " ".join(["a1 b1"] * 6), "delta"),
     (2, " ".join(["a1 b1 a2 b2"] * 10), "delta"),
+    (3, " ".join(["a1 b1 a2 b2 a3 b3"] * 14), "delta"),
     (2, " ".join(["d2 b2 e2"] * 4), " ".join(["delta"] + ["a1 b1"] * 6)),
     (2, *CHAIN_TRADE),
 )
@@ -322,6 +325,9 @@ def decide_equal(w1: TwistWord, w2: TwistWord, engine: str = "auto",
         raise ValueError(f"unknown engine {engine!r}")
     sig = w1.surface
     psi = reduce_stream(sig, quotient_stream(w1, w2))
+    cut = drop_chain_relators(sig, psi)
+    if cut is not psi:  # a conjugator around a relator, or a delta, may now cancel
+        psi = reduce_stream(sig, cut)
     acts_on_h1 = not is_identity(stream_matrix(sig, psi))
     if sig.boundary == 0 and sig.genus <= 1:
         return ("false" if acts_on_h1 else "true", ENGINE_HOMOLOGY_FAITHFUL)

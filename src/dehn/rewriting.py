@@ -41,6 +41,7 @@ from .surface import (
     SurfaceSig,
     Twist,
     TwistWord,
+    chain_relator,
     chain_word,
     crossing_table,
     curve_classes,
@@ -163,15 +164,15 @@ def prop9_factor(n: int, cap: int = DEFAULT_CAP
 def inverse_twist_expansion(sig: SurfaceSig) -> TwistWord:
     """The positive word equal to a1^-1 on a closed surface of genus >= 1.
 
-    Namely (b1 a2 b2 ... ag bg) . (a1 b1 ... ag bg)^(4g+1), of length
+    Namely ``chain_relator(sig)`` less its first letter,
+    (b1 a2 b2 ... ag bg) . (a1 b1 ... ag bg)^(4g+1), of length
     (2g - 1) + 2g(4g + 1); at genus 1 this is b(ab)^5.
     """
     if sig.boundary != 0:
         raise ValueError("the positive expansion of a1^-1 needs a closed surface")
     if sig.genus < 1:
         raise ValueError("genus >= 1 required")
-    chain = chain_word(sig, 1).letters
-    return TwistWord._trusted(sig, chain[1:] + chain * (4 * sig.genus + 1))
+    return TwistWord._trusted(sig, chain_relator(sig).letters[1:])
 
 
 def positivize(w: TwistWord, cap: int = DEFAULT_CAP,

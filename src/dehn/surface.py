@@ -520,6 +520,55 @@ def reduce_stream(sig: SurfaceSig, stream: tuple[Step, ...]) -> tuple[Step, ...]
     return tuple(filter(None, kept))
 
 
+def drop_chain_relators(sig: SurfaceSig, stream: tuple[Step, ...]) -> tuple[Step, ...]:
+    """The stream with every whole chain relator deleted, and delta^s for each.
+
+    The chain c_1, ..., c_2g (the first 2g names of ``curve_classes``)
+    satisfies (t_c1 ... t_c2g)^(4g+2) = t_delta (Farb-Margalit, *A Primer
+    on Mapping Class Groups*, Prop. 4.12), and so does the reversed chain,
+    which is a chain too.  delta is central, so every cyclic rotation of
+    that word is delta as well.  A whole relator is thus a run of
+    L = len(``chain_relator(sig)``) consecutive steps of one sign s whose
+    curves walk the chain cyclically in one direction, and it acts as
+    delta^s.  The steps are pushed onto a stack, each with the length and
+    direction of the walk that ends at it; a push that completes a walk of
+    L steps pops them, and the step before them continues any walk that
+    the next push extends, so a relator that a deletion closes up is found
+    too.  Each step is pushed and popped at most once, so the pass is
+    linear in len(stream), and a stream shorter than L is returned at
+    once.  On a one-boundary surface delta^s is appended for each relator
+    deleted (delta is central, so where it acts does not matter); on a
+    closed surface delta is trivial, also with a marked point, and nothing
+    is appended.  The stream itself is returned when nothing is deleted.
+    """
+    if sig.genus < 1 or len(stream) < (size := len(chain_relator(sig))):
+        return stream
+    n = 2 * sig.genus
+    position = dict(zip(curve_classes(sig), range(n)))
+    kept: list[Step] = []
+    walks: list[tuple[int | None, int, int]] = []  # (position, length, direction)
+    delta = 0
+    for step in stream:
+        j = position.get(step[0])
+        length, way = 1, 0
+        if j is not None and kept and kept[-1][1] == step[1]:
+            i, run, turn = walks[-1]
+            if i is not None and (up := (j - i) % n) in (1, n - 1):
+                # at genus 1 both neighbours are one step up: one direction
+                way = 1 if up == 1 else -1
+                length = run + 1 if turn != -way else 2
+        kept.append(step)
+        walks.append((j, length, way))
+        if length == size:
+            del kept[-size:], walks[-size:]
+            delta += step[1]
+    if len(kept) == len(stream):
+        return stream
+    if sig.boundary:
+        kept += [("delta", 1 if delta > 0 else -1)] * abs(delta)
+    return tuple(kept)
+
+
 def invert_steps(steps) -> tuple[Step, ...]:
     """The inverse of a sequence of (curve, sign) steps: reversed, each sign flipped."""
     return tuple((name, -sign) for name, sign in reversed(steps))
@@ -531,3 +580,16 @@ def chain_word(sig: SurfaceSig, copies: int = 1) -> TwistWord:
         raise ValueError("chain word requires genus >= 1")
     once = tuple(Twist._trusted(chain_name(j), 1, ()) for j in range(1, 2 * sig.genus + 1))
     return TwistWord._trusted(sig, once * copies)
+
+
+@lru_cache(maxsize=None)
+def chain_relator(sig: SurfaceSig) -> TwistWord:
+    """(a1 b1 ... ag bg)^(4g+2), the chain relator: delta rel boundary, trivial when closed.
+
+    The one place the relator is spelled out: ``dehn.fibration.gn_word``,
+    ``dehn.rewriting.inverse_twist_expansion``, X_0 of
+    ``dehn.constructions.theorem11_family`` and ``drop_chain_relators``
+    all read it.  The word is cached per surface and shared between
+    callers; it is immutable.
+    """
+    return chain_word(sig, 4 * sig.genus + 2)

@@ -28,14 +28,14 @@ sys.stdout.write(json.loads((here / "outputs.json").read_text())[i])
 """
 
 
-def canned(p90, rate, correct=True, digest=DIGEST):
+def canned(p90, rate, correct=True, digest=DIGEST, attempted=1500):
     """The output lines of one untraced bench run."""
     metrics = {"setup_s": 0.02, "requests_per_s": rate, "latency_p50_ms": 0.4,
                "latency_p90_ms": p90, "decided_ratio": 1.0, "peak_rss_mb": 30.0}
     lines = [
         {"raw_wall_clock": {"latencies": 1500, "requests_per_s": rate}},
         {"digest": digest, "digest_rounds": 5, "outcomes": {}, "whole_rounds": 75},
-        {"correct": correct, "attempted": 1500, "failed": 0,
+        {"correct": correct, "attempted": attempted, "failed": 0,
          "metrics": {k: {"value": v, "unit": "-"} for k, v in metrics.items()}},
     ]
     return "".join(json.dumps(line) + "\n" for line in lines)
@@ -58,8 +58,10 @@ def run_tool(tmp_path, sides, pairs, out="BENCH_x.json"):
 
 def test_pairs_alternate_and_the_summary_is_pinned(tmp_path, capsys):
     sides = checkouts(tmp_path,
-                      [canned(0.70, 1600), canned(0.69, 1600), canned(0.71, 1600)],
-                      [canned(0.52, 1700), canned(0.53, 1700), canned(0.72, 1700)])
+                      [canned(0.70, 1600, attempted=48_000), canned(0.69, 1600, attempted=47_000),
+                       canned(0.71, 1600, attempted=49_000)],
+                      [canned(0.52, 1700, attempted=51_000), canned(0.53, 1700, attempted=52_000),
+                       canned(0.72, 1700, attempted=50_000)])
     assert run_tool(tmp_path, sides, 3) == 0
     order = [line.split()[0] for line in (tmp_path / "order").read_text().splitlines()]
     assert order == ["parent", "change", "change", "parent", "parent", "change"]
@@ -81,7 +83,11 @@ def test_pairs_alternate_and_the_summary_is_pinned(tmp_path, capsys):
     # equal values are ties, which count for neither side
     assert summary["decided_ratio"]["pairs_won_by_change"] == "0 of 3"
     assert set(summary) == set(bench_pairs.end_to_end_metrics()) | {
-        "digests", "digests_equal", "correct"}
+        "attempted", "digests", "digests_equal", "correct"}
+    # each side's requests attempted, to read peak_rss_mb against
+    assert summary["attempted"] == {
+        "parent": {"median": 48_000, "q1": 47_500, "q3": 48_500},
+        "change": {"median": 51_000, "q1": 50_500, "q3": 51_500}}
     assert record["no_regression"] is True
     assert summary["digests"] == {"parent": [DIGEST], "change": [DIGEST]}
     assert summary["digests_equal"] is True and summary["correct"] is True

@@ -61,13 +61,18 @@ def test_verify_false():
 
 
 def test_verify_unknown_on_tiny_cap():
+    # (a1 b1 a1)^4 = delta walks no chain run, so its images meet the cap
     payload = {
         "surface": surface(1, 1),
-        "words": [letters(*["a1", "b1"] * 6), letters("delta")],
+        "words": [letters(*["a1", "b1", "a1"] * 4), letters("delta")],
     }
     code, rep, _ = run_cli(["verify", "--cap", "3"], payload)
     assert code == 3
     assert rep["verdict"] == "unknown"
+    # (a1 b1)^6 is one whole chain relator, deleted before any image is built
+    payload["words"][0] = letters(*["a1", "b1"] * 6)
+    code, rep, _ = run_cli(["verify", "--cap", "3"], payload)
+    assert (code, rep["verdict"]) == (0, "true")
 
 
 def test_verify_forced_homology_is_only_necessary():

@@ -284,8 +284,13 @@ def test_intersection_decides_commute_or_braid(genus):
 
 
 def test_chain_relations():
+    # decide_equal deletes a whole chain relator unread, so each row is also
+    # checked through the twist tables, each side on its own stream
     for genus, lhs, rhs in CHAIN_RELATIONS:
-        assert verdict(SurfaceSig(genus, 1), lhs, rhs) == ("true", ENGINE_PI1), lhs
+        sig = SurfaceSig(genus, 1)
+        assert verdict(sig, lhs, rhs) == ("true", ENGINE_PI1), lhs
+        assert two_stream_verdict(word(sig, lhs), word(sig, rhs)) == "true", lhs
+    assert {genus for genus, _, _ in CHAIN_RELATIONS} == {1, 2, 3}
 
 
 def test_every_corpus_relation_is_decided_true():
@@ -310,8 +315,12 @@ def test_relator_battery_on_random_words():
 
 
 def test_growth_cap():
-    w = word(T1, "a1 b1").power(6)
+    # (a1 b1 a1)^4 = delta walks no chain run, so its images meet the cap
+    w = word(T1, "a1 b1 a1").power(4)
     assert decide_equal(w, word(T1, "delta"), cap=3) == ("unknown", ENGINE_PI1)
+    # (a1 b1)^6 is one whole chain relator, deleted before any image is built
+    assert decide_equal(word(T1, "a1 b1").power(6), word(T1, "delta"), cap=3) == (
+        "true", ENGINE_PI1)
     with pytest.raises(WordGrowthExceeded) as info:
         apply_word(w, (1,), cap=3)
     assert info.value.cap == 3

@@ -1,6 +1,7 @@
 """Compiled letter streams and the signed generator tables they run on."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from dehn.homology import is_identity, stream_matrix
 from dehn.pi1 import (
     DEFAULT_CAP,
     ENGINE_CLOSED,
+    ENGINE_HOMOLOGY_FAITHFUL,
     ENGINE_PI1,
     _images,
     apply_twist,
@@ -26,15 +28,18 @@ from dehn.pi1 import (
 )
 from dehn.rewriting import positivize
 from dehn.surface import (
+    chain_relator,
     compile_word,
     crossing_table,
     curve_classes,
+    drop_chain_relators,
     intersection,
     invert_steps,
     quotient_stream,
     reduce_stream,
 )
 from run_words import run_shaped_word
+from two_streams import two_stream_verdict
 
 
 def reference_apply(auto, z):
@@ -249,6 +254,17 @@ def test_moved_delta_is_decided_under_a_small_cap():
     assert decide_equal(delta * x, x * delta.inverse(), cap=1000) == ("false", ENGINE_PI1)
 
 
+def test_a_delta_power_before_a_shared_word_is_decided_under_a_small_cap():
+    # applying delta^50 once cost about 2 s per delta letter; the two words
+    # share their whole streams but the appended braid relator, so psi is
+    # that relator
+    sig = SurfaceSig(1, 1)
+    w = (TwistWord.from_names(sig, "delta").power(50)
+         * TwistWord.from_names(sig, "a1 b1^-1").power(14))
+    braid = TwistWord.from_names(sig, "a1 b1 a1 b1^-1 a1^-1 b1^-1")
+    assert decide_equal(w, w * braid, cap=100) == ("true", ENGINE_PI1)
+
+
 def test_quotient_stream():
     sig = SurfaceSig(2, 1)
     u = (("a1", 1), ("b2", -1))
@@ -298,13 +314,20 @@ def test_compiled_path_respects_cap():
     with pytest.raises(WordGrowthExceeded) as info:
         apply_word(w, (1,), cap=5)
     assert info.value.cap == 5 and info.value.length > 5
-    # words equal on homology reach the free group, where the cap answers "unknown"
-    chain = TwistWord.from_names(sig, "a1 b1").power(6)
+    # words equal on homology reach the free group, where the cap answers
+    # "unknown"; these pairs walk no chain run, so no pass shortens psi
     delta = TwistWord.from_names(sig, "delta")
-    assert decide_equal(chain, delta, cap=5) == ("unknown", ENGINE_PI1)
+    assert decide_equal(TwistWord.from_names(sig, "a1 b1 a1").power(4), delta, cap=5) == (
+        "unknown", ENGINE_PI1)
     closed = SurfaceSig(2, 0)
+    trade = TwistWord.from_names(closed, "a1 b1 a2").power(4)
+    assert decide_equal(trade, TwistWord.from_names(closed, "d2 e2"), cap=5) == (
+        "unknown", ENGINE_CLOSED)
+    # whole chain relators are deleted before any image is built
+    chain = TwistWord.from_names(sig, "a1 b1").power(6)
+    assert decide_equal(chain, delta, cap=5) == ("true", ENGINE_PI1)
     w2 = TwistWord.from_names(closed, "a1 b1 a2 b2").power(10)
-    assert decide_equal(w2, TwistWord(closed, ()), cap=5) == ("unknown", ENGINE_CLOSED)
+    assert decide_equal(w2, TwistWord(closed, ()), cap=5) == ("true", ENGINE_CLOSED)
 
 
 def forward_images(genus, stream):
@@ -461,3 +484,142 @@ def test_reduce_stream_work_is_linear_in_a_scan_back_loops_worst_case(monkeypatc
     w = TwistWord.from_names(sig, reversed(psi))
     assert compile_word(w) == psi
     assert decide_equal(w, TwistWord(sig, ())) == ("false", ENGINE_PI1)
+
+
+def chain_run(sig, start, way, sign, length):
+    """``length`` steps of one sign that walk the chain cyclically from position ``start``.
+
+    ``way`` is +1 to walk a1, b1, a2, ... and -1 to walk the other way.
+    """
+    chain = tuple(curve_classes(sig))[:2 * sig.genus]
+    return [(chain[(start + way * i) % len(chain)], sign) for i in range(length)]
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_a_whole_chain_relator_is_delta_rel_boundary_and_trivial_when_closed(genus):
+    one, closed = SurfaceSig(genus, 1), SurfaceSig(genus, 0)
+    relator = chain_relator(one)
+    assert relator == chain_word_power(one, 4 * genus + 2)
+    assert drop_chain_relators(one, compile_word(relator)) == (("delta", 1),)
+    assert drop_chain_relators(closed, compile_word(chain_relator(closed))) == ()
+    assert decide_equal(relator, TwistWord(one, ())) == ("false", ENGINE_PI1)
+    assert decide_equal(relator, TwistWord.from_names(one, "delta")) == ("true", ENGINE_PI1)
+    engine = ENGINE_CLOSED if genus >= 2 else ENGINE_HOMOLOGY_FAITHFUL
+    assert decide_equal(chain_relator(closed), TwistWord(closed, ())) == ("true", engine)
+
+
+def chain_word_power(sig, copies):
+    """(a1 b1 ... ag bg)^copies spelled from the chain's names."""
+    return TwistWord.from_names(sig, [name for name, _ in chain_run(sig, 0, 1, 1, 2 * sig.genus)]
+                                * copies)
+
+
+def test_drop_chain_relators_deletes_whole_runs_only():
+    sig = SurfaceSig(2, 1)
+    size = len(chain_relator(sig))
+    assert size == 40
+    for start in range(4):
+        for way in (1, -1):
+            for sign in (1, -1):
+                run = tuple(chain_run(sig, start, way, sign, size))
+                assert drop_chain_relators(sig, run) == (("delta", sign),)
+                # a run one step short is kept, and returned as it came
+                kept = run[:-1] + run[:1]
+                assert drop_chain_relators(sig, kept) is kept
+                longer = tuple(chain_run(sig, start, way, sign, 2 * size + 3))
+                assert drop_chain_relators(sig, longer) == longer[:3] + (("delta", sign),) * 2
+    # a break of sign, of direction or of the walk splits the run
+    run = chain_run(sig, 0, 1, 1, size)
+    for broken in (run[:7] + [("a2", -1)] + run[8:], run[:7] + run[6:7] + run[8:],
+                   run[:7] + [("d2", 1)] + run[8:]):
+        assert drop_chain_relators(sig, tuple(broken)) == tuple(broken)
+    # a relator that a deletion closes up is deleted too, and delta^e is
+    # appended for the net exponent e
+    for sign, deltas in ((1, (("delta", 1),) * 2), (-1, ())):
+        inner = chain_run(sig, 2, -1, sign, size)
+        assert drop_chain_relators(sig, tuple(run[:9] + inner + run[9:])) == deltas
+    # a stream shorter than one relator is returned at once
+    short = tuple(run[:size - 1])
+    assert drop_chain_relators(sig, short) is short
+
+
+@pytest.mark.parametrize("boundary", [0, 1])
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_deleting_chain_relators_matches_the_two_stream_oracle(genus, boundary):
+    # w1 holds a conjugated chain run of L-2 ... 2L+2 steps, w2 the same
+    # run less its whole relators, delta^s for each on one boundary, and a
+    # braid relator in its head; half the pairs are then made unequal
+    sig = SurfaceSig(genus, boundary)
+    rng = random.Random(f"chain-relators/{genus}/{boundary}")
+    size = len(chain_relator(sig))
+    curves = tuple(c for c in curve_classes(sig) if c != "delta")
+    c, d = curves[:2]
+    braid = [(c, 1), (d, 1), (c, 1), (d, -1), (c, -1), (d, -1)]
+
+    def plain(count):
+        return [(rng.choice(curves), rng.choice((1, -1))) for _ in range(count)]
+
+    seen, dropped = Counter(), 0
+    for _ in range(60):
+        k = rng.randint(size - 2, 2 * size + 2)
+        start, way, sign = rng.randrange(2 * genus), rng.choice((1, -1)), rng.choice((1, -1))
+        rest = k - k // size * size
+        head, tail, u = plain(rng.randint(0, 3)), plain(rng.randint(0, 3)), plain(rng.randint(0, 2))
+        at = rng.randint(0, len(head))
+        words = []
+        for run, h in ((chain_run(sig, start, way, sign, k), head),
+                       (chain_run(sig, start, way, sign, rest), head[:at] + braid + head[at:])):
+            if rng.random() < 0.5:  # the conjugator on every letter of the run
+                middle = [Twist(name, s, u) for name, s in run]
+            else:
+                middle = [Twist(*step) for step in u + run + list(invert_steps(u))]
+            words.append([Twist(*step) for step in h] + middle + [Twist(*step) for step in tail])
+        w2 = words[1]
+        if boundary:
+            for _ in range(k // size):
+                w2.insert(rng.randint(0, len(w2)), Twist("delta", sign))
+        if rng.random() < 0.5:
+            if boundary and rng.random() < 0.5:
+                w2.insert(rng.randint(0, len(w2)), Twist("delta", rng.choice((1, -1))))
+            else:
+                i = rng.randrange(len(w2))
+                w2[i] = w2[i].inverse()
+        w1, w2 = TwistWord(sig, tuple(words[0])), TwistWord(sig, tuple(w2))
+        expected = two_stream_verdict(w1, w2)
+        assert decide_equal(w1, w2)[0] == expected, (w1, w2)
+        seen[expected] += 1
+        psi = reduce_stream(sig, quotient_stream(w1, w2))
+        dropped += drop_chain_relators(sig, psi) is not psi
+    assert seen["true"] >= 20 and seen["false"] >= 20, seen
+    assert dropped >= 30, dropped
+
+
+class CountedStep(tuple):
+    """A (curve, sign) step that counts every read of its name or sign on ``tally``."""
+
+    tally = [0]
+
+    def __getitem__(self, i):
+        self.tally[0] += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        self.tally[0] += 2
+        return super().__iter__()
+
+
+def test_drop_chain_relators_work_is_linear_in_psi():
+    # alternating runs of L-1 and L+1 steps at genus 24 (L = 4,704): a loop
+    # that checks the last L steps at each step reads about 47 M of them
+    sig = SurfaceSig(24, 1)
+    size = len(chain_relator(sig))
+    assert size == 4704
+    runs = [chain_run(sig, 0, 1, 1, size - 1), chain_run(sig, 5, -1, -1, size + 1),
+            chain_run(sig, 0, 1, 1, 10_000 - 2 * size)]
+    psi = tuple(CountedStep(step) for run in runs for step in run)
+    assert len(psi) == 10_000
+    CountedStep.tally[0] = 0
+    out = drop_chain_relators(sig, psi)
+    # at most four reads of a step per step
+    assert 0 < CountedStep.tally[0] <= 4 * len(psi)
+    assert out == tuple(runs[0] + runs[1][-1:] + runs[2]) + (("delta", -1),)

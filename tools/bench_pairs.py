@@ -18,8 +18,11 @@ summary gives each side's median and quartiles
 (``statistics.quantiles(..., method="inclusive")``), the pairs the change
 won in the metric's direction (ties count for neither), the median change
 relative to the parent's median, the parent's interquartile range, the
-metric's bound and a reading against it, and then each side's report
-digests.  The reading is ``"worse than bound"`` when the median change in
+metric's bound and a reading against it.  Under ``"attempted"`` it gives
+each side's quartiles of the requests a run attempted, which the bench
+prints on its result line: the bench keeps a record of every request, so
+a rise of ``peak_rss_mb`` is read against a rise of this count.  Then come
+each side's report digests.  The reading is ``"worse than bound"`` when the median change in
 the worse direction passes the bound, ``"unresolved"`` when the parent's
 interquartile range relative to its median passes the bound and not every
 change run reads better than every parent run, and ``"within bound"``
@@ -121,11 +124,11 @@ def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
     that is not correct leaves that pair out of the metric's figures.
     """
     summary = {}
+    counted = [p for p in pairs if _correct(p["parent"]) and _correct(p["change"])]
     for name, metric in metrics.items():
         better, bound = metric["better"], metric["bound"]
         values = [(p["parent"]["result"]["metrics"][name]["value"],
-                   p["change"]["result"]["metrics"][name]["value"])
-                  for p in pairs if _correct(p["parent"]) and _correct(p["change"])]
+                   p["change"]["result"]["metrics"][name]["value"]) for p in counted]
         if not values:
             continue
         parent, change = [v[0] for v in values], [v[1] for v in values]
@@ -141,6 +144,9 @@ def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
             "bound": bound,
             "reading": _reading(parent, change, better, bound, iqr),
         }
+    if counted:
+        summary["attempted"] = {s: _quartiles([p[s]["result"]["attempted"] for p in counted])
+                                for s in SIDES}
     digests = {s: sorted({d for p in pairs for d in p[s]["digests"]}) for s in SIDES}
     summary["digests"] = digests
     summary["digests_equal"] = len(set(digests["parent"]) | set(digests["change"])) == 1
