@@ -39,12 +39,19 @@ stream of psi = w2^-1 . w1 (``dehn.surface.quotient_stream``) and first
 cancels every pair of its steps that commutation brings together
 (``dehn.surface.reduce_stream``): twists about disjoint curves commute
 (Farb-Margalit, Fact 3.9), so a pair x^s, x^-s with only steps about
-curves disjoint from x between them acts trivially.  The reduced stream
-keeps psi's mapping class, and the twist tables are never read for what
-this relation settles.  It is then composed backwards, from its
-last-acting step to its first, on the images of all generators at once;
-each step rewrites only the images of the generators its table moves.
-The word-length cap is checked on every image built.
+curves disjoint from x between them acts trivially.  Then every whole
+chain relator is deleted (``dehn.surface.drop_chain_relators``): a run
+of 2g(4g+2) steps of one sign s that walks the chain cyclically in one
+direction is (c_1 ... c_2g)^(4g+2) = delta^s up to rotation (Prop. 4.12),
+so it leaves psi and delta^s, central, is appended on a one-boundary
+surface; on a closed surface it is trivial.  When that deletes anything,
+the commutation pass runs again, since a conjugator around a relator or
+a delta may now cancel.  The reduced stream keeps psi's mapping class,
+and the twist tables are never read for what these relations settle.
+It is then composed backwards, from its last-acting step to its first,
+on the images of all generators at once; each step rewrites only the
+images of the generators its table moves.  The word-length cap is
+checked on every image built.
 
 The per-curve automorphisms are built once per genus by one rule from the
 rows of the one-boundary surface (``dehn.surface.curve_rows``, whose
@@ -59,9 +66,9 @@ its own loop.  No table is derived from a relation, so ``RELATOR_CORPUS``
 (braid, disjointness and chain relations, with ``CHAIN_TRADE`` among
 them) checks every table.  The CLI ``selftest`` and the test suite both
 compare each row's two sides on every generator, each side through its
-own stream (``decide_equal`` would cancel a disjointness row before any
-table is read), and both also check that every twist fixes the boundary
-word.
+own stream (``decide_equal`` would cancel a disjointness row, and delete
+a whole chain row, before any table is read), and both also check that
+every twist fixes the boundary word.
 """
 
 from __future__ import annotations
@@ -315,8 +322,12 @@ def decide_equal(w1: TwistWord, w2: TwistWord, engine: str = "auto",
     engine tests whether the stream of psi = w2^-1 . w1 acts trivially.
     The stream is first reduced by ``reduce_stream``, which cancels the
     steps that the commutation of twists about disjoint curves brings
-    together (Farb-Margalit, Fact 3.9) and keeps psi's mapping class, so
-    a pair of words that differ by such moves gives an empty stream.  The
+    together (Farb-Margalit, Fact 3.9), and then ``drop_chain_relators``
+    deletes every whole chain relator, delta^s on one boundary and trivial
+    on a closed surface (Prop. 4.12); ``reduce_stream`` runs again only if
+    that deleted something.  Both keep psi's mapping class in every group
+    an engine decides, so a pair of words that differ by such moves gives
+    an empty stream, and only a capped "unknown" can become decided.  The
     engine then rejects on its homology matrix before any free-group
     work; ``cap`` bounds the generator images built while psi is composed
     from its last-acting step, and one that passes it gives "unknown".

@@ -32,7 +32,11 @@ order they act, the one stream every engine applies; ``quotient_stream``
 builds the stream of w2^-1 . w1 from two compiled words, so that every
 equality test asks whether one stream acts trivially; ``reduce_stream``
 cancels the steps of a stream that twists about disjoint curves, which
-commute, let meet.
+commute, let meet; ``drop_chain_relators`` deletes every whole chain
+relator from a stream, a run of ``len(chain_relator(sig))`` steps of one
+sign that walks the chain cyclically, and appends the boundary twist it
+equals on a one-boundary surface.  ``chain_relator`` is the one spelling
+of (a1 b1 ... ag bg)^(4g+2).
 
 The curves are written down once, in ``curve_rows``: every standard
 curve on the surface, in the standard order, with its row (loop,

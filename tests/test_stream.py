@@ -499,19 +499,14 @@ def chain_run(sig, start, way, sign, length):
 def test_a_whole_chain_relator_is_delta_rel_boundary_and_trivial_when_closed(genus):
     one, closed = SurfaceSig(genus, 1), SurfaceSig(genus, 0)
     relator = chain_relator(one)
-    assert relator == chain_word_power(one, 4 * genus + 2)
+    chain = " ".join(name for name, _ in chain_run(one, 0, 1, 1, 2 * genus))
+    assert relator == TwistWord.from_names(one, " ".join([chain] * (4 * genus + 2)))
     assert drop_chain_relators(one, compile_word(relator)) == (("delta", 1),)
     assert drop_chain_relators(closed, compile_word(chain_relator(closed))) == ()
     assert decide_equal(relator, TwistWord(one, ())) == ("false", ENGINE_PI1)
     assert decide_equal(relator, TwistWord.from_names(one, "delta")) == ("true", ENGINE_PI1)
     engine = ENGINE_CLOSED if genus >= 2 else ENGINE_HOMOLOGY_FAITHFUL
     assert decide_equal(chain_relator(closed), TwistWord(closed, ())) == ("true", engine)
-
-
-def chain_word_power(sig, copies):
-    """(a1 b1 ... ag bg)^copies spelled from the chain's names."""
-    return TwistWord.from_names(sig, [name for name, _ in chain_run(sig, 0, 1, 1, 2 * sig.genus)]
-                                * copies)
 
 
 def test_drop_chain_relators_deletes_whole_runs_only():
@@ -523,7 +518,7 @@ def test_drop_chain_relators_deletes_whole_runs_only():
             for sign in (1, -1):
                 run = tuple(chain_run(sig, start, way, sign, size))
                 assert drop_chain_relators(sig, run) == (("delta", sign),)
-                # a run one step short is kept, and returned as it came
+                # a run one step short is kept, and the stream returned as it came
                 kept = run[:-1] + run[:1]
                 assert drop_chain_relators(sig, kept) is kept
                 longer = tuple(chain_run(sig, start, way, sign, 2 * size + 3))
