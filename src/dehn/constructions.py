@@ -39,7 +39,7 @@ from .fibration import (
 )
 from .homology import Matrix, word_matrix
 from .pi1 import DEFAULT_CAP, decide_equal, settle
-from .rewriting import chain_substitute, positivize, pull_trade
+from .rewriting import chain_substitute, positivize, prop9_factor
 from .snf import abelian_group_from_columns
 from .surface import SurfaceSig, Twist, TwistWord, chain_relator, chain_word
 
@@ -51,19 +51,20 @@ def theorem11_family(n: int, cap: int = DEFAULT_CAP
     X_0 carries (chain)^(4n+2); step i pulls (a1 b1 a2)^4 to the front of
     the leading (chain)^4 block of the unconsumed power and substitutes
     d2 e2, shortening the word by 10.  Every step trades the same block,
-    so the trade is rewritten and verified once: ``pull_trade`` decides
-    (chain)^4 = pulled and ``chain_substitute`` decides pulled = S.  X_i is
-    X_0 with i copies of (chain)^4 replaced by S, so S = (chain)^4 rel
-    boundary gives X_i = X_0 by substitution in the group.  Returns the
-    fillings and the trade's (verdict, engine), which is every step's: the
-    two rewrites' verdicts settled by ``pi1.settle``.
+    so the trade is rewritten and verified once: ``prop9_factor`` decides
+    (chain)^4 = (a1 b1 a2)^4 . psi and ``chain_substitute`` decides
+    (a1 b1 a2)^4 . psi = S.  X_i is X_0 with i copies of (chain)^4
+    replaced by S, so S = (chain)^4 rel boundary gives X_i = X_0 by
+    substitution in the group.  Returns the fillings and the trade's
+    (verdict, engine), which is every step's: the two rewrites' verdicts
+    settled by ``pi1.settle``.
     """
     if n < 2:
         raise ValueError("the family needs genus n >= 2")
     sig = SurfaceSig(n, 1)
-    pulled = pull_trade(sig, cap)
-    substituted = chain_substitute(pulled.output, cap)
-    trade = settle("rewriting step failed verification", pulled.verdict, substituted.verdict)
+    prefix, rest, pulled = prop9_factor(n, cap)
+    substituted = chain_substitute(prefix * rest, cap)
+    trade = settle("rewriting step failed verification", pulled, substituted.verdict)
 
     fillings = [Fibration("disk", chain_relator(sig))]
     for i in range(1, n + 1):

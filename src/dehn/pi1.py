@@ -36,18 +36,18 @@ flat sequence of plain (curve, sign) steps in the order they act, with
 conjugators expanded and adjacent x^s x^-s pairs cancelled, each step
 looked up here as one table.  A comparison of w1 with w2 builds the one
 stream of psi = w2^-1 . w1 (``dehn.surface.quotient_stream``) and first
-cancels every pair of its steps that commutation brings together
+deletes every whole chain relator (``dehn.surface.drop_chain_relators``):
+a run of 2g(4g+2) steps of one sign s that walks the chain cyclically in
+one direction is (c_1 ... c_2g)^(4g+2) = delta^s up to rotation
+(Prop. 4.12), so it leaves psi and delta^s, central, is appended on a
+one-boundary surface; on a closed surface it is trivial.  Then every pair
+of steps that commutation brings together is cancelled
 (``dehn.surface.reduce_stream``): twists about disjoint curves commute
 (Farb-Margalit, Fact 3.9), so a pair x^s, x^-s with only steps about
-curves disjoint from x between them acts trivially.  Then every whole
-chain relator is deleted (``dehn.surface.drop_chain_relators``): a run
-of 2g(4g+2) steps of one sign s that walks the chain cyclically in one
-direction is (c_1 ... c_2g)^(4g+2) = delta^s up to rotation (Prop. 4.12),
-so it leaves psi and delta^s, central, is appended on a one-boundary
-surface; on a closed surface it is trivial.  When that deletes anything,
-the commutation pass runs again, since a conjugator around a relator or
-a delta may now cancel.  The reduced stream keeps psi's mapping class,
-and the twist tables are never read for what these relations settle.
+curves disjoint from x between them acts trivially, and a conjugator
+around a deleted relator or a delta cancels too.  The reduced stream keeps
+psi's mapping class, and the twist tables are never read for what these
+relations settle.
 It is then composed backwards, from its last-acting step to its first,
 on the images of all generators at once; each step rewrites only the
 images of the generators its table moves.  The word-length cap is
@@ -320,12 +320,11 @@ def decide_equal(w1: TwistWord, w2: TwistWord, engine: str = "auto",
     exact engine: ENGINE_PI1 with one boundary component, otherwise
     ENGINE_HOMOLOGY_FAITHFUL at genus <= 1 and ENGINE_CLOSED above.  Every
     engine tests whether the stream of psi = w2^-1 . w1 acts trivially.
-    The stream is first reduced by ``reduce_stream``, which cancels the
-    steps that the commutation of twists about disjoint curves brings
-    together (Farb-Margalit, Fact 3.9), and then ``drop_chain_relators``
-    deletes every whole chain relator, delta^s on one boundary and trivial
-    on a closed surface (Prop. 4.12); ``reduce_stream`` runs again only if
-    that deleted something.  Both keep psi's mapping class in every group
+    ``drop_chain_relators`` first deletes every whole chain relator of the
+    stream, delta^s on one boundary and trivial on a closed surface
+    (Prop. 4.12), and then ``reduce_stream`` cancels the steps that the
+    commutation of twists about disjoint curves brings together
+    (Farb-Margalit, Fact 3.9).  Both keep psi's mapping class in every group
     an engine decides, so a pair of words that differ by such moves gives
     an empty stream, and only a capped "unknown" can become decided.  The
     engine then rejects on its homology matrix before any free-group
@@ -335,10 +334,7 @@ def decide_equal(w1: TwistWord, w2: TwistWord, engine: str = "auto",
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     sig = w1.surface
-    psi = reduce_stream(sig, quotient_stream(w1, w2))
-    cut = drop_chain_relators(sig, psi)
-    if cut is not psi:  # a conjugator around a relator, or a delta, may now cancel
-        psi = reduce_stream(sig, cut)
+    psi = reduce_stream(sig, drop_chain_relators(sig, quotient_stream(w1, w2)))
     acts_on_h1 = not is_identity(stream_matrix(sig, psi))
     if sig.boundary == 0 and sig.genus <= 1:
         return ("false" if acts_on_h1 else "true", ENGINE_HOMOLOGY_FAITHFUL)

@@ -22,9 +22,9 @@ pair as it came:
   shortening the word by ten letters.  Both sides are ``pi1.CHAIN_TRADE``,
   the one spelling of the trade, which is also a row of
   ``pi1.CHAIN_RELATIONS``, checked with the rest of the relator corpus.
-  Its left side is parsed once, into ``_TRADE_LHS``, and ``pull_trade``
-  is the one commutation pull of it out of (chain)^4, for
-  ``prop9_factor`` and ``constructions.theorem11_family``.
+  Its left side is parsed once, into ``_TRADE_LHS``, and ``prop9_factor``
+  is the one commutation pull of it out of (chain)^4, which
+  ``constructions.theorem11_family`` builds on.
 
 Every output letter is a letter of the input or is built from curve names
 standard on its surface, so outputs are built with ``TwistWord._trusted``
@@ -133,15 +133,6 @@ def commute_pull(w: TwistWord, pattern: TwistWord,
     return RewriteReport(output, steps, decide_equal(w, output, "auto", cap))
 
 
-def pull_trade(sig: SurfaceSig, cap: int = DEFAULT_CAP) -> RewriteReport:
-    """``commute_pull`` of (a1 b1 a2)^4, the left side of ``CHAIN_TRADE``, out of (chain)^4.
-
-    The pattern is ``_TRADE_LHS``; ``sig`` has genus >= 2, where its
-    letters are standard.
-    """
-    return commute_pull(chain_word(sig, 4), TwistWord._trusted(sig, _TRADE_LHS), cap)
-
-
 def prop9_factor(n: int, cap: int = DEFAULT_CAP
                  ) -> tuple[TwistWord, TwistWord, tuple[str, str]]:
     """Factor (chain)^4 on (g=n, b=1) as (a1 b1 a2)^4 . psi.
@@ -154,11 +145,10 @@ def prop9_factor(n: int, cap: int = DEFAULT_CAP
     if n < 2:
         raise ValueError("factorization requires genus >= 2")
     sig = SurfaceSig(n, 1)
-    report = pull_trade(sig, cap)
+    report = commute_pull(chain_word(sig, 4), TwistWord._trusted(sig, _TRADE_LHS), cap)
     verdict = settle("commutation pull failed verification", report.verdict)
-    prefix = TwistWord._trusted(sig, report.output.letters[:12])
-    psi = TwistWord._trusted(sig, report.output.letters[12:])
-    return prefix, psi, verdict
+    letters, k = report.output.letters, len(_TRADE_LHS)
+    return TwistWord._trusted(sig, letters[:k]), TwistWord._trusted(sig, letters[k:]), verdict
 
 
 def inverse_twist_expansion(sig: SurfaceSig) -> TwistWord:

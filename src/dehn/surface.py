@@ -228,15 +228,14 @@ def _class_of(name, sig: SurfaceSig, classes: dict[str, Sparse]) -> Sparse:
     raise _invalid_curve(name, sig)
 
 
-def check_letters(letters, sig: SurfaceSig) -> dict[str, Sparse]:
+def check_letters(letters, sig: SurfaceSig) -> None:
     """Check that every letter is a Twist whose curves are standard on ``sig``.
 
     The letters are read in order, each base before its conjugator, and
     the first fault is raised: a TypeError for a letter that is not a
     Twist, a ValueError naming the first curve not standard on ``sig``.
-    The curve table is fetched once for the whole sequence and returned,
-    so a caller reads classes from it with no second fetch.  Every check of
-    a letter's curves runs here.
+    The curve table is fetched once for the whole sequence.  Every check
+    of a letter's curves runs here.
     """
     classes = curve_classes(sig)
     for t in letters:
@@ -248,7 +247,6 @@ def check_letters(letters, sig: SurfaceSig) -> dict[str, Sparse]:
         for name, _ in t.conj:
             if name not in classes:
                 raise _invalid_curve(name, sig)
-    return classes
 
 
 def chain_name(j: int) -> str:
@@ -543,7 +541,7 @@ def drop_chain_relators(sig: SurfaceSig, stream: tuple[Step, ...]) -> tuple[Step
     once.  On a one-boundary surface delta^s is appended for each relator
     deleted (delta is central, so where it acts does not matter); on a
     closed surface delta is trivial, also with a marked point, and nothing
-    is appended.  The stream itself is returned when nothing is deleted.
+    is appended.
     """
     if sig.genus < 1 or len(stream) < (size := len(chain_relator(sig))):
         return stream
@@ -566,8 +564,6 @@ def drop_chain_relators(sig: SurfaceSig, stream: tuple[Step, ...]) -> tuple[Step
         if length == size:
             del kept[-size:], walks[-size:]
             delta += step[1]
-    if len(kept) == len(stream):
-        return stream
     if sig.boundary:
         kept += [("delta", 1 if delta > 0 else -1)] * abs(delta)
     return tuple(kept)

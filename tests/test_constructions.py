@@ -101,7 +101,7 @@ def _family_with_trade_verdict(monkeypatch, rewrite, verdict):
     import dehn.rewriting
 
     # the family calls chain_substitute itself, and commute_pull through
-    # rewriting.pull_trade
+    # prop9_factor
     owner = dehn.rewriting if rewrite == "commute_pull" else dehn.constructions
     real = getattr(owner, rewrite)
 
