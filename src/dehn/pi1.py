@@ -45,7 +45,7 @@ of steps that commutation brings together is cancelled
 (``dehn.surface.reduce_stream``): twists about disjoint curves commute
 (Farb-Margalit, Fact 3.9), so a pair x^s, x^-s with only steps about
 curves disjoint from x between them acts trivially, and a conjugator
-around a deleted relator or a delta cancels too.  The reduced stream keeps
+around a deleted relator then cancels too.  The reduced stream keeps
 psi's mapping class, and the twist tables are never read for what these
 relations settle.
 It is then composed backwards, from its last-acting step to its first,

@@ -5,7 +5,8 @@ rel boundary psi fixes the free group pointwise, so rho . psi != rho shows
 psi != 1; on a closed surface Mod(S_g) acts on Hom(pi1, G) up to
 conjugation in G (Dehn-Nielsen-Baer), so rho . psi not conjugate to rho
 shows psi != 1 in Mod(S_g).  Such a rho is a witness that the two words
-are unequal, and so is every engine's "false" it comes with.
+are unequal, so an engine must answer "false" wherever one is found, and
+a "true" must have none.
 
 G is S_4, its elements tuples.  psi is the stream of ``quotient_stream``,
 with neither commutation nor chain relators removed, and it is applied as
@@ -128,17 +129,6 @@ def pairs(genus, boundary):
             swapped.append((word, TwistWord(sig, tuple(letters[:i] + [other]
                                                        + letters[i + 1:]))))
     return inserted, flipped, swapped
-
-
-@pytest.mark.parametrize("genus, boundary", SURFACES)
-def test_samples_are_homomorphisms_of_the_surface_group(genus, boundary):
-    sig = SurfaceSig(genus, boundary)
-    rng = random.Random(f"samples/{genus}/{boundary}")
-    for _ in range(SAMPLES):
-        rho = sample(sig, rng)
-        assert len(rho) == 2 * genus
-        if not boundary:
-            assert evaluate(rho, boundary_word(genus)) == IDENTITY
 
 
 @pytest.mark.parametrize("genus, boundary", SURFACES)
