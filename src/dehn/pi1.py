@@ -37,17 +37,19 @@ conjugators expanded and adjacent x^s x^-s pairs cancelled, each step
 looked up here as one table.  A comparison of w1 with w2 builds the one
 stream of psi = w2^-1 . w1 (``dehn.surface.quotient_stream``) and first
 deletes every whole chain relator (``dehn.surface.drop_chain_relators``):
-a run of 2g(4g+2) steps of one sign s that walks the chain cyclically in
-one direction is (c_1 ... c_2g)^(4g+2) = delta^s up to rotation
+a run of L = 2g(4g+2) steps of one sign s that walks the chain cyclically
+in one direction is (c_1 ... c_2g)^(4g+2) = delta^s up to rotation
 (Prop. 4.12), so it leaves psi and delta^s, central, is appended on a
-one-boundary surface; on a closed surface it is trivial.  Then every pair
-of steps that commutation brings together is cancelled
-(``dehn.surface.reduce_stream``): twists about disjoint curves commute
-(Farb-Margalit, Fact 3.9), so a pair x^s, x^-s with only steps about
-curves disjoint from x between them acts trivially, and a conjugator
-around a deleted relator then cancels too.  The reduced stream keeps
-psi's mapping class, and the twist tables are never read for what these
-relations settle.
+one-boundary surface; on a closed surface it is trivial.  By Dehn's
+more-than-half rule, a walk of more than L/2 such steps is then replaced
+by the inverse of the steps that close it up into a relator, with delta^s
+counted the same way.  Then every pair of steps that commutation brings
+together is cancelled (``dehn.surface.reduce_stream``): twists about
+disjoint curves commute (Farb-Margalit, Fact 3.9), so a pair x^s, x^-s
+with only steps about curves disjoint from x between them acts
+trivially, and a conjugator around a deleted relator then cancels too.
+The reduced stream keeps psi's mapping class, and the twist tables are
+never read for what these relations settle.
 It is then composed backwards, from its last-acting step to its first,
 on the images of all generators at once; each step rewrites only the
 images of the generators its table moves.  The word-length cap is
@@ -322,14 +324,17 @@ def decide_equal(w1: TwistWord, w2: TwistWord, engine: str = "auto",
     engine tests whether the stream of psi = w2^-1 . w1 acts trivially.
     ``drop_chain_relators`` first deletes every whole chain relator of the
     stream, delta^s on one boundary and trivial on a closed surface
-    (Prop. 4.12), and then ``reduce_stream`` cancels the steps that the
-    commutation of twists about disjoint curves brings together
-    (Farb-Margalit, Fact 3.9).  Both keep psi's mapping class in every group
-    an engine decides, so a pair of words that differ by such moves gives
-    an empty stream, and only a capped "unknown" can become decided.  The
-    engine then rejects on its homology matrix before any free-group
-    work; ``cap`` bounds the generator images built while psi is composed
-    from its last-acting step, and one that passes it gives "unknown".
+    (Prop. 4.12), and replaces each chain walk of more than half a
+    relator by the inverse of the rest of it, times delta^s (Dehn's
+    more-than-half rule); then ``reduce_stream`` cancels the steps that
+    the commutation of twists about disjoint curves brings together
+    (Farb-Margalit, Fact 3.9).  Both passes keep psi's mapping class in
+    every group an engine decides, so a pair of words that differ by such
+    moves gives an empty stream, and only a capped "unknown" can become
+    decided.  The engine then rejects on its homology matrix before any
+    free-group work; ``cap`` bounds the generator images built while psi
+    is composed from its last-acting step, and one that passes it gives
+    "unknown".
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")

@@ -33,10 +33,12 @@ builds the stream of w2^-1 . w1 from two compiled words, so that every
 equality test asks whether one stream acts trivially; ``reduce_stream``
 cancels the steps of a stream that twists about disjoint curves, which
 commute, let meet; ``drop_chain_relators`` deletes every whole chain
-relator from a stream, a run of ``len(chain_relator(sig))`` steps of one
-sign that walks the chain cyclically, and appends the boundary twist it
-equals on a one-boundary surface.  ``chain_relator`` is the one spelling
-of (a1 b1 ... ag bg)^(4g+2).
+relator from a stream, a run of L = ``len(chain_relator(sig))`` steps of
+one sign that walks the chain cyclically, replaces each walk of more than
+L/2 such steps by the inverse of the rest of its relator (in a stream of
+at least L steps), and appends the boundary twists these equal on a
+one-boundary surface.
+``chain_relator`` is the one spelling of (a1 b1 ... ag bg)^(4g+2).
 
 The curves are written down once, in ``curve_rows``: every standard
 curve on the surface, in the standard order, with its row (loop,
@@ -523,7 +525,7 @@ def reduce_stream(sig: SurfaceSig, stream: tuple[Step, ...]) -> tuple[Step, ...]
 
 
 def drop_chain_relators(sig: SurfaceSig, stream: tuple[Step, ...]) -> tuple[Step, ...]:
-    """The stream with every whole chain relator deleted, and delta^s for each.
+    """The stream with its chain relators deleted, and more than half of one inverted.
 
     The chain c_1, ..., c_2g (the first 2g names of ``curve_classes``)
     satisfies (t_c1 ... t_c2g)^(4g+2) = t_delta (Farb-Margalit, *A Primer
@@ -536,17 +538,26 @@ def drop_chain_relators(sig: SurfaceSig, stream: tuple[Step, ...]) -> tuple[Step
     direction of the walk that ends at it; a push that completes a walk of
     L steps pops them, and the step before them continues any walk that
     the next push extends, so a relator that a deletion closes up is found
-    too.  Each step is pushed and popped at most once, so the pass is
-    linear in len(stream), and a stream shorter than L is returned at
-    once.  On a one-boundary surface delta^s is appended for each relator
-    deleted (delta is central, so where it acts does not matter); on a
-    closed surface delta is trivial, also with a marked point, and nothing
-    is appended.
+    too.  Then Dehn's more-than-half rule (Lyndon-Schupp, *Combinatorial
+    Group Theory*, V.4) runs over the kept steps from the last: a maximal
+    walk W of m steps, L/2 < m < L, and the L - m steps C that continue it
+    round the chain make a whole relator, so W acts as delta^s . C^-1, and
+    C^-1 (C reversed, signs flipped) replaces W; a walk of exactly L/2
+    steps is kept.  Each step is pushed and popped at most once, and each
+    replacement writes fewer steps than it removes, so the pass is linear
+    in len(stream).  A stream shorter than L is returned at once, also
+    when it holds a walk of more than L/2 steps: the scan is the cost, and
+    on the bench workloads it shortens no stream of that length.
+    On a one-boundary surface delta^e is appended, e the net sign of the
+    relators deleted and walks replaced (delta is central, so where it
+    acts does not matter); on a closed surface delta is trivial, also with
+    a marked point, and nothing is appended.
     """
     if sig.genus < 1 or len(stream) < (size := len(chain_relator(sig))):
         return stream
-    n = 2 * sig.genus
-    position = dict(zip(curve_classes(sig), range(n)))
+    half, n = size // 2, 2 * sig.genus
+    chain = tuple(curve_classes(sig))[:n]
+    position = dict(zip(chain, range(n)))
     kept: list[Step] = []
     walks: list[tuple[int | None, int, int]] = []  # (position, length, direction)
     delta = 0
@@ -564,9 +575,25 @@ def drop_chain_relators(sig: SurfaceSig, stream: tuple[Step, ...]) -> tuple[Step
         if length == size:
             del kept[-size:], walks[-size:]
             delta += step[1]
+    # from the last step back, a walk of more than L/2 steps that is still
+    # there is maximal: a step after it that extended it would have been
+    # in a longer walk, replaced first.  out is built reversed.
+    out: list[Step] = []
+    i = len(kept) - 1
+    while i >= 0:
+        j, length, way = walks[i]
+        if length > half:
+            sign = kept[i][1]
+            out += [(chain[(j + way * k) % n], -sign) for k in range(1, size - length + 1)]
+            delta += sign
+            i -= length
+        else:
+            out.append(kept[i])
+            i -= 1
+    out.reverse()
     if sig.boundary:
-        kept += [("delta", 1 if delta > 0 else -1)] * abs(delta)
-    return tuple(kept)
+        out += [("delta", 1 if delta > 0 else -1)] * abs(delta)
+    return tuple(out)
 
 
 def invert_steps(steps) -> tuple[Step, ...]:

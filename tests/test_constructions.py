@@ -29,7 +29,7 @@ from dehn import (
 )
 from dehn.fibration import AbelianGroup
 from dehn.homology import homology_class, identity_matrix, is_identity, word_matrix
-from dehn.pi1 import ENGINE_PI1, decide_equal, settle
+from dehn.pi1 import ENGINE_CLOSED, ENGINE_PI1, decide_equal, settle
 from dehn.rewriting import RewriteReport
 
 from matrices import mat_mul
@@ -281,6 +281,15 @@ def test_splitting_words_mixed():
     assert verdict == ("true", "homology(g=1,faithful)")
     assert (x1.letter_count, x2.letter_count) == (12, 132)
     assert is_identity(word_matrix(x1.word * x2.word))
+
+
+def test_splitting_words_at_closed_genus_three():
+    # x2 is x1's 332 letters, inverted and each expanded; each psi collapses
+    # under the chain-relator pass before any generator image is built
+    x1, x2, verdict = splitting_words(word(SurfaceSig(3, 0), "b2^-1 d2^-1 e2^-1 b3^-1"))
+    assert verdict == ("true", ENGINE_CLOSED)
+    assert (x1.letter_count, x2.letter_count) == (332, 27556)
+    assert x1.word.all_positive() and x2.word.all_positive()
 
 
 @pytest.mark.parametrize("failing_call", [1, 2])

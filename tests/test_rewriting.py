@@ -24,7 +24,7 @@ from dehn import (
 from dehn.homology import homology_class, homology_equal, transported_class
 from dehn.pi1 import CHAIN_RELATIONS, ENGINE_CLOSED, ENGINE_HOMOLOGY_FAITHFUL, ENGINE_PI1
 from dehn.rewriting import transport_pairs
-from dehn.surface import curve_classes
+from dehn.surface import curve_classes, drop_chain_relators, quotient_stream, reduce_stream
 from two_streams import two_stream_verdict
 
 T2 = SurfaceSig(2, 1)
@@ -344,6 +344,21 @@ def test_positivize_transports_each_negative_base_once(monkeypatch):
     with pytest.raises(ValueError, match="output letters"):
         positivize(w, engine="homology")
     assert calls == ["b2", "d2"]
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_every_single_inverse_collapses_before_the_engine(genus):
+    # t_c^-1 becomes v^-1 . E . v, v the transport of c and E the chain
+    # relator less one step, so psi holds E^-1, a walk of L - 1 steps that
+    # the more-than-half rule turns into one step: what is left is c^-1,
+    # v both ways and that step, at most
+    sig = SurfaceSig(genus, 0)
+    for c in curve_classes(sig):
+        w = TwistWord(sig, (Twist(c, -1),))
+        report = positivize(w)
+        psi = reduce_stream(sig, drop_chain_relators(sig, quotient_stream(w, report.output)))
+        assert len(psi) <= 2 * len(transport_pairs(c, sig)) + 2, (c, psi)
+        assert report.verdict == ("true", ENGINE_CLOSED)
 
 
 def test_positivize_rejections():

@@ -509,7 +509,7 @@ def test_a_whole_chain_relator_is_delta_rel_boundary_and_trivial_when_closed(gen
     assert decide_equal(chain_relator(closed), TwistWord(closed, ())) == ("true", engine)
 
 
-def test_drop_chain_relators_deletes_whole_runs_only():
+def test_drop_chain_relators_deletes_whole_runs_and_inverts_more_than_half():
     sig = SurfaceSig(2, 1)
     size = len(chain_relator(sig))
     assert size == 40
@@ -518,21 +518,32 @@ def test_drop_chain_relators_deletes_whole_runs_only():
             for sign in (1, -1):
                 run = tuple(chain_run(sig, start, way, sign, size))
                 assert drop_chain_relators(sig, run) == (("delta", sign),)
-                # a run one step short is kept
-                kept = run[:-1] + run[:1]
-                assert drop_chain_relators(sig, kept) == kept
+                # a run one step short is its missing step inverted, and delta
+                short = run[:-1] + run[:1]
+                assert drop_chain_relators(sig, short) == (
+                    ((run[-1][0], -sign),) + run[:1] + (("delta", sign),))
                 longer = tuple(chain_run(sig, start, way, sign, 2 * size + 3))
                 assert drop_chain_relators(sig, longer) == longer[:3] + (("delta", sign),) * 2
-    # a break of sign, of direction or of the walk splits the run
+    # a break of sign, of direction or of the walk splits the run; a walk
+    # of at most half a relator is kept, and a longer one W is replaced by
+    # the inverse of the steps that continue it round the relator
     run = chain_run(sig, 0, 1, 1, size)
-    for broken in (run[:7] + [("a2", -1)] + run[8:], run[:7] + run[6:7] + run[8:],
-                   run[:7] + [("d2", 1)] + run[8:]):
-        assert drop_chain_relators(sig, tuple(broken)) == tuple(broken)
+    for cut in (size // 2, 7):
+        for broken in (run[:cut] + [("a2", -1)] + run[cut + 1:],
+                       run[:cut] + run[cut - 1:cut] + run[cut + 1:],
+                       run[:cut] + [("d2", 1)] + run[cut + 1:]):
+            expected = tuple(broken) if cut == size // 2 else (
+                tuple(broken[:cut + 1]) + invert_steps(run[:cut + 1]) + (("delta", 1),))
+            assert drop_chain_relators(sig, tuple(broken)) == expected
     # a relator that a deletion closes up is deleted too, and delta^e is
     # appended for the net exponent e
     for sign, deltas in ((1, (("delta", 1),) * 2), (-1, ())):
         inner = chain_run(sig, 2, -1, sign, size)
         assert drop_chain_relators(sig, tuple(run[:9] + inner + run[9:])) == deltas
+    # two walks of exactly half a relator are kept
+    half = tuple(run[:size // 2])
+    apart = half + (("d2", 1),) + half
+    assert drop_chain_relators(sig, apart) == apart
     # a stream shorter than one relator is returned at once
     short = tuple(run[:size - 1])
     assert drop_chain_relators(sig, short) is short
@@ -541,9 +552,11 @@ def test_drop_chain_relators_deletes_whole_runs_only():
 @pytest.mark.parametrize("boundary", [0, 1])
 @pytest.mark.parametrize("genus", [1, 2, 3])
 def test_deleting_chain_relators_matches_the_two_stream_oracle(genus, boundary):
-    # w1 holds a conjugated chain run of L-2 ... 2L+2 steps, w2 the same
-    # run less its whole relators, delta^s for each on one boundary, and a
-    # braid relator in its head; half the pairs are then made unequal
+    # w1 holds a conjugated chain run of L/2-2 ... 2L+2 steps, w2 the same
+    # run less its whole relators, a rest of more than L/2 steps spelled as
+    # the inverse of the steps that continue it round a relator, delta^s for
+    # each relator and each such rest on one boundary, and a braid relator
+    # in its head; half the pairs are then made unequal
     sig = SurfaceSig(genus, boundary)
     rng = random.Random(f"chain-relators/{genus}/{boundary}")
     size = len(chain_relator(sig))
@@ -554,16 +567,19 @@ def test_deleting_chain_relators_matches_the_two_stream_oracle(genus, boundary):
     def plain(count):
         return [(rng.choice(curves), rng.choice((1, -1))) for _ in range(count)]
 
-    seen, dropped = Counter(), 0
+    seen, dropped, shortened = Counter(), 0, 0
     for _ in range(60):
-        k = rng.randint(size - 2, 2 * size + 2)
+        k = rng.randint(size // 2 - 2, 2 * size + 2)
         start, way, sign = rng.randrange(2 * genus), rng.choice((1, -1)), rng.choice((1, -1))
         rest = k - k // size * size
+        spelled = chain_run(sig, start, way, sign, rest)
+        if rest > size // 2:
+            spelled = list(invert_steps(chain_run(sig, start + rest * way, way, sign, size - rest)))
         head, tail, u = plain(rng.randint(0, 3)), plain(rng.randint(0, 3)), plain(rng.randint(0, 2))
         at = rng.randint(0, len(head))
         words = []
         for run, h in ((chain_run(sig, start, way, sign, k), head),
-                       (chain_run(sig, start, way, sign, rest), head[:at] + braid + head[at:])):
+                       (spelled, head[:at] + braid + head[at:])):
             if rng.random() < 0.5:  # the conjugator on every letter of the run
                 middle = [Twist(name, s, u) for name, s in run]
             else:
@@ -571,7 +587,7 @@ def test_deleting_chain_relators_matches_the_two_stream_oracle(genus, boundary):
             words.append([Twist(*step) for step in h] + middle + [Twist(*step) for step in tail])
         w2 = words[1]
         if boundary:
-            for _ in range(k // size):
+            for _ in range(k // size + (rest > size // 2)):
                 w2.insert(rng.randint(0, len(w2)), Twist("delta", sign))
         if rng.random() < 0.5:
             if boundary and rng.random() < 0.5:
@@ -584,9 +600,15 @@ def test_deleting_chain_relators_matches_the_two_stream_oracle(genus, boundary):
         assert decide_equal(w1, w2)[0] == expected, (w1, w2)
         seen[expected] += 1
         psi = quotient_stream(w1, w2)
-        dropped += drop_chain_relators(sig, psi) != psi
+        out = drop_chain_relators(sig, psi)
+        dropped += out != psi
+        # whole relators take multiples of L curve steps, a walk of m > L/2 steps 2m - L
+        removed = sum(name != "delta" for name, _ in psi)
+        removed -= sum(name != "delta" for name, _ in out)
+        shortened += removed % size != 0
     assert seen["true"] >= 20 and seen["false"] >= 20, seen
     assert dropped >= 30, dropped
+    assert shortened >= 10, shortened
 
 
 def test_chain_relators_are_deleted_before_their_conjugator_cancels():
@@ -617,7 +639,9 @@ class CountedStep(tuple):
 
 def test_drop_chain_relators_work_is_linear_in_psi():
     # alternating runs of L-1 and L+1 steps at genus 24 (L = 4,704): a loop
-    # that checks the last L steps at each step reads about 47 M of them
+    # that checks the last L steps at each step reads about 47 M of them.
+    # The L-1 run is its missing step inverted, and delta^1 cancels the
+    # delta^-1 of the L+1 run
     sig = SurfaceSig(24, 1)
     size = len(chain_relator(sig))
     assert size == 4704
@@ -629,4 +653,5 @@ def test_drop_chain_relators_work_is_linear_in_psi():
     out = drop_chain_relators(sig, psi)
     # at most four reads of a step per step
     assert 0 < CountedStep.tally[0] <= 4 * len(psi)
-    assert out == tuple(runs[0] + runs[1][-1:] + runs[2]) + (("delta", -1),)
+    missing = chain_run(sig, 0, 1, 1, size)[-1:]
+    assert out == invert_steps(missing) + tuple(runs[1][-1:] + runs[2])
