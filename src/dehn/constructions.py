@@ -39,7 +39,7 @@ from .fibration import (
 )
 from .homology import Matrix, word_matrix
 from .pi1 import DEFAULT_CAP, decide_equal, settle
-from .rewriting import chain_substitute, positivize, prop9_factor
+from .rewriting import _positive_word, chain_substitute, prop9_factor
 from .snf import abelian_group_from_columns
 from .surface import SurfaceSig, Twist, TwistWord, chain_relator, chain_word
 
@@ -167,14 +167,14 @@ def splitting_words(phi: TwistWord, cap: int = DEFAULT_CAP
     the concatenation x1.word x2.word acts trivially on homology (and is
     trivial rel nothing by construction).  The third value settles the two
     positivizations' verdicts: one verified "false" raises, and an
-    "unknown" one is passed on.  Either
-    positivization raises ``ValueError`` on a bounded fiber, and when its
-    output, conjugator letters included, would pass
-    ``rewriting.OUTPUT_MAX_LETTERS``; x2's is counted once x1 is built and
-    verified.
+    "unknown" one is passed on.  Either positivization raises
+    ``ValueError`` on a bounded fiber, and when its output, conjugator
+    letters included, would pass ``rewriting.OUTPUT_MAX_LETTERS``; both
+    outputs are built and counted before either is verified.
     """
-    rep1 = positivize(phi, cap)
-    x1 = Fibration("disk", rep1.output)
-    rep2 = positivize(x1.word.inverse(), cap)
-    x2 = Fibration("disk", rep2.output)
-    return x1, x2, settle("positivization failed verification", rep1.verdict, rep2.verdict)
+    x1, _ = _positive_word(phi)
+    back = x1.inverse()
+    x2, _ = _positive_word(back)
+    verdict = settle("positivization failed verification",
+                     decide_equal(phi, x1, "auto", cap), decide_equal(back, x2, "auto", cap))
+    return Fibration("disk", x1), Fibration("disk", x2), verdict

@@ -5,7 +5,10 @@ inverse, and words are kept freely reduced (no adjacent ``k, -k``).  An
 automorphism is represented by the tuple of images of the generators, with
 the images of the inverse generators computed once beside them, and is
 applied letterwise by ``substitute``, which cancels only at the seams
-between consecutive images.
+between consecutive images.  ``dehn_rewrite`` is the stack loop of Dehn's
+algorithm, with free cancellation, for any table of rules: the reduction
+of ``dehn.pi1.dehn_reduce`` against the surface relator and the braid
+pass of ``dehn.surface.braid_reduce`` both run it.
 """
 
 from __future__ import annotations
@@ -37,6 +40,35 @@ def reduce_word(letters) -> Word:
 
 def invert_word(w: Word) -> Word:
     return tuple(-x for x in reversed(w))
+
+
+def dehn_rewrite(z, rules: dict[Word, Word], need: int) -> list[int]:
+    """z freely reduced, with every ``need``-letter key of ``rules`` replaced as it appears.
+
+    The stack loop of Dehn's algorithm (Lyndon-Schupp, *Combinatorial
+    Group Theory*, V.4): the letters of z are pushed one at a time onto an
+    output stack with free cancellation, and after each push the top
+    ``need`` letters are looked up in ``rules``; on a hit they are popped
+    and their replacement goes back onto the front of the pending input.
+    A pop never creates a key and every push is checked, so the result is
+    freely reduced and holds no key.  Each rule must map its key to a
+    shorter word equal to it in the group at hand, so the loop ends, after
+    at most len(z) replacements, and the result is equal to z there.
+    """
+    pending = list(reversed(z))
+    out: list[int] = []
+    while pending:
+        x = pending.pop()
+        if out and out[-1] == -x:
+            out.pop()
+            continue
+        out.append(x)
+        if len(out) >= need:
+            replacement = rules.get(tuple(out[-need:]))
+            if replacement is not None:
+                del out[-need:]
+                pending.extend(reversed(replacement))
+    return out
 
 
 def substitute(signed, w, cap: int | None = None) -> list[int]:

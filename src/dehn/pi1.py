@@ -48,8 +48,13 @@ together is cancelled (``dehn.surface.reduce_stream``): twists about
 disjoint curves commute (Farb-Margalit, Fact 3.9), so a pair x^s, x^-s
 with only steps about curves disjoint from x between them acts
 trivially, and a conjugator around a deleted relator then cancels too.
-The reduced stream keeps psi's mapping class, and the twist tables are
-never read for what these relations settle.
+On a psi still not empty, Dehn's more-than-half rule then runs over the
+braid relators x y x y^-1 x^-1 y^-1 of every pair of curves that meet
+once (``dehn.surface.braid_reduce``; Farb-Margalit, Prop. 3.11): four
+steps of a rotation of one, or of its inverse, become the inverse of its
+other two.  Commutation cancels once more after it.  The pass order is
+``_reduced_psi``'s.  The reduced stream keeps psi's mapping class, and
+the twist tables are never read for what these relations settle.
 It is then composed backwards, from its last-acting step to its first,
 on the images of all generators at once; each step rewrites only the
 images of the generators its table moves.  The word-length cap is
@@ -82,6 +87,7 @@ from .freegroup import (
     FreeAutomorphism,
     Word,
     WordGrowthExceeded,
+    dehn_rewrite,
     invert_word,
     substitute,
 )
@@ -91,6 +97,7 @@ from .surface import (
     Twist,
     TwistWord,
     boundary_word,
+    braid_reduce,
     compile_word,
     curve_classes,
     curve_rows,
@@ -246,37 +253,22 @@ def dehn_reduce(z: Word, genus: int) -> Word:
     letter of z that is not a generator raises ``ValueError``
     (``_check_generators``, one scan before the loop); the letters pushed
     back come from r, so the loop needs no check of its own.
-    Letters of z are pushed one at a time onto an output stack with free
-    cancellation.  After each push the top 2g+1 letters are looked up among
-    the cyclic subwords of the relator r and of r^-1 that are longer than
-    half of it; on a hit they are popped and the inverse of the complement
-    (2g-1 letters) goes back onto the front of the pending input.  A pop
-    never creates such a subword and every push is checked, so the result
-    is freely reduced and contains no subword of length 2g+1 of any
-    rotation of r or r^-1.  Each replacement shortens the word by 2, so
-    there are O(g len(z)) pushes.  For genus >= 2 every piece of the
-    relator has length 1, the presentation is C'(1/6), and the result is
-    empty exactly on elements trivial in the surface group.
+    The stack loop is ``freegroup.dehn_rewrite``: letters of z are pushed
+    one at a time with free cancellation, and after each push the top 2g+1
+    letters are looked up among the cyclic subwords of the relator r and
+    of r^-1 that are longer than half of it; on a hit they are popped and
+    the inverse of the complement (2g-1 letters) goes back onto the front
+    of the pending input.  So the result is freely reduced and contains no
+    subword of length 2g+1 of any rotation of r or r^-1.  Each replacement
+    shortens the word by 2, so there are O(g len(z)) pushes.  For genus
+    >= 2 every piece of the relator has length 1, the presentation is
+    C'(1/6), and the result is empty exactly on elements trivial in the
+    surface group.
     """
     if genus < 2:
         raise ValueError("Dehn reduction applies to genus >= 2")
     _check_generators(z, genus)
-    rules = _dehn_rules(genus)
-    need = 2 * genus + 1
-    pending = list(reversed(z))
-    out: list[int] = []
-    while pending:
-        x = pending.pop()
-        if out and out[-1] == -x:
-            out.pop()
-            continue
-        out.append(x)
-        if len(out) >= need:
-            replacement = rules.get(tuple(out[-need:]))
-            if replacement is not None:
-                del out[-need:]
-                pending.extend(reversed(replacement))
-    return tuple(out)
+    return tuple(dehn_rewrite(z, _dehn_rules(genus), 2 * genus + 1))
 
 
 def _fixes_generators(sig: SurfaceSig, psi, cap: int) -> bool:
@@ -312,6 +304,20 @@ ENGINE_HOMOLOGY_NECESSARY = "homology(necessary)"
 ENGINES = ("auto", "homology")
 
 
+def _reduced_psi(w1: TwistWord, w2: TwistWord) -> tuple:
+    """The stream of psi = w2^-1 . w1 after the stream passes, in their one order.
+
+    ``drop_chain_relators``, then ``reduce_stream``; on a psi still not
+    empty, ``braid_reduce`` and ``reduce_stream`` once more.  Each pass
+    keeps psi's class in every group an engine decides.
+    """
+    sig = w1.surface
+    psi = reduce_stream(sig, drop_chain_relators(sig, quotient_stream(w1, w2)))
+    if psi:
+        psi = reduce_stream(sig, braid_reduce(sig, psi))
+    return psi
+
+
 def decide_equal(w1: TwistWord, w2: TwistWord, engine: str = "auto",
                  cap: int = DEFAULT_CAP) -> tuple[str, str]:
     """Compare two twist words; returns (verdict, engine description).
@@ -328,9 +334,12 @@ def decide_equal(w1: TwistWord, w2: TwistWord, engine: str = "auto",
     relator by the inverse of the rest of it, times delta^s (Dehn's
     more-than-half rule); then ``reduce_stream`` cancels the steps that
     the commutation of twists about disjoint curves brings together
-    (Farb-Margalit, Fact 3.9).  Both passes keep psi's mapping class in
-    every group an engine decides, so a pair of words that differ by such
-    moves gives an empty stream, and only a capped "unknown" can become
+    (Farb-Margalit, Fact 3.9).  On a psi still not empty, ``braid_reduce``
+    applies the more-than-half rule to every braid relator of two curves
+    that meet once (Prop. 3.11), and ``reduce_stream`` runs once more
+    (``_reduced_psi``).  Every pass keeps psi's mapping class in every
+    group an engine decides, so a pair of words that differ by such moves
+    gives an empty stream, and only a capped "unknown" can become
     decided.  The engine then rejects on its homology matrix before any
     free-group work; ``cap`` bounds the generator images built while psi
     is composed from its last-acting step, and one that passes it gives
@@ -339,7 +348,7 @@ def decide_equal(w1: TwistWord, w2: TwistWord, engine: str = "auto",
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     sig = w1.surface
-    psi = reduce_stream(sig, drop_chain_relators(sig, quotient_stream(w1, w2)))
+    psi = _reduced_psi(w1, w2)
     acts_on_h1 = not is_identity(stream_matrix(sig, psi))
     if sig.boundary == 0 and sig.genus <= 1:
         return ("false" if acts_on_h1 else "true", ENGINE_HOMOLOGY_FAITHFUL)

@@ -165,19 +165,14 @@ def inverse_twist_expansion(sig: SurfaceSig) -> TwistWord:
     return TwistWord._trusted(sig, chain_relator(sig).letters[1:])
 
 
-def positivize(w: TwistWord, cap: int = DEFAULT_CAP,
-               engine: str = "auto") -> RewriteReport:
-    """Rewrite a signed word on a closed surface as all-positive letters.
+def _positive_word(w: TwistWord) -> tuple[TwistWord, int]:
+    """``positivize``'s output and its count of negative letters, built with no check.
 
-    A negative letter with conjugator u and base c becomes the expansion of
-    a1^-1 transported back to c: every letter of inverse_twist_expansion,
-    conjugated by u . (transport of c)^-1.  Positive letters pass through.
-    Output length is P + N * len(expansion) for P positive and N negative
-    input letters.  Counting conjugator letters too, an output of more
-    than ``OUTPUT_MAX_LETTERS`` raises ``ValueError``, naming its size,
-    before any of it is built or verified.  ``engine`` selects the
-    verification tier ("auto" uses the strongest applicable engine;
-    "homology" is the cheap necessary check).
+    Raises ``ValueError`` on a bounded surface, and past
+    ``OUTPUT_MAX_LETTERS`` before any output is built.  ``positivize`` and
+    ``dehn.constructions.splitting_words`` both build their outputs here,
+    so a split whose second output is too large raises before either is
+    verified.
     """
     sig = w.surface
     if sig.boundary != 0:
@@ -202,7 +197,24 @@ def positivize(w: TwistWord, cap: int = DEFAULT_CAP,
         conj = t.conj + transports[t.base]
         out.extend(Twist._trusted(e.base, 1, conj) for e in expansion)
         steps += 1
-    output = TwistWord._trusted(sig, tuple(out))
+    return TwistWord._trusted(sig, tuple(out)), steps
+
+
+def positivize(w: TwistWord, cap: int = DEFAULT_CAP,
+               engine: str = "auto") -> RewriteReport:
+    """Rewrite a signed word on a closed surface as all-positive letters.
+
+    A negative letter with conjugator u and base c becomes the expansion of
+    a1^-1 transported back to c: every letter of inverse_twist_expansion,
+    conjugated by u . (transport of c)^-1.  Positive letters pass through.
+    Output length is P + N * len(expansion) for P positive and N negative
+    input letters.  Counting conjugator letters too, an output of more
+    than ``OUTPUT_MAX_LETTERS`` raises ``ValueError``, naming its size,
+    before any of it is built or verified (``_positive_word``).
+    ``engine`` selects the verification tier ("auto" uses the strongest
+    applicable engine; "homology" is the cheap necessary check).
+    """
+    output, steps = _positive_word(w)
     return RewriteReport(output, steps, decide_equal(w, output, engine, cap))
 
 

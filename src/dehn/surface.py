@@ -37,7 +37,9 @@ relator from a stream, a run of L = ``len(chain_relator(sig))`` steps of
 one sign that walks the chain cyclically, replaces each walk of more than
 L/2 such steps by the inverse of the rest of its relator (in a stream of
 at least L steps), and appends the boundary twists these equal on a
-one-boundary surface.
+one-boundary surface; ``braid_reduce`` applies Dehn's more-than-half
+rule to the braid relators of the curves that meet once, through the
+stack loop of ``dehn.freegroup.dehn_rewrite``.
 ``chain_relator`` is the one spelling of (a1 b1 ... ag bg)^(4g+2).
 
 The curves are written down once, in ``curve_rows``: every standard
@@ -75,7 +77,7 @@ for any other name.
 ``crossing_table`` maps every curve name to the names of the curves it
 meets, read off ``intersection`` and cached like ``curve_classes``;
 ``reduce_stream`` and ``dehn.rewriting.commute_pull`` read from it which
-twists commute.
+twists commute, and ``braid_reduce`` which twists braid.
 ``chain_name`` is the one place where a chain position becomes a name.
 """
 
@@ -84,7 +86,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from .freegroup import Word
+from .freegroup import Word, dehn_rewrite, invert_word
 
 
 class Record:
@@ -594,6 +596,61 @@ def drop_chain_relators(sig: SurfaceSig, stream: tuple[Step, ...]) -> tuple[Step
     if sig.boundary:
         out += [("delta", 1 if delta > 0 else -1)] * abs(delta)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _braid_rules(sig: SurfaceSig) -> tuple[dict[Step, int], list, dict[Word, Word]]:
+    """The steps of ``sig`` as signed ints, and the more-than-half rules of its braid relators.
+
+    Step (c, s) is s . k for c the k-th name of ``curve_classes``, so a
+    stream is a word of a free group and its inverse steps are negatives;
+    ``steps[x]`` turns x back, negative x by negative indexing.  For every
+    curve x and curve y that meets it (``crossing_table``), each of the six
+    rotations of the braid relator x y x y^-1 x^-1 y^-1 maps its first 4
+    steps to the inverse of its other 2.  The table lists y beside x and x
+    beside y, and the relator of (y, x) is the inverse of that of (x, y),
+    so the rotations of both are read.  The tables are cached and shared
+    between callers, which only read them.
+    """
+    names = tuple(curve_classes(sig))
+    codes = {(name, sign): sign * k for k, name in enumerate(names, 1) for sign in (1, -1)}
+    steps = [None] + [(name, 1) for name in names] + [(name, -1) for name in reversed(names)]
+    rules = {}
+    for c, meets in crossing_table(sig).items():
+        x = codes[c, 1]
+        for y in (codes[d, 1] for d in meets):
+            relator = (x, y, x, -y, -x, -y)
+            for i in range(6):
+                rotation = relator[i:] + relator[:i]
+                rules[rotation[:4]] = invert_word(rotation[4:])
+    return codes, steps, rules
+
+
+def braid_reduce(sig: SurfaceSig, stream: tuple[Step, ...]) -> tuple[Step, ...]:
+    """The stream with Dehn's more-than-half rule applied to every braid relator.
+
+    Twists about two curves x, y that meet once braid,
+    t_x t_y t_x = t_y t_x t_y (Farb-Margalit, *A Primer on Mapping Class
+    Groups*, Prop. 3.11), so R = x y x y^-1 x^-1 y^-1 and its inverse
+    y x y x^-1 y^-1 x^-1 act trivially, read in either order, and so does
+    every rotation of them, a conjugate.  Four consecutive steps of a
+    rotation thus act as the inverse of its other two (``_braid_rules``).
+    The stream runs as a word through ``freegroup.dehn_rewrite``, the
+    loop of ``dehn.pi1.dehn_reduce``: its steps are pushed with free
+    cancellation, and four that a rule names are replaced by their two.
+    Each replacement shortens the stream by two, so the pass is linear in
+    len(stream).  Sound: a braid relator is trivial in Mod(S_g^1) rel
+    boundary and so in each quotient an engine decides, Mod(S_g, *) and
+    the symplectic group included, so the stream keeps its mapping class
+    in every one, and only a verdict the cap left "unknown" can change.
+    It keeps the class in Mod(S_g, *), which is finer than Mod(S_g), so it
+    cannot mend the closed engine's "false" on a pair that differs by a
+    point-push: the bench's ``probe.wrong`` stays 4 until closed verdicts
+    decide Mod(S_g).  The presentation is not small cancellation, so a
+    stream trivial by braid relators need not reduce to nothing.
+    """
+    codes, steps, rules = _braid_rules(sig)
+    return tuple(steps[x] for x in dehn_rewrite([codes[s] for s in stream], rules, 4))
 
 
 def invert_steps(steps) -> tuple[Step, ...]:

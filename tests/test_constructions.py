@@ -296,19 +296,18 @@ def test_splitting_words_at_closed_genus_three():
 def test_splitting_words_raises_on_a_false_positivization(monkeypatch, failing_call):
     import dehn.constructions
 
-    real = dehn.constructions.positivize
+    real = dehn.constructions.decide_equal
     calls = []
 
-    def positivize(word, cap):
-        calls.append(word)
-        rep = real(word, cap)
-        if len(calls) == failing_call:
-            rep = RewriteReport(rep.output, rep.steps, ("false", rep.verdict[1]))
-        return rep
+    def decide(*args):
+        calls.append(args)
+        verdict, engine = real(*args)
+        return ("false", engine) if len(calls) == failing_call else (verdict, engine)
 
-    monkeypatch.setattr(dehn.constructions, "positivize", positivize)
+    monkeypatch.setattr(dehn.constructions, "decide_equal", decide)
     with pytest.raises(AssertionError):
         splitting_words(word(TORUS, "a1^-1"))
+    assert len(calls) == 2
 
 
 def test_splitting_words_rejects_bounded_fiber():
@@ -322,15 +321,17 @@ def test_splitting_words_rejects_bounded_fiber():
 
 
 def _rewrites_decide(monkeypatch, verdict):
-    """Make every rewrite's decision answer ``verdict``.
+    """Make every rewrite's decision, and every construction's own, answer ``verdict``.
 
     Every construction below verifies through a rewrite, the trefoil
-    through its doubling; its comparison of the two completions is its
-    own and stays real.
+    through its doubling, except ``splitting_words``, which builds both
+    positivizations before it decides either.
     """
+    import dehn.constructions
     import dehn.rewriting
 
-    monkeypatch.setattr(dehn.rewriting, "decide_equal", lambda *args: verdict)
+    for module in (dehn.rewriting, dehn.constructions):
+        monkeypatch.setattr(module, "decide_equal", lambda *args: verdict)
 
 
 # each rewrite and construction, reduced to the (verdict, engine) it hands back
