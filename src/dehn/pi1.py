@@ -52,8 +52,8 @@ On a psi still not empty, Dehn's more-than-half rule then runs over the
 braid relators x y x y^-1 x^-1 y^-1 of every pair of curves that meet
 once (``dehn.surface.braid_reduce``; Farb-Margalit, Prop. 3.11): four
 steps of a rotation of one, or of its inverse, become the inverse of its
-other two.  Commutation cancels once more after it.  The pass order is
-``_reduced_psi``'s.  The reduced stream keeps psi's mapping class, and
+other two.  Commutation cancels once more after it, if it shortened psi.
+The pass order is ``_reduced_psi``'s.  The reduced stream keeps psi's mapping class, and
 the twist tables are never read for what these relations settle.
 It is then composed backwards, from its last-acting step to its first,
 on the images of all generators at once; each step rewrites only the
@@ -308,13 +308,15 @@ def _reduced_psi(w1: TwistWord, w2: TwistWord) -> tuple:
     """The stream of psi = w2^-1 . w1 after the stream passes, in their one order.
 
     ``drop_chain_relators``, then ``reduce_stream``; on a psi still not
-    empty, ``braid_reduce`` and ``reduce_stream`` once more.  Each pass
-    keeps psi's class in every group an engine decides.
+    empty, ``braid_reduce``, and ``reduce_stream`` once more if that
+    shortened psi (a stream ``reduce_stream`` has left is left alike by a
+    second run).  Each pass keeps psi's class in every group an engine
+    decides.
     """
     sig = w1.surface
     psi = reduce_stream(sig, drop_chain_relators(sig, quotient_stream(w1, w2)))
-    if psi:
-        psi = reduce_stream(sig, braid_reduce(sig, psi))
+    if psi and len(braided := braid_reduce(sig, psi)) < len(psi):
+        return reduce_stream(sig, braided)
     return psi
 
 
@@ -336,8 +338,8 @@ def decide_equal(w1: TwistWord, w2: TwistWord, engine: str = "auto",
     the commutation of twists about disjoint curves brings together
     (Farb-Margalit, Fact 3.9).  On a psi still not empty, ``braid_reduce``
     applies the more-than-half rule to every braid relator of two curves
-    that meet once (Prop. 3.11), and ``reduce_stream`` runs once more
-    (``_reduced_psi``).  Every pass keeps psi's mapping class in every
+    that meet once (Prop. 3.11), and ``reduce_stream`` runs once more if
+    that shortened psi (``_reduced_psi``).  Every pass keeps psi's mapping class in every
     group an engine decides, so a pair of words that differ by such moves
     gives an empty stream, and only a capped "unknown" can become
     decided.  The engine then rejects on its homology matrix before any

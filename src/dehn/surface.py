@@ -650,7 +650,8 @@ def braid_reduce(sig: SurfaceSig, stream: tuple[Step, ...]) -> tuple[Step, ...]:
     stream trivial by braid relators need not reduce to nothing.
     """
     codes, steps, rules = _braid_rules(sig)
-    return tuple(steps[x] for x in dehn_rewrite([codes[s] for s in stream], rules, 4))
+    return tuple(map(steps.__getitem__, dehn_rewrite(list(map(codes.__getitem__, stream)),
+                                                     rules, 4)))
 
 
 def invert_steps(steps) -> tuple[Step, ...]:
