@@ -53,8 +53,9 @@ braid relators x y x y^-1 x^-1 y^-1 of every pair of curves that meet
 once (``dehn.surface.braid_reduce``; Farb-Margalit, Prop. 3.11): four
 steps of a rotation of one, or of its inverse, become the inverse of its
 other two.  Commutation cancels once more after it, if it shortened psi.
-The pass order is ``_reduced_psi``'s.  The reduced stream keeps psi's mapping class, and
-the twist tables are never read for what these relations settle.
+The pass order is ``_reduced_psi``'s.  The reduced stream keeps psi's
+mapping class, and the twist tables are never read for what these
+relations settle.
 It is then composed backwards, from its last-acting step to its first,
 on the images of all generators at once; each step rewrites only the
 images of the generators its table moves.  The word-length cap is
@@ -339,13 +340,14 @@ def decide_equal(w1: TwistWord, w2: TwistWord, engine: str = "auto",
     (Farb-Margalit, Fact 3.9).  On a psi still not empty, ``braid_reduce``
     applies the more-than-half rule to every braid relator of two curves
     that meet once (Prop. 3.11), and ``reduce_stream`` runs once more if
-    that shortened psi (``_reduced_psi``).  Every pass keeps psi's mapping class in every
-    group an engine decides, so a pair of words that differ by such moves
-    gives an empty stream, and only a capped "unknown" can become
-    decided.  The engine then rejects on its homology matrix before any
-    free-group work; ``cap`` bounds the generator images built while psi
-    is composed from its last-acting step, and one that passes it gives
-    "unknown".
+    that shortened psi (``_reduced_psi``).  Every pass keeps psi's mapping
+    class in every group an engine decides, so only a capped "unknown"
+    can become decided.  A pair of words that differ by such moves mostly
+    gives an empty stream, though not always: the braid relators are not
+    small cancellation.  The engine then rejects on its homology matrix
+    before any free-group work; ``cap`` bounds the generator images built
+    while psi is composed from its last-acting step, and one that passes
+    it gives "unknown".
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")

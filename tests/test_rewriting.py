@@ -377,8 +377,8 @@ def test_positivize_of_the_fifty_fold_robustness_word_builds_no_image(monkeypatc
     # Bounded by the work done, not by the time taken
     streams = []
     real = dehn.pi1._images
-    monkeypatch.setattr(dehn.pi1, "_images",
-                        lambda genus, stream, cap: streams.append(stream) or real(genus, stream, cap))
+    monkeypatch.setattr(dehn.pi1, "_images", lambda genus, stream, cap:
+                        streams.append(stream) or real(genus, stream, cap))
     w = word(SurfaceSig(3, 0), " ".join(["b1 d2 b2 a1 e2^-1"] * 50))
     assert positivize(w).verdict == ("true", ENGINE_CLOSED)
     assert streams == [()]
