@@ -105,21 +105,26 @@ def euler_characteristic(f: Fibration) -> int:
 def first_homology(f: Fibration) -> AbelianGroup:
     """H1 of the total space: H1(fiber) modulo the vanishing-cycle classes.
 
-    Each letter contributes its class with the conjugator applied.  A
-    letter's class depends only on its base curve and conjugator, so each
-    distinct (base, conjugator) pair is transported once, and only as far
-    as the cokernel reads: it stops once the classes span H1(fiber), which
-    gn(n) does after its first 2n letters.
+    Each letter contributes its class with the conjugator applied.  The
+    quotient depends only on the span of the classes, so they are read in
+    any order: first the plain letters', which are table lookups, then the
+    conjugated ones, which are transported.  A letter's class depends only
+    on its base curve and conjugator, so each distinct (base, conjugator)
+    pair is read once, and only as far as the cokernel reads: it stops once
+    the classes span H1(fiber).  gn(n) does so after its first 2n letters,
+    and every filling of ``theorem11_family(n)`` within its plain letters,
+    so no conjugated letter of the trade is transported.
     """
     sig = f.fiber
 
     def classes():
         seen = set()
-        for t in f.word.letters:
-            key = (t.base, t.conj)
-            if key not in seen:
-                seen.add(key)
-                yield transported_class(t, sig)
+        for plain in (True, False):
+            for t in f.word.letters:
+                key = (t.base, t.conj)
+                if (not t.conj) == plain and key not in seen:
+                    seen.add(key)
+                    yield transported_class(t, sig)
 
     rank, torsion = abelian_group_from_columns(2 * sig.genus, classes())
     return AbelianGroup(rank, tuple(torsion))

@@ -29,7 +29,7 @@ from dehn import (
 )
 from dehn.fibration import AbelianGroup
 from dehn.homology import homology_class, identity_matrix, is_identity, word_matrix
-from dehn.pi1 import ENGINE_CLOSED, ENGINE_PI1, decide_equal, settle
+from dehn.pi1 import DEFAULT_CAP, ENGINE_CLOSED, ENGINE_PI1, decide_equal, settle
 from dehn.rewriting import RewriteReport
 
 from matrices import mat_mul
@@ -50,6 +50,15 @@ def mat_vec(a, v):
 
 # Gram matrix of the intersection form on the fixed basis of a genus-2 surface
 FORM2 = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
+
+
+@pytest.fixture(autouse=True)
+def _fresh_prop9_cache():
+    # prop9_factor keeps its pull per (n, cap) for the process; a test that
+    # patches what it calls must see the patch run, and leave no pull behind
+    prop9_factor.cache_clear()
+    yield
+    prop9_factor.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +139,8 @@ def test_family_raises_on_a_false_trade(monkeypatch, rewrite):
         theorem11_family(2)
 
 
-def test_family_decides_only_its_two_rewrites(monkeypatch):
+def _counted_decisions(monkeypatch):
+    """The list of every ``decide_equal`` call's arguments from now on."""
     import dehn.pi1
 
     real = dehn.pi1.decide_equal
@@ -144,10 +154,55 @@ def test_family_decides_only_its_two_rewrites(monkeypatch):
     for mod in [m for name, m in sys.modules.items() if name.startswith("dehn.")]:
         if getattr(mod, "decide_equal", None) is real:
             monkeypatch.setattr(mod, "decide_equal", counted)
+    return calls
+
+
+def test_family_decides_only_its_two_rewrites(monkeypatch):
+    calls = _counted_decisions(monkeypatch)
     for n in (2, 3, 4, 5):
         calls.clear()
         theorem11_family(n)
         assert len(calls) == 2, n
+
+
+def test_a_second_family_decides_only_its_substitution(monkeypatch):
+    # the pull is kept per (n, cap); the substitution is decided per call
+    calls = _counted_decisions(monkeypatch)
+    for n in (2, 3, 4, 5):
+        first = theorem11_family(n)
+        calls.clear()
+        assert theorem11_family(n) == first
+        assert len(calls) == 1, n
+        assert len(calls[0][0]) == 8 * n  # (a1 b1 a2)^4 . psi, the substitution's input
+
+
+def test_a_false_pull_raises_on_every_call(monkeypatch):
+    _family_with_trade_verdict(monkeypatch, "commute_pull", "false")
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="commutation pull"):
+            prop9_factor(2)
+        with pytest.raises(AssertionError, match="commutation pull"):
+            theorem11_family(2)
+
+
+def test_an_unknown_pull_stays_with_its_cap(monkeypatch):
+    import dehn.rewriting
+
+    real = dehn.rewriting.commute_pull
+    odd_cap = 2 * DEFAULT_CAP
+
+    def patched(w, pattern, cap):
+        rep = real(w, pattern, cap)
+        verdict = ("unknown", rep.verdict[1]) if cap == odd_cap else rep.verdict
+        return RewriteReport(rep.output, rep.steps, verdict)
+
+    monkeypatch.setattr(dehn.rewriting, "commute_pull", patched)
+    assert prop9_factor(2, odd_cap)[-1] == ("unknown", ENGINE_PI1)
+    assert theorem11_family(2, odd_cap)[-1] == ("unknown", ENGINE_PI1)
+    assert prop9_factor(2, DEFAULT_CAP)[-1] == ("true", ENGINE_PI1)
+    assert theorem11_family(2)[-1] == ("true", ENGINE_PI1)
+    # the unknown pull is still passed on at its own cap
+    assert theorem11_family(2, odd_cap)[-1] == ("unknown", ENGINE_PI1)
 
 
 def test_family_rejects_small_genus():

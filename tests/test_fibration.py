@@ -18,8 +18,10 @@ from dehn import (
     gn_word,
     is_allowable,
     positivize,
+    theorem11_family,
 )
 from dehn.homology import is_identity, transported_class, word_matrix
+from dehn.snf import smith_normal_form
 from dehn.surface import curve_classes
 
 T1 = SurfaceSig(1, 1)
@@ -108,6 +110,58 @@ def test_allowability_ignores_conjugators(sig):
         assert is_allowable(f) == reference(f), letters
         seen.add(reference(f))
     assert seen == ({True, False} if sig.boundary else {True})
+
+
+@pytest.mark.parametrize("sig", [SurfaceSig(g, b) for g in (1, 2, 3) for b in (0, 1)])
+def test_first_homology_matches_a_dense_smith_form_in_any_order(sig):
+    # reference: every letter's transported class, one column each, through
+    # the Smith form of the whole matrix; no class is skipped or deduplicated
+    n = 2 * sig.genus
+
+    def reference(letters):
+        cols = [transported_class(t, sig) for t in letters]
+        if not cols:
+            return AbelianGroup(n)
+        s = smith_normal_form([list(row) for row in zip(*cols)])
+        diagonal = [s[i][i] for i in range(min(n, len(cols)))]
+        return AbelianGroup(n - sum(1 for d in diagonal if d),
+                            tuple(d for d in diagonal if d > 1))
+
+    curves = tuple(curve_classes(sig))
+    rng = random.Random(f"first_homology/{sig.genus}/{sig.boundary}")
+    seen = set()
+    for _ in range(60):
+        letters = []
+        for _ in range(rng.randint(0, n + 2)):
+            conj = tuple((rng.choice(curves), rng.choice((1, -1)))
+                         for _ in range(rng.choice((0, 0, 1, 2, 3))))
+            base = "delta" if "delta" in curves and rng.random() < 0.2 else rng.choice(curves)
+            letters.append(Twist(base, 1, conj))
+        expected = reference(letters)
+        assert first_homology(Fibration("disk", TwistWord(sig, tuple(letters)))) == expected
+        rng.shuffle(letters)
+        assert first_homology(Fibration("disk", TwistWord(sig, tuple(letters)))) == expected
+        seen.add(expected)
+    assert len(seen) >= 3  # several ranks, with torsion on most surfaces
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_family_homology_transports_no_conjugated_letter(monkeypatch, n):
+    # the plain letters of every filling span H1(fiber), and they are read first
+    import dehn.fibration
+
+    read = []
+
+    def spy(t, sig):
+        read.append(t)
+        return transported_class(t, sig)
+
+    monkeypatch.setattr(dehn.fibration, "transported_class", spy)
+    for f in theorem11_family(n)[0]:
+        read.clear()
+        assert first_homology(f).trivial
+        assert all(not t.conj for t in read)
+        assert len(read) <= 2 * n + 1
 
 
 def test_double_trefoil():
