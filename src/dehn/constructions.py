@@ -4,8 +4,10 @@
   on a genus-n one-boundary fiber, repeatedly trade a (chain)^4 block for
   d2 e2 (after a commutation pull), producing n+1 fillings of the same
   open book whose Euler characteristics descend by 10.  The one trade is
-  verified once, and its verdict kept once; every member then equals X_0
-  by substituting it.
+  verified once per call, not once per member, and its verdict kept once;
+  every member then equals X_0 by substituting it.  Of its two checks, the
+  pull (``prop9_factor``) is cached per (n, cap), so a process makes it
+  once, and the substitution is decided on every call.
 * ``trefoil_completions`` — two sphere-fibration completions of the
   two-letter torus fibration: the algorithmic double (24 letters) and the
   short closure gn(1) = (ab)^6 (12 letters), with the verdict of the
@@ -51,8 +53,9 @@ def theorem11_family(n: int, cap: int = DEFAULT_CAP
     X_0 carries (chain)^(4n+2); step i pulls (a1 b1 a2)^4 to the front of
     the leading (chain)^4 block of the unconsumed power and substitutes
     d2 e2, shortening the word by 10.  Every step trades the same block,
-    so the trade is rewritten and verified once: ``prop9_factor`` decides
-    (chain)^4 = (a1 b1 a2)^4 . psi and ``chain_substitute`` decides
+    so the trade is rewritten and verified once per call:
+    ``prop9_factor`` decides (chain)^4 = (a1 b1 a2)^4 . psi, once per
+    process for each (n, cap), and ``chain_substitute`` decides
     (a1 b1 a2)^4 . psi = S.  X_i is X_0 with i copies of (chain)^4
     replaced by S, so S = (chain)^4 rel boundary gives X_i = X_0 by
     substitution in the group.  Returns the fillings and the trade's

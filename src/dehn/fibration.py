@@ -107,8 +107,8 @@ def first_homology(f: Fibration) -> AbelianGroup:
 
     Each letter contributes its class with the conjugator applied.  The
     quotient depends only on the span of the classes, so they are read in
-    any order: first the plain letters', which are table lookups, then the
-    conjugated ones, which are transported.  A letter's class depends only
+    any order: first the plain letters' classes, which are table lookups,
+    then the conjugated letters', which are transported.  A letter's class depends only
     on its base curve and conjugator, so each distinct (base, conjugator)
     pair is read once, and only as far as the cokernel reads: it stops once
     the classes span H1(fiber).  gn(n) does so after its first 2n letters,
