@@ -4,10 +4,10 @@
   on a genus-n one-boundary fiber, repeatedly trade a (chain)^4 block for
   d2 e2 (after a commutation pull), producing n+1 fillings of the same
   open book whose Euler characteristics descend by 10.  The one trade is
-  verified once per call, not once per member, and its verdict kept once;
-  every member then equals X_0 by substituting it.  Of its two checks, the
-  pull (``prop9_factor``) is cached per (n, cap), so a process makes it
-  once, and the substitution is decided on every call.
+  verified once, not once per member, and every member then equals X_0 by
+  substituting it.  The trade is cached per (n, cap) with its settled
+  verdict, so a process decides its pull (``prop9_factor``) and its
+  substitution once.
 * ``trefoil_completions`` — two sphere-fibration completions of the
   two-letter torus fibration: the algorithmic double (24 letters) and the
   short closure gn(1) = (ab)^6 (12 letters), with the verdict of the
@@ -33,6 +33,8 @@ Invariants of the objects (chi, H1) are left to the functions of
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .fibration import (
     AbelianGroup,
     Fibration,
@@ -46,6 +48,25 @@ from .snf import abelian_group_from_columns
 from .surface import SurfaceSig, Twist, TwistWord, chain_relator, chain_word
 
 
+@lru_cache(maxsize=None)
+def _trade(n: int, cap: int) -> tuple[tuple[Twist, ...], tuple[str, str]]:
+    """S's letters and the settled (verdict, engine) of trading (chain)^4 for S.
+
+    ``prop9_factor`` decides (chain)^4 = (a1 b1 a2)^4 . psi and
+    ``chain_substitute`` decides (a1 b1 a2)^4 . psi = S, with S the pulled
+    word's (a1 b1 a2)^4 replaced by d2 e2.  Kept per (n, cap), as
+    ``pi1.twist_tables`` is per genus, and always called positionally, so
+    every spelling of a ``theorem11_family`` call shares one entry; the
+    letters are immutable and shared by every caller.  A raise is not
+    cached, so a "false" check raises on every call, and an "unknown" one
+    is passed on only to callers with the same cap.
+    """
+    prefix, rest, pulled = prop9_factor(n, cap)
+    substituted = chain_substitute(prefix * rest, cap)
+    return (substituted.output.letters,
+            settle("rewriting step failed verification", pulled, substituted.verdict))
+
+
 def theorem11_family(n: int, cap: int = DEFAULT_CAP
                      ) -> tuple[tuple[Fibration, ...], tuple[str, str]]:
     """Build the n+1 fillings X_0 ... X_n on the genus-n one-boundary fiber.
@@ -53,26 +74,21 @@ def theorem11_family(n: int, cap: int = DEFAULT_CAP
     X_0 carries (chain)^(4n+2); step i pulls (a1 b1 a2)^4 to the front of
     the leading (chain)^4 block of the unconsumed power and substitutes
     d2 e2, shortening the word by 10.  Every step trades the same block,
-    so the trade is rewritten and verified once per call:
-    ``prop9_factor`` decides (chain)^4 = (a1 b1 a2)^4 . psi, once per
-    process for each (n, cap), and ``chain_substitute`` decides
-    (a1 b1 a2)^4 . psi = S.  X_i is X_0 with i copies of (chain)^4
-    replaced by S, so S = (chain)^4 rel boundary gives X_i = X_0 by
-    substitution in the group.  Returns the fillings and the trade's
-    (verdict, engine), which is every step's: the two rewrites' verdicts
-    settled by ``pi1.settle``.
+    so the trade is rewritten and verified once per process for each
+    (n, cap): ``prop9_factor`` decides (chain)^4 = (a1 b1 a2)^4 . psi and
+    ``chain_substitute`` decides (a1 b1 a2)^4 . psi = S.  X_i is X_0 with
+    i copies of (chain)^4 replaced by S, so S = (chain)^4 rel boundary
+    gives X_i = X_0 by substitution in the group.  Returns the fillings
+    and the trade's (verdict, engine), which is every step's: the two
+    rewrites' verdicts settled by ``pi1.settle``.
     """
     if n < 2:
         raise ValueError("the family needs genus n >= 2")
     sig = SurfaceSig(n, 1)
-    prefix, rest, pulled = prop9_factor(n, cap)
-    substituted = chain_substitute(prefix * rest, cap)
-    trade = settle("rewriting step failed verification", pulled, substituted.verdict)
-
+    s, trade = _trade(n, cap)
     fillings = [Fibration("disk", chain_relator(sig))]
     for i in range(1, n + 1):
-        word = TwistWord._trusted(sig, substituted.output.letters * i
-                                  + chain_word(sig, 4 * (n - i) + 2).letters)
+        word = TwistWord._trusted(sig, s * i + chain_word(sig, 4 * (n - i) + 2).letters)
         fillings.append(Fibration("disk", word))
     return tuple(fillings), trade
 

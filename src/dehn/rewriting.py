@@ -24,9 +24,9 @@ pair as it came:
   ``pi1.CHAIN_RELATIONS``, checked with the rest of the relator corpus.
   Its left side is parsed once, into ``_TRADE_LHS``, and ``prop9_factor``
   is the one commutation pull of it out of (chain)^4, which
-  ``constructions.theorem11_family`` builds on.  The pull and its verdict
-  are cached per (n, cap), so a process pulls and verifies it once;
-  ``chain_substitute`` decides its substitution on every call.
+  ``constructions.theorem11_family`` builds on.  Neither is cached here:
+  ``constructions`` keeps the whole trade, pull and substitution, per
+  (n, cap), so a process verifies it once.
 
 Every output letter is a letter of the input or is built from curve names
 standard on its surface, so outputs are built with ``TwistWord._trusted``
@@ -36,8 +36,6 @@ and ``commute_pull`` builds each hopped letter the same way.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .pi1 import CHAIN_TRADE, DEFAULT_CAP, decide_equal, settle
 from .surface import (
@@ -137,7 +135,6 @@ def commute_pull(w: TwistWord, pattern: TwistWord,
     return RewriteReport(output, steps, decide_equal(w, output, "auto", cap))
 
 
-@lru_cache(maxsize=None)
 def prop9_factor(n: int, cap: int = DEFAULT_CAP
                  ) -> tuple[TwistWord, TwistWord, tuple[str, str]]:
     """Factor (chain)^4 on (g=n, b=1) as (a1 b1 a2)^4 . psi.
@@ -145,13 +142,9 @@ def prop9_factor(n: int, cap: int = DEFAULT_CAP
     psi consists of 8n - 12 conjugated positive twists about nonseparating
     curves; the factorization is verified by the faithful engine, and the
     third value is that (verdict, engine): a "false" one raises, and an
-    "unknown" one (a resource cap) is passed on.
-
-    The result is cached per (n, cap), as ``pi1.twist_tables`` is per
-    genus, so each process pulls and verifies it once; its words are
-    immutable and shared by every caller.  A raise is not cached, so a
-    "false" pull raises on every call, and an "unknown" one is passed on
-    to each caller with the same cap.
+    "unknown" one (a resource cap) is passed on.  Each call pulls and
+    verifies anew; ``theorem11_family`` keeps the pull, with its
+    substitution, once per (n, cap).
     """
     if n < 2:
         raise ValueError("factorization requires genus >= 2")

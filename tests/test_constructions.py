@@ -27,6 +27,7 @@ from dehn import (
     theorem11_family,
     trefoil_completions,
 )
+from dehn.constructions import _trade
 from dehn.fibration import AbelianGroup
 from dehn.homology import homology_class, identity_matrix, is_identity, word_matrix
 from dehn.pi1 import DEFAULT_CAP, ENGINE_CLOSED, ENGINE_PI1, decide_equal, settle
@@ -53,12 +54,13 @@ FORM2 = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
 
 
 @pytest.fixture(autouse=True)
-def _fresh_prop9_cache():
-    # prop9_factor keeps its pull per (n, cap) for the process; a test that
-    # patches what it calls must see the patch run, and leave no pull behind
-    prop9_factor.cache_clear()
+def _fresh_trade_cache():
+    # theorem11_family keeps its trade per (n, cap) for the process; a test
+    # that patches what the trade calls must see the patch run, and leave no
+    # trade behind
+    _trade.cache_clear()
     yield
-    prop9_factor.cache_clear()
+    _trade.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +167,24 @@ def test_family_decides_only_its_two_rewrites(monkeypatch):
         assert len(calls) == 2, n
 
 
-def test_a_second_family_decides_only_its_substitution(monkeypatch):
-    # the pull is kept per (n, cap); the substitution is decided per call
+def test_a_second_family_decides_nothing(monkeypatch):
+    # the whole trade, pull and substitution, is kept per (n, cap)
     calls = _counted_decisions(monkeypatch)
     for n in (2, 3, 4, 5):
         first = theorem11_family(n)
         calls.clear()
         assert theorem11_family(n) == first
-        assert len(calls) == 1, n
-        assert len(calls[0][0]) == 8 * n  # (a1 b1 a2)^4 . psi, the substitution's input
+        assert calls == [], n
+
+
+def test_every_spelling_of_a_family_call_shares_one_trade(monkeypatch):
+    calls = _counted_decisions(monkeypatch)
+    results = [theorem11_family(2), theorem11_family(2, DEFAULT_CAP),
+               theorem11_family(n=2), theorem11_family(2, cap=DEFAULT_CAP)]
+    assert all(r == results[0] for r in results)
+    assert _trade.cache_info().misses == 1
+    # one pull of (chain)^4 (8n letters) and one substitution of its factors
+    assert [(len(w1), len(w2)) for w1, w2, *_ in calls] == [(16, 16), (16, 6)]
 
 
 def test_a_false_pull_raises_on_every_call(monkeypatch):
@@ -183,6 +194,42 @@ def test_a_false_pull_raises_on_every_call(monkeypatch):
             prop9_factor(2)
         with pytest.raises(AssertionError, match="commutation pull"):
             theorem11_family(2)
+
+
+def test_a_false_substitution_raises_on_every_call(monkeypatch):
+    _family_with_trade_verdict(monkeypatch, "chain_substitute", "false")
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="rewriting step"):
+            theorem11_family(2)
+
+
+def test_an_unknown_substitution_stays_with_its_cap(monkeypatch):
+    import dehn.constructions
+
+    real = dehn.constructions.chain_substitute
+    odd_cap = 2 * DEFAULT_CAP
+
+    def patched(w, cap):
+        rep = real(w, cap)
+        verdict = ("unknown", rep.verdict[1]) if cap == odd_cap else rep.verdict
+        return RewriteReport(rep.output, rep.steps, verdict)
+
+    monkeypatch.setattr(dehn.constructions, "chain_substitute", patched)
+    assert theorem11_family(2, odd_cap)[-1] == ("unknown", ENGINE_PI1)
+    assert theorem11_family(2)[-1] == ("true", ENGINE_PI1)
+    assert theorem11_family(2, odd_cap)[-1] == ("unknown", ENGINE_PI1)
+    assert _trade.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 10])
+def test_a_second_family_request_writes_the_same_bytes(n):
+    from dehn.cli import run
+
+    outs = [io.StringIO(), io.StringIO()]
+    for out in outs:
+        assert run(["family", "--n", str(n)], stdin=io.StringIO(""), stdout=out) == 0
+    assert outs[0].getvalue() == outs[1].getvalue()
+    assert _trade.cache_info().hits == 1
 
 
 def test_an_unknown_pull_stays_with_its_cap(monkeypatch):
