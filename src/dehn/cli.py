@@ -111,9 +111,10 @@ EXIT_UNKNOWN = 3
 
 _VERDICT_EXIT = {"true": EXIT_TRUE, "false": EXIT_FALSE, "unknown": EXIT_UNKNOWN}
 
-# Largest --n each command accepts.  At the bound, the first request of a
-# fresh process takes about 7 ms for family and 3 ms for gn (medians of 11,
-# Python 3.11 on a 2-core machine).
+# Largest --n each command accepts.  At the bound, the first family request
+# of a fresh process, which decides the Theorem 11 trade, takes about 8-13 ms
+# and a second one, which finds it kept, 2-5 ms; gn takes about 2 ms
+# (medians of 11 and 21 processes, Python 3.11 on a 2-core machine).
 FAMILY_MAX_N = 10
 GN_MAX_N = 24
 
