@@ -13,8 +13,9 @@ keep reports deterministic.  Every report opens with a ``"command"`` field, whic
 ``run`` writes for a command's report and for an error report alike; the
 commands return the rest.  The output of positivize and double is bounded
 by ``rewriting.OUTPUT_MAX_LETTERS``: ``positivize`` counts it before any
-of it is built and raises ``ValueError``, which ``run`` reports as an
-input error like every library rejection.
+of it is built and raises ``rewriting.OutputTooLarge``, which ``run``
+reports as an input error naming the request's field ``'word'``; every
+other library rejection is a ``ValueError`` reported with its own text.
 
 Every report is written as ``json.dumps(report, indent=2)`` would write
 it.  Reports that carry a word (``word_out``) hold it as a TwistWord, and
@@ -92,7 +93,7 @@ from .pi1 import (
     apply_word,
     decide_equal,
 )
-from .rewriting import OUTPUT_MAX_LETTERS, positivize
+from .rewriting import OUTPUT_MAX_LETTERS, OutputTooLarge, positivize
 from .surface import (
     SurfaceSig,
     Twist,
@@ -502,6 +503,10 @@ def run(argv=None, stdin=None, stdout=None) -> int:
         if args.cap < 1:
             raise InputError("--cap must be at least 1")
         body, code = _COMMANDS[args.command](args, stdin)
+    # positivize and double expand the word of the request's field 'word'
+    except OutputTooLarge as exc:
+        body, code = {"error": f"field 'word' would give {exc.size} output letters "
+                               f"counting conjugators, more than {exc.limit}"}, EXIT_INPUT
     # the library raises ValueError on requests it rejects; both are input errors
     except (InputError, ValueError) as exc:
         body, code = {"error": str(exc)}, EXIT_INPUT

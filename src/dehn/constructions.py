@@ -42,13 +42,13 @@ from .fibration import (
     gn_word,
 )
 from .homology import Matrix, word_matrix
-from .pi1 import DEFAULT_CAP, decide_equal, settle
-from .rewriting import _positive_word, chain_substitute, prop9_factor
+from .pi1 import CACHED_VERDICTS, DEFAULT_CAP, decide_equal, settle
+from .rewriting import _positive_word, _positivized_verdict, chain_substitute, prop9_factor
 from .snf import abelian_group_from_columns
 from .surface import SurfaceSig, Twist, TwistWord, chain_relator, chain_word
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_VERDICTS)
 def _trade(n: int, cap: int) -> tuple[tuple[Twist, ...], tuple[str, str]]:
     """S's letters and the settled (verdict, engine) of trading (chain)^4 for S.
 
@@ -59,7 +59,9 @@ def _trade(n: int, cap: int) -> tuple[tuple[Twist, ...], tuple[str, str]]:
     every spelling of a ``theorem11_family`` call shares one entry; the
     letters are immutable and shared by every caller.  A raise is not
     cached, so a "false" check raises on every call, and an "unknown" one
-    is passed on only to callers with the same cap.
+    is passed on only to callers with the same cap.  At most
+    ``pi1.CACHED_VERDICTS`` entries are kept, the least recently used
+    evicted first, so many caps do not grow the process.
     """
     prefix, rest, pulled = prop9_factor(n, cap)
     substituted = chain_substitute(prefix * rest, cap)
@@ -185,15 +187,19 @@ def splitting_words(phi: TwistWord, cap: int = DEFAULT_CAP
     x1 positivizes phi; x2 positivizes the reverse-inverse of x1's word, so
     the concatenation x1.word x2.word acts trivially on homology (and is
     trivial rel nothing by construction).  The third value settles the two
-    positivizations' verdicts: one verified "false" raises, and an
-    "unknown" one is passed on.  Either positivization raises
-    ``ValueError`` on a bounded fiber, and when its output, conjugator
-    letters included, would pass ``rewriting.OUTPUT_MAX_LETTERS``; both
-    outputs are built and counted before either is verified.
+    positivizations' verdicts, each verified as ``positivize`` verifies its
+    own, by the inverse-twist lemmas of its negative curves
+    (``rewriting._positivized_verdict``): one verified "false" raises, and
+    an "unknown" one is passed on.  Either positivization raises
+    ``ValueError`` on a bounded fiber, and ``rewriting.OutputTooLarge``
+    when its output, conjugator letters included, would pass
+    ``rewriting.OUTPUT_MAX_LETTERS``; both outputs are built and counted
+    before either is verified.
     """
     x1, _ = _positive_word(phi)
     back = x1.inverse()
     x2, _ = _positive_word(back)
     verdict = settle("positivization failed verification",
-                     decide_equal(phi, x1, "auto", cap), decide_equal(back, x2, "auto", cap))
+                     _positivized_verdict(phi, x1, cap, "auto"),
+                     _positivized_verdict(back, x2, cap, "auto"))
     return Fibration("disk", x1), Fibration("disk", x2), verdict

@@ -9,8 +9,7 @@ equality engines where needed).
 ``gn_word``, ``fiber_sum`` and ``double_report`` build sphere fibrations
 whose words are trivial by a theorem or by construction, and skip that
 check.  ``double_report`` returns the doubled fibration and the
-(verdict, engine) pair of ``decide_equal`` for its positivization, settled
-by ``pi1.settle``.
+(verdict, engine) pair of its positivization, settled by ``pi1.settle``.
 
 Invariants are computed from the handle decomposition: the Euler
 characteristic from the letter count, and first homology of the total
@@ -77,11 +76,14 @@ class Fibration(Record):
 
         For a positive word on a closed surface that is trivial by a
         theorem (the chain relation), is a product of words already
-        checked, or is the positivization of a trivial word that was not
-        decided unequal to it: ``decide_equal`` answers "false" on every
-        engine when the two act differently on homology, so an "unknown"
-        positivization acts trivially too.  Every other word goes through
-        the public constructor.
+        checked, or is the positivization of a trivial word whose
+        inverse-twist lemmas were not decided "false" (``positivize``'s
+        verdict).  ``decide_equal`` answers "false" on every engine when
+        a lemma's two sides act differently on homology, so every lemma
+        that is "true" or "unknown" holds on homology, and the output,
+        which is the trivial word with each lemma's left side replaced by
+        a conjugate of its right side, acts trivially on homology too.
+        Every other word goes through the public constructor.
         """
         return cls._trusted("sphere", word)
 
@@ -154,8 +156,9 @@ def double_report(palf: Fibration, cap: int = DEFAULT_CAP,
     checked first.  Returns the sphere fibration and the positivization's
     verdict, settled by ``pi1.settle``: a "false" one raises, and an
     "unknown" one is passed on.  The doubled word is trivial, and a
-    positivization not decided unequal to it acts trivially on homology,
-    so the sphere fibration skips that check.
+    positivization whose lemmas were not decided "false" acts trivially on
+    homology (``Fibration._certified_sphere``), so the sphere fibration
+    skips that check.
     """
     if palf.base != "disk" or palf.fiber.boundary != 1:
         raise ValueError("doubling applies to disk fibrations over a one-boundary fiber")

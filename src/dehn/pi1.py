@@ -110,6 +110,13 @@ from .surface import (
 
 DEFAULT_CAP = 10**6
 
+# Most entries that each per-process cache of decided verdicts keeps: the
+# inverse-twist lemmas of ``rewriting`` and the Theorem 11 trade of
+# ``constructions``.  Both key on the cap, so a verdict never depends on what
+# the process decided before, and a caller that passes many caps evicts the
+# least recently used entry instead of growing the process.
+CACHED_VERDICTS = 256
+
 # the 3-chain relation (lhs, rhs): Theorem 11's one trade rests on it, and as a
 # corpus row it checks the e2 table, which is built without it
 CHAIN_TRADE = (" ".join(["a1 b1 a2"] * 4), "d2 e2")

@@ -2,8 +2,8 @@
 
 Three rewriting algorithms on twist words, each returning a
 :class:`RewriteReport` whose output is verified equal to the input by the
-strongest applicable engine, holding ``decide_equal``'s (verdict, engine)
-pair as it came:
+strongest applicable engine, holding a (verdict, engine) pair of
+``decide_equal`` as it came:
 
 * ``commute_pull`` — move a pattern's letters to the front one adjacent
   transposition at a time; the hopped-over letter picks up a conjugator
@@ -16,8 +16,14 @@ pair as it came:
   transport (``transport_pairs``) is read off the curve table alone, and
   worked out once per distinct negative curve of a word; from the same
   map positivize counts its output, conjugator letters included, and
-  raises ``ValueError`` past ``OUTPUT_MAX_LETTERS`` before it builds any
-  of it.
+  raises ``OutputTooLarge`` past ``OUTPUT_MAX_LETTERS`` before it builds
+  any of it.  Its output is not decided against the input: each negative
+  letter uses one identity, t_c^-1 = v^-1 . E . v with v the transport of
+  c and E the expansion (Farb-Margalit, Prop. 4.12), so the verdict is
+  that of the lemma of each distinct negative curve (``_inverse_lemma``),
+  decided once per process per (surface, curve, cap, engine).
+  ``constructions.splitting_words`` verifies both its positivizations the
+  same way (``_positivized_verdict``).
 * ``chain_substitute`` — replace a literal (a1 b1 a2)^4 block by d2 e2,
   shortening the word by ten letters.  Both sides are ``pi1.CHAIN_TRADE``,
   the one spelling of the trade, which is also a row of
@@ -37,7 +43,9 @@ and ``commute_pull`` builds each hopped letter the same way.
 
 from __future__ import annotations
 
-from .pi1 import CHAIN_TRADE, DEFAULT_CAP, decide_equal, settle
+from functools import lru_cache
+
+from .pi1 import CACHED_VERDICTS, CHAIN_TRADE, DEFAULT_CAP, decide_equal, settle
 from .surface import (
     Record,
     SurfaceSig,
@@ -56,6 +64,19 @@ from .surface import (
 # expansion of a1^-1, each conjugated by u and the transport of c.  One
 # b24^-1 at genus 24 gives 446,785 letters.
 OUTPUT_MAX_LETTERS = 1_000_000
+
+
+class OutputTooLarge(ValueError):
+    """A positivization whose output, conjugator letters included, passes ``OUTPUT_MAX_LETTERS``.
+
+    ``size`` is the count the output would have had and ``limit`` the bound
+    it passed; the CLI names the request field that gave it.
+    """
+
+    def __init__(self, size: int, limit: int):
+        super().__init__(f"the positivized word would have {size} letters counting "
+                         f"conjugators, more than {limit}")
+        self.size, self.limit = size, limit
 
 
 class RewriteReport(Record):
@@ -172,11 +193,11 @@ def inverse_twist_expansion(sig: SurfaceSig) -> TwistWord:
 def _positive_word(w: TwistWord) -> tuple[TwistWord, int]:
     """``positivize``'s output and its count of negative letters, built with no check.
 
-    Raises ``ValueError`` on a bounded surface, and past
-    ``OUTPUT_MAX_LETTERS`` before any output is built.  ``positivize`` and
-    ``dehn.constructions.splitting_words`` both build their outputs here,
-    so a split whose second output is too large raises before either is
-    verified.
+    Raises ``ValueError`` on a bounded surface, and ``OutputTooLarge`` past
+    ``OUTPUT_MAX_LETTERS`` before any output is built.  ``positivize``,
+    ``dehn.constructions.splitting_words`` and ``_inverse_lemma`` all build
+    their outputs here, so a split whose second output is too large raises
+    before either is verified.
     """
     sig = w.surface
     if sig.boundary != 0:
@@ -188,9 +209,8 @@ def _positive_word(w: TwistWord) -> tuple[TwistWord, int]:
     size = sum(1 + len(t.conj) if t.sign > 0
                else len(expansion) * (1 + len(t.conj) + len(transports[t.base]))
                for t in w.letters)
-    if size > OUTPUT_MAX_LETTERS:  # named as the CLI request's field, which it reports
-        raise ValueError(f"field 'word' would give {size} output letters counting "
-                         f"conjugators, more than {OUTPUT_MAX_LETTERS}")
+    if size > OUTPUT_MAX_LETTERS:
+        raise OutputTooLarge(size, OUTPUT_MAX_LETTERS)
     out: list[Twist] = []
     steps = 0
     for t in w.letters:
@@ -204,6 +224,46 @@ def _positive_word(w: TwistWord) -> tuple[TwistWord, int]:
     return TwistWord._trusted(sig, tuple(out)), steps
 
 
+@lru_cache(maxsize=CACHED_VERDICTS)
+def _inverse_lemma(sig: SurfaceSig, curve: str, cap: int, engine: str) -> tuple[str, str]:
+    """``decide_equal``'s pair for t_c^-1 = v^-1 . E . v, c = ``curve`` on ``sig``.
+
+    E is ``inverse_twist_expansion(sig)``, the chain relator less one step,
+    and v the transport of c to a1, so the right side is every letter of E
+    conjugated by ``invert_steps(transport_pairs(c, sig))``: the one-letter
+    word c^-1 positivized by ``_positive_word``, which builds every
+    negative letter of every output this way, after the letter's own
+    conjugator.  Kept per (surface, curve, cap, engine) for the process,
+    as ``constructions._trade`` keeps the family trade, and always called
+    positionally, so each spelling shares one entry; the cap and the engine
+    stay in the key, so a verdict never depends on an earlier call.
+    """
+    inverse = TwistWord._trusted(sig, (Twist._trusted(curve, -1, ()),))
+    return decide_equal(inverse, _positive_word(inverse)[0], engine, cap)
+
+
+def _positivized_verdict(w: TwistWord, output: TwistWord, cap: int,
+                         engine: str) -> tuple[str, str]:
+    """The (verdict, engine) of output = w, for ``output`` built by ``_positive_word(w)``.
+
+    The output is w with each negative letter u . t_c^-1 . u^-1 replaced by
+    u . (v^-1 E v) . u^-1, letter for letter.  Conjugation by u is a
+    homomorphism, so when t_c^-1 = v^-1 E v holds (``_inverse_lemma``),
+    every replacement substitutes equal elements and output = w; the lemma
+    is decided by the same engine, in the same group, as a decision of
+    w against output would be.  So the verdict is the lemmas' of w's
+    distinct negative curves: the first pair that is not "true", else the
+    last.  A "false" lemma means the expansion is wrong and is passed on
+    as the verdict, which the constructions settle by raising.  A word
+    with no negative letter is its own output, and is decided against it.
+    """
+    curves = dict.fromkeys(t.base for t in w.letters if t.sign < 0)
+    if not curves:
+        return decide_equal(w, output, engine, cap)
+    lemmas = [_inverse_lemma(w.surface, c, cap, engine) for c in curves]
+    return next((pair for pair in lemmas if pair[0] != "true"), lemmas[-1])
+
+
 def positivize(w: TwistWord, cap: int = DEFAULT_CAP,
                engine: str = "auto") -> RewriteReport:
     """Rewrite a signed word on a closed surface as all-positive letters.
@@ -213,13 +273,17 @@ def positivize(w: TwistWord, cap: int = DEFAULT_CAP,
     conjugated by u . (transport of c)^-1.  Positive letters pass through.
     Output length is P + N * len(expansion) for P positive and N negative
     input letters.  Counting conjugator letters too, an output of more
-    than ``OUTPUT_MAX_LETTERS`` raises ``ValueError``, naming its size,
-    before any of it is built or verified (``_positive_word``).
-    ``engine`` selects the verification tier ("auto" uses the strongest
-    applicable engine; "homology" is the cheap necessary check).
+    than ``OUTPUT_MAX_LETTERS`` raises ``OutputTooLarge``, a ``ValueError``
+    naming its size, before any of it is built or verified
+    (``_positive_word``).  The verdict is not a decision of the whole
+    output against w: it is that of the inverse-twist lemma of each
+    distinct negative curve (``_positivized_verdict``), each decided once
+    per process for its surface, cap and engine.  ``engine`` selects the
+    verification tier ("auto" uses the strongest applicable engine;
+    "homology" is the cheap necessary check).
     """
     output, steps = _positive_word(w)
-    return RewriteReport(output, steps, decide_equal(w, output, engine, cap))
+    return RewriteReport(output, steps, _positivized_verdict(w, output, cap, engine))
 
 
 # the two sides of CHAIN_TRADE as plain positive letters, built once

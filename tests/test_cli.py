@@ -487,6 +487,21 @@ def test_output_letter_upper_bound():
         build_parser().format_help().split())
 
 
+def test_output_bound_errors_name_the_word_field(monkeypatch):
+    # the library's error names no field; a positivize or double report
+    # names the request's, in the same bytes as before the library's changed
+    import dehn.rewriting
+
+    monkeypatch.setattr(dehn.rewriting, "OUTPUT_MAX_LETTERS", 10)
+    for command, boundary, names, size in (("positivize", 0, ("a1^-1",), 11),
+                                            ("double", 1, ("a1", "b1"), 46)):
+        code, _, text = run_cli([command], {"surface": surface(1, boundary),
+                                            "word": letters(*names)})
+        assert code == 2 and text == (
+            f'{{\n  "command": "{command}",\n  "error": "field \'word\' would give {size} '
+            f'output letters counting conjugators, more than 10"\n}}\n')
+
+
 def test_output_at_the_bound_passes(monkeypatch):
     import dehn.rewriting
 
@@ -532,15 +547,20 @@ def test_each_request_transports_each_negative_curve_once(monkeypatch):
     transport_pairs = dehn.rewriting.transport_pairs
     monkeypatch.setattr(dehn.rewriting, "transport_pairs",
                         lambda curve, sig: calls.append(curve) or transport_pairs(curve, sig))
-    # b2^-1 (a1 b2^-1 a1^-1): b2 is negative twice, and transported once
+    # b2^-1 (a1 b2^-1 a1^-1): b2 is negative twice, and transported once for
+    # the output; the first request also transports it for b2's inverse-twist
+    # lemma, which later requests find kept
     word = [{"base": "b2", "sign": -1}, {"base": "b2", "sign": -1, "conj": [{"base": "a1"}]}]
-    code, _, _ = run_cli(["positivize"], {"surface": surface(2, 0), "word": word})
-    assert code == 0 and calls == ["b2"]
-    # double positivizes a1 b2 d2 b2 . b2^-1 d2^-1 b2^-1 a1^-1
+    for expected in (["b2", "b2"], ["b2"]):
+        calls.clear()
+        code, _, _ = run_cli(["positivize"], {"surface": surface(2, 0), "word": word})
+        assert code == 0 and calls == expected
+    # double positivizes a1 b2 d2 b2 . b2^-1 d2^-1 b2^-1 a1^-1, and decides
+    # the lemmas of d2 and a1, b2's being kept
     calls.clear()
     code, _, _ = run_cli(["double"], {"surface": surface(2, 1),
                                       "word": letters("a1", "b2", "d2", "b2")})
-    assert code == 0 and calls == ["b2", "d2", "a1"]
+    assert code == 0 and calls == ["b2", "d2", "a1", "d2", "a1"]
 
 
 def test_trefoil():
@@ -562,8 +582,10 @@ def test_trefoil_reports_the_engine_verdict(monkeypatch):
 
 
 def test_trefoil_decides_each_pair_once(monkeypatch):
-    # the positivization inside the double, then big against small; the
-    # report writes the second verdict and does not decide it again
+    # the positivization inside the double, a1 b1 b1^-1 a1^-1, by the
+    # inverse-twist lemmas of b1 and a1 (1 letter against 11), then big
+    # against small; the report writes the second verdict and does not
+    # decide it again, and a second request finds both lemmas kept
     import dehn.cli
     import dehn.constructions
     import dehn.rewriting
@@ -579,7 +601,10 @@ def test_trefoil_decides_each_pair_once(monkeypatch):
         monkeypatch.setattr(module, "decide_equal", spy)
     code, rep, _ = run_cli(["trefoil"])
     assert code == 0 and rep["verdict"] == "true"
-    assert calls == [(4, 24), (24, 12)]
+    assert calls == [(1, 11), (1, 11), (24, 12)]
+    calls.clear()
+    assert run_cli(["trefoil"])[:2] == (code, rep)
+    assert calls == [(24, 12)]
 
 
 def test_branched_double():

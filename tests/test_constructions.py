@@ -28,9 +28,10 @@ from dehn import (
     trefoil_completions,
 )
 from dehn.constructions import _trade
+from dehn.rewriting import _inverse_lemma
 from dehn.fibration import AbelianGroup
 from dehn.homology import homology_class, identity_matrix, is_identity, word_matrix
-from dehn.pi1 import DEFAULT_CAP, ENGINE_CLOSED, ENGINE_PI1, decide_equal, settle
+from dehn.pi1 import CACHED_VERDICTS, DEFAULT_CAP, ENGINE_CLOSED, ENGINE_PI1, decide_equal, settle
 from dehn.rewriting import RewriteReport
 
 from matrices import mat_mul
@@ -51,16 +52,6 @@ def mat_vec(a, v):
 
 # Gram matrix of the intersection form on the fixed basis of a genus-2 surface
 FORM2 = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
-
-
-@pytest.fixture(autouse=True)
-def _fresh_trade_cache():
-    # theorem11_family keeps its trade per (n, cap) for the process; a test
-    # that patches what the trade calls must see the patch run, and leave no
-    # trade behind
-    _trade.cache_clear()
-    yield
-    _trade.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +238,24 @@ def test_an_unknown_pull_stays_with_its_cap(monkeypatch):
     assert theorem11_family(2, odd_cap)[-1] == ("unknown", ENGINE_PI1)
 
 
+def test_many_caps_keep_at_most_the_cache_size():
+    # the trade and the inverse-twist lemmas are kept per cap, so each cap
+    # gets its own decision, but a process keeps at most CACHED_VERDICTS of
+    # each, the least recently used evicted first
+    caps = range(1000, 1000 + CACHED_VERDICTS + 20)
+    inverse = word(CLOSED2, "b1^-1")
+    assert {theorem11_family(2, cap)[-1] for cap in caps} == {("true", ENGINE_PI1)}
+    assert {positivize(inverse, cap).verdict for cap in caps} == {("true", ENGINE_CLOSED)}
+    for cache in (_trade, _inverse_lemma):
+        info = cache.cache_info()
+        assert info.maxsize == info.currsize == CACHED_VERDICTS
+        assert info.misses == len(caps)
+    # an evicted cap is decided again, to the same verdict
+    assert theorem11_family(2, caps[0])[-1] == ("true", ENGINE_PI1)
+    assert positivize(inverse, caps[0]).verdict == ("true", ENGINE_CLOSED)
+    assert _trade.cache_info().misses == _inverse_lemma.cache_info().misses == len(caps) + 1
+
+
 def test_family_rejects_small_genus():
     with pytest.raises(ValueError):
         theorem11_family(1)
@@ -391,9 +400,11 @@ def test_splitting_words_at_closed_genus_three():
 
 @pytest.mark.parametrize("failing_call", [1, 2])
 def test_splitting_words_raises_on_a_false_positivization(monkeypatch, failing_call):
-    import dehn.constructions
+    # both stages are verified by inverse-twist lemmas: a1's for x1, then
+    # b1's and a1's for the inverse of x1 = b1 (a1 b1)^5, a1's being kept
+    import dehn.rewriting
 
-    real = dehn.constructions.decide_equal
+    real = dehn.rewriting.decide_equal
     calls = []
 
     def decide(*args):
@@ -401,10 +412,10 @@ def test_splitting_words_raises_on_a_false_positivization(monkeypatch, failing_c
         verdict, engine = real(*args)
         return ("false", engine) if len(calls) == failing_call else (verdict, engine)
 
-    monkeypatch.setattr(dehn.constructions, "decide_equal", decide)
+    monkeypatch.setattr(dehn.rewriting, "decide_equal", decide)
     with pytest.raises(AssertionError):
         splitting_words(word(TORUS, "a1^-1"))
-    assert len(calls) == 2
+    assert [w1.letters[0].base for w1, *_ in calls] == ["a1", "b1"]
 
 
 def test_splitting_words_rejects_bounded_fiber():

@@ -25,12 +25,14 @@ from dehn import (
 from dehn.homology import homology_class, homology_equal, transported_class
 from dehn.pi1 import (
     CHAIN_RELATIONS,
+    DEFAULT_CAP,
     ENGINE_CLOSED,
     ENGINE_HOMOLOGY_FAITHFUL,
+    ENGINE_HOMOLOGY_NECESSARY,
     ENGINE_PI1,
     _reduced_psi,
 )
-from dehn.rewriting import transport_pairs
+from dehn.rewriting import OutputTooLarge, _inverse_lemma, transport_pairs
 from dehn.surface import curve_classes
 from two_streams import two_stream_verdict
 
@@ -263,10 +265,12 @@ def _rejected(monkeypatch, build, count):
         m.setattr(dehn.pi1, "twist_tables",
                   lambda genus: seen.append("twist_tables") or real_tables(genus))
         m.setattr(dehn.rewriting, "OUTPUT_MAX_LETTERS", count - 1)
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(OutputTooLarge) as exc:
             build()
-    assert str(exc.value) == (f"field 'word' would give {count} output letters "
+    # a library caller has no request field, so none is named
+    assert str(exc.value) == (f"the positivized word would have {count} letters "
                               f"counting conjugators, more than {count - 1}")
+    assert (exc.value.size, exc.value.limit) == (count, count - 1)
     return seen
 
 
@@ -345,43 +349,150 @@ def test_positivize_transports_each_negative_base_once(monkeypatch):
     sig = SurfaceSig(2, 0)
     w = TwistWord(sig, (Twist("b2", -1), Twist("a1", 1), Twist("b2", -1, (("a1", 1),)),
                         Twist("d2", -1), Twist("b2", -1, (("b1", -1),)), Twist("d2", -1)))
+    # once for the output, and once for each lemma that is not yet kept
+    positivize(w, engine="homology")
+    assert calls == ["b2", "d2", "b2", "d2"]
+    calls.clear()
     positivize(w, engine="homology")
     assert calls == ["b2", "d2"]
     # the output is counted from the same transports, also when it is rejected
     calls.clear()
     monkeypatch.setattr(dehn.rewriting, "OUTPUT_MAX_LETTERS", 0)
-    with pytest.raises(ValueError, match="output letters"):
+    with pytest.raises(OutputTooLarge, match="1600 letters"):
         positivize(w, engine="homology")
     assert calls == ["b2", "d2"]
 
 
-@pytest.mark.parametrize("genus", [2, 3, 4])
+@pytest.mark.parametrize("genus", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_every_single_inverse_collapses_before_the_engine(genus):
     # t_c^-1 becomes v^-1 . E . v, v the transport of c and E the chain
     # relator less one step, so psi holds E^-1, a walk of L - 1 steps that
     # the more-than-half rule of the chain turns into one step.  What is
     # left, c^-1 . v^-1 . a1 . v, is trivial by the braid relators of v's
-    # hops, and the braid pass empties it
+    # hops, and the braid pass empties it.  That is each curve's
+    # inverse-twist lemma, which every closed curve has: decided "true" by
+    # the exact engine, and left "unknown" by the necessary one, which
+    # homology decides only at genus 1
     sig = SurfaceSig(genus, 0)
+    exact = ENGINE_HOMOLOGY_FAITHFUL if genus == 1 else ENGINE_CLOSED
+    necessary = ("true", exact) if genus == 1 else ("unknown", ENGINE_HOMOLOGY_NECESSARY)
     for c in curve_classes(sig):
         w = TwistWord(sig, (Twist(c, -1),))
         report = positivize(w)
         assert _reduced_psi(w, report.output) == (), c
-        assert report.verdict == ("true", ENGINE_CLOSED)
+        assert report.verdict == _inverse_lemma(sig, c, DEFAULT_CAP, "auto") == ("true", exact)
+        assert _inverse_lemma(sig, c, DEFAULT_CAP, "homology") == necessary
 
 
-def test_positivize_of_the_fifty_fold_robustness_word_builds_no_image(monkeypatch):
-    # 50 copies of b1 d2 b2 a1 e2^-1 on closed genus 3: psi is 50 conjugates
-    # of c^-1 . v^-1 . a1 . v, trivial by the braid relators of v's hops, so
-    # the passes empty it and no generator image is composed from a step.
-    # Bounded by the work done, not by the time taken
+def _decisions(monkeypatch):
+    """Every ``decide_equal`` call that rewriting makes from now on, as (len(w1), len(w2))."""
+    calls = []
+    real = dehn.rewriting.decide_equal
+    monkeypatch.setattr(dehn.rewriting, "decide_equal", lambda w1, w2, *args: calls.append(
+        (len(w1), len(w2))) or real(w1, w2, *args))
+    return calls
+
+
+def _signed_words(rng, genus, count):
+    """Seeded six-letter words with conjugated letters and one curve negative twice."""
+    sig = SurfaceSig(genus, 0)
+    curves = list(curve_classes(sig))
+
+    def conj():
+        return tuple((rng.choice(curves), rng.choice((1, -1))) for _ in range(rng.randrange(3)))
+
+    for _ in range(count):
+        repeated = rng.choice(curves)
+        letters = [Twist(repeated, -1, conj()) for _ in range(2)]
+        letters += [Twist(rng.choice(curves), rng.choice((1, -1)), conj()) for _ in range(4)]
+        rng.shuffle(letters)
+        yield TwistWord(sig, tuple(letters))
+
+
+def test_positivize_verdict_is_the_whole_decision_where_that_is_decided():
+    # the lemma verdict against deciding the whole output against the input
+    rng = random.Random("inverse-lemma-oracle")
+    decided = 0
+    for genus in (1, 2, 3):
+        for w in _signed_words(rng, genus, 12):
+            for engine in ("auto", "homology"):
+                report = positivize(w, engine=engine)
+                whole = decide_equal(w, report.output, engine)
+                if whole[0] != "unknown":
+                    decided += 1
+                    assert report.verdict == whole, (w, engine)
+                else:
+                    assert report.verdict[0] != "false"
+    assert decided >= 36 + 12  # every exact decision, and every homology one at genus 1
+
+
+def test_a_second_positivize_makes_no_decision(monkeypatch):
+    calls = _decisions(monkeypatch)
+    w = word(SurfaceSig(3, 0), "b2^-1 a1 b2^-1 e2^-1 a3")
+    first = positivize(w)
+    assert calls == [(1, 83), (1, 83)]  # the lemmas of b2 and e2
+    calls.clear()
+    assert positivize(w) == first and calls == []
+    # a positive word has no lemma, and is decided against itself
+    positivize(word(SurfaceSig(3, 0), "a1 b2"))
+    assert calls == [(2, 2)]
+
+
+def test_a_false_lemma_is_positivize_verdict_and_double_raises(monkeypatch):
+    # only b1's lemma answers "false"; a1's, decided first, is "true"
+    real = dehn.rewriting.decide_equal
+
+    def decide(w1, w2, *args):
+        verdict, engine = real(w1, w2, *args)
+        return ("false", engine) if w1.letters[0].base == "b1" else (verdict, engine)
+
+    monkeypatch.setattr(dehn.rewriting, "decide_equal", decide)
+    assert positivize(word(SurfaceSig(2, 0), "a1^-1 b1^-1")).verdict == ("false", ENGINE_CLOSED)
+    assert positivize(word(SurfaceSig(2, 0), "a1^-1")).verdict == ("true", ENGINE_CLOSED)
+    with pytest.raises(AssertionError, match="doubling"):
+        double_report(Fibration("disk", word(T2, "a1 b1")))
+
+
+def _images_seen(monkeypatch):
+    """The stream of every ``_images`` call from now on."""
     streams = []
     real = dehn.pi1._images
     monkeypatch.setattr(dehn.pi1, "_images", lambda genus, stream, cap:
                         streams.append(stream) or real(genus, stream, cap))
+    return streams
+
+
+def test_positivize_of_the_fifty_fold_robustness_word_builds_no_image(monkeypatch):
+    # 50 copies of b1 d2 b2 a1 e2^-1 on closed genus 3: e2's lemma is
+    # c^-1 . v^-1 . a1 . v as steps, trivial by the braid relators of v's
+    # hops, so the passes empty it and no generator image is composed from a
+    # step.  Bounded by the work done, not by the time taken
+    streams = _images_seen(monkeypatch)
     w = word(SurfaceSig(3, 0), " ".join(["b1 d2 b2 a1 e2^-1"] * 50))
     assert positivize(w).verdict == ("true", ENGINE_CLOSED)
     assert streams == [()]
+
+
+def long_signed_word(genus, length):
+    """``length`` plain letters of seed 1, each a closed curve of ``genus`` and a sign.
+
+    The CI robustness step builds the genus-4 word the same way.
+    """
+    rng = random.Random(1)
+    curves = list(curve_classes(SurfaceSig(genus, 0)))
+    return TwistWord(SurfaceSig(genus, 0), tuple(
+        Twist(rng.choice(curves), rng.choice((1, -1))) for _ in range(length)))
+
+
+@pytest.mark.parametrize("genus, length", [(4, 400), (6, 300)])
+def test_positivize_of_a_long_seeded_word_builds_no_image(monkeypatch, genus, length):
+    # deciding the whole output against the input passed the cap on these
+    # words, after 1-2 s; each distinct negative curve's lemma has an empty
+    # psi, so no generator image is composed from a step
+    streams = _images_seen(monkeypatch)
+    w = long_signed_word(genus, length)
+    assert positivize(w).verdict == ("true", ENGINE_CLOSED)
+    assert streams and set(streams) == {()}
 
 
 def test_positivize_rejections():
