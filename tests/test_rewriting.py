@@ -388,8 +388,12 @@ def _decisions(monkeypatch):
     """Every ``decide_equal`` call that rewriting makes from now on, as (len(w1), len(w2))."""
     calls = []
     real = dehn.rewriting.decide_equal
-    monkeypatch.setattr(dehn.rewriting, "decide_equal", lambda w1, w2, *args: calls.append(
-        (len(w1), len(w2))) or real(w1, w2, *args))
+
+    def spy(w1, w2, *args):
+        calls.append((len(w1), len(w2)))
+        return real(w1, w2, *args)
+
+    monkeypatch.setattr(dehn.rewriting, "decide_equal", spy)
     return calls
 
 
